@@ -45,6 +45,11 @@ fi
 echo "==> cargo test -q (tier-1 default members)"
 cargo test -q
 
+echo "==> benchmark unit tests (e2ebench, offline)"
+# The benchmark compiles against the public `wlc` facade: an API it calls
+# that disappears fails here, not in a benchmark run.
+cargo test -q --manifest-path e2ebench/Cargo.toml
+
 echo "==> crash-consistency sweep (every op-log prefix of a supervisor round)"
 # Replays a full supervisor round (bootstrap commit, checkpoints,
 # promote, rollback, quarantine) against the simulated filesystem,

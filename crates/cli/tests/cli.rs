@@ -1,5 +1,6 @@
 //! End-to-end tests of the `wlc` binary: every subcommand, driven through
-//! a real process, sharing one temp workspace.
+//! a real process. Each test works in its own temp directory, so the
+//! tests can run in parallel.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -20,8 +21,10 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-fn workspace() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wlc-cli-it-{}", std::process::id()));
+/// A temp directory private to `test`; the test removes it when it
+/// passes.
+fn workspace(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wlc-cli-it-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
@@ -102,7 +105,7 @@ fn exit_codes_distinguish_failure_kinds() {
     assert_eq!(wlc(&["train"]).status.code(), Some(2));
 
     // Strict validation failure is exit 3 with a one-line diagnosis.
-    let dir = workspace();
+    let dir = workspace("exit_codes_distinguish_failure_kinds");
     let bad = dir.join("bad.csv");
     let bad_s = bad.to_str().expect("utf8 path");
     std::fs::write(&bad, "a,y*\n1.0,NaN\n").expect("write csv");
@@ -135,11 +138,12 @@ fn exit_codes_distinguish_failure_kinds() {
         "dropout=7",
     ]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn cv_quarantines_forced_divergence() {
-    let dir = workspace();
+    let dir = workspace("cv_quarantines_forced_divergence");
     let data = dir.join("cv-faults.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -191,11 +195,12 @@ fn cv_quarantines_forced_divergence() {
     let out = wlc(&with_retry);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(!stdout(&out).contains("quarantined"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn collect_with_faults_quarantines_and_stays_deterministic() {
-    let dir = workspace();
+    let dir = workspace("collect_with_faults_quarantines_and_stays_deterministic");
     let a = dir.join("faulty-a.csv");
     let b = dir.join("faulty-b.csv");
     let base = |out_path: &str, jobs: &str| {
@@ -246,11 +251,12 @@ fn collect_with_faults_quarantines_and_stays_deterministic() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("wrote 0 samples"));
     assert!(stderr(&out).contains("quarantined"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn train_checkpoint_resume_matches_uninterrupted() {
-    let dir = workspace();
+    let dir = workspace("train_checkpoint_resume_matches_uninterrupted");
     let data = dir.join("resume-data.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -326,6 +332,7 @@ fn train_checkpoint_resume_matches_uninterrupted() {
         std::fs::read_to_string(&partial).expect("partial model"),
         full_text
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A running `wlc serve` child process, killed on drop so a failing
@@ -388,7 +395,7 @@ impl Drop for ServerProc {
 
 #[test]
 fn serve_predicts_reloads_and_shuts_down_gracefully() {
-    let dir = workspace();
+    let dir = workspace("serve_predicts_reloads_and_shuts_down_gracefully");
     let data = dir.join("serve-data.csv");
     let model_a = dir.join("serve-model-a.txt");
     let model_b = dir.join("serve-model-b.txt");
@@ -480,11 +487,12 @@ fn serve_predicts_reloads_and_shuts_down_gracefully() {
         "2",
     ]);
     assert_eq!(out.status.code(), Some(5), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn serve_degrades_to_baseline_when_model_is_unusable() {
-    let dir = workspace();
+    let dir = workspace("serve_degrades_to_baseline_when_model_is_unusable");
     let data = dir.join("degraded-data.csv");
     let data_s = data.to_str().expect("utf8 path");
     let out = wlc(&[
@@ -524,6 +532,7 @@ fn serve_degrades_to_baseline_when_model_is_unusable() {
     assert!(text.contains("DEGRADED"), "{text}");
     assert!(text.contains("linear-baseline"), "{text}");
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -545,7 +554,7 @@ fn serve_usage_and_exit_codes() {
 
 #[test]
 fn full_pipeline_collect_train_predict_cv_surface() {
-    let dir = workspace();
+    let dir = workspace("full_pipeline_collect_train_predict_cv_surface");
     let data = dir.join("data.csv");
     let model = dir.join("model.txt");
     let data_s = data.to_str().expect("utf8 path");

@@ -5,13 +5,18 @@
 //! The paper's predictor is meant to be queried interactively by tuners;
 //! an *online* deployment therefore needs an answer even when the MLP is
 //! missing, fails validation, or is tripped offline by a circuit
-//! breaker. [`FallbackModel`] encodes that policy: predict with the
-//! primary MLP when allowed and healthy, otherwise fall back to the
-//! linear baseline ([`LinearModel`], the §6 comparator) and *say so* via
-//! [`Served::Baseline`], so callers can tag responses as degraded.
+//! breaker. [`FallbackModel::predict_batch`] encodes that policy: predict
+//! with the primary MLP when allowed and healthy, otherwise fall back to
+//! the linear baseline ([`LinearModel`], the §6 comparator) and *say so*
+//! via [`Served::Baseline`], so callers can tag responses as degraded.
+
+use std::borrow::Cow;
+
+use wlc_math::Matrix;
+use wlc_nn::BandEngine;
 
 use crate::baseline::LinearModel;
-use crate::{ModelError, PerformanceModel, WorkloadModel};
+use crate::{ModelError, PerformanceModel, PredictScratch, WorkloadModel};
 
 /// Which model actually produced a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +34,19 @@ impl Served {
     }
 }
 
+/// What [`FallbackModel::predict_batch`] made of one batch.
+#[derive(Debug)]
+pub struct BatchOutcome<'s> {
+    /// One prediction row per input row and the model that produced
+    /// them, or the error that left the batch unanswered: a caller-input
+    /// error ([`ModelError::WidthMismatch`], [`ModelError::NonFiniteInput`]),
+    /// else the failure of the baseline, or its absence.
+    pub answer: Result<(Cow<'s, Matrix>, Served), ModelError>,
+    /// The primary's failure, when it was tried and failed. Caller-input
+    /// errors say nothing about the model and never land here.
+    pub primary_failure: Option<ModelError>,
+}
+
 /// A primary [`WorkloadModel`] with an optional [`LinearModel`] fallback,
 /// at least one of which must be present.
 ///
@@ -36,8 +54,11 @@ impl Served {
 ///
 /// ```
 /// use wlc_data::{Dataset, Sample};
+/// use wlc_math::Matrix;
 /// use wlc_model::baseline::{LinearFeatures, LinearModel};
 /// use wlc_model::fallback::{FallbackModel, Served};
+/// use wlc_model::PredictScratch;
+/// use wlc_nn::BandEngine;
 ///
 /// let mut ds = Dataset::new(vec!["x".into()], vec!["y".into()]).unwrap();
 /// for i in 0..5 {
@@ -47,9 +68,12 @@ impl Served {
 /// let baseline = LinearModel::fit(&ds, LinearFeatures::FirstOrder)?;
 /// let bundle = FallbackModel::new(None, Some(baseline), ds.input_names().to_vec(),
 ///                                 ds.output_names().to_vec())?;
-/// let (y, served) = bundle.predict_with(&[10.0], true)?;
+/// let xs = Matrix::from_rows(&[&[10.0]]).unwrap();
+/// let (mut scratch, mut engine) = (PredictScratch::new(), BandEngine::new(1));
+/// let outcome = bundle.predict_batch(&xs, || true, || false, &mut scratch, &mut engine);
+/// let (y, served) = outcome.answer?;
 /// assert_eq!(served, Served::Baseline); // no primary — degraded by construction
-/// assert!((y[0] - 21.0).abs() < 1e-6);
+/// assert!((y.row(0)[0] - 21.0).abs() < 1e-6);
 /// # Ok::<(), wlc_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -134,11 +158,6 @@ impl FallbackModel {
         self.primary.as_ref()
     }
 
-    /// The baseline model, if available.
-    pub fn baseline(&self) -> Option<&LinearModel> {
-        self.baseline.as_ref()
-    }
-
     /// Returns a copy of this bundle with the primary model replaced —
     /// the building block of an atomic last-good hot swap: validate the
     /// candidate first, then publish the new bundle in one pointer store.
@@ -169,74 +188,97 @@ impl FallbackModel {
             .unwrap_or(0)
     }
 
-    /// Predicts one configuration, reporting which model answered.
+    /// Predicts every row of `xs`, reporting which model answered — the
+    /// primary→baseline choice in one place.
     ///
-    /// With `use_primary` set (the circuit is closed) the primary is
-    /// tried first; if it is absent, or its prediction fails with
-    /// anything other than a caller-input error, the baseline takes over
-    /// and the response is tagged [`Served::Baseline`]. With
-    /// `use_primary` unset (circuit open) the baseline answers directly.
+    /// The primary is tried when `allow_primary` agrees (a circuit
+    /// breaker's verdict), or regardless when there is no baseline to
+    /// degrade to. `allow_primary` is called only when a primary is
+    /// loaded, so a half-open breaker spends its trial only on a real
+    /// attempt. `inject_failure` is called only when the primary is about
+    /// to run; returning `true` fails it without running it (fault
+    /// injection). The primary runs through `scratch` and `engine`, so a
+    /// warm scratch makes the pass allocation-free, and every row is
+    /// bitwise equal to [`PerformanceModel::predict`]. When the primary
+    /// fails or answers non-finite values, the baseline answers instead.
     ///
     /// Caller-input errors — wrong width, non-finite features — are
     /// *not* degraded around: the same bad request would fail on the
     /// baseline too, and the caller needs the 4xx-style diagnosis.
-    ///
-    /// # Errors
-    ///
-    /// - [`ModelError::WidthMismatch`] / [`ModelError::NonFiniteInput`]
-    ///   for bad requests.
-    /// - The primary's error when no baseline exists to absorb it.
-    pub fn predict_with(
+    pub fn predict_batch<'s>(
         &self,
-        x: &[f64],
-        use_primary: bool,
-    ) -> Result<(Vec<f64>, Served), ModelError> {
-        if x.len() != self.inputs() {
-            return Err(ModelError::WidthMismatch {
-                expected: self.inputs(),
-                actual: x.len(),
-                what: "configuration",
-            });
-        }
-        if let Some(index) = x.iter().position(|v| !v.is_finite()) {
-            return Err(ModelError::NonFiniteInput {
-                index,
-                stage: "raw",
-            });
-        }
-        if use_primary {
-            if let Some(primary) = &self.primary {
-                match primary.predict(x) {
-                    Ok(y) if y.iter().all(|v| v.is_finite()) => {
-                        return Ok((y, Served::Primary));
+        xs: &Matrix,
+        allow_primary: impl FnOnce() -> bool,
+        inject_failure: impl FnOnce() -> bool,
+        scratch: &'s mut PredictScratch,
+        engine: &mut BandEngine,
+    ) -> BatchOutcome<'s> {
+        let chosen = self
+            .primary
+            .as_ref()
+            .filter(|_| allow_primary() || self.baseline.is_none());
+        let primary_failure = match chosen {
+            None => None,
+            Some(_) if inject_failure() => Some(ModelError::InvalidParameter {
+                name: "primary",
+                reason: "failure injected by the caller",
+            }),
+            Some(primary) => match primary.predict_batch_engine(xs, scratch, engine) {
+                Ok(rows) if first_non_finite(rows).is_none() => {
+                    return BatchOutcome {
+                        answer: Ok((Cow::Borrowed(rows), Served::Primary)),
+                        primary_failure: None,
                     }
-                    // Caller-input problems surface as-is.
-                    Err(e @ ModelError::NonFiniteInput { .. }) => return Err(e),
-                    // Model-side failure (or non-finite output): degrade
-                    // if we can, otherwise report the model failure.
-                    Ok(_) | Err(_) if self.baseline.is_some() => {}
-                    Ok(_) => {
-                        return Err(ModelError::InvalidParameter {
-                            name: "primary",
-                            reason: "model produced non-finite predictions",
-                        })
-                    }
-                    Err(e) => return Err(e),
                 }
-            }
-        }
-        match &self.baseline {
-            Some(baseline) => Ok((baseline.predict(x)?, Served::Baseline)),
-            None => match &self.primary {
-                // use_primary was false but there is nothing else: answer
-                // with the primary rather than failing a healthy request.
-                Some(primary) => Ok((primary.predict(x)?, Served::Primary)),
-                None => Err(ModelError::InvalidParameter {
-                    name: "fallback",
-                    reason: "no model available",
-                }),
+                Err(
+                    err @ (ModelError::WidthMismatch { .. } | ModelError::NonFiniteInput { .. }),
+                ) => {
+                    return BatchOutcome {
+                        answer: Err(err),
+                        primary_failure: None,
+                    }
+                }
+                Ok(_) => Some(non_finite("primary")),
+                Err(err) => Some(err),
             },
+        };
+        let answer = match &self.baseline {
+            Some(baseline) => match first_non_finite(xs) {
+                // The baseline checks widths but not finiteness, and the
+                // primary, which checks both, may not have run.
+                Some(index) => Err(ModelError::NonFiniteInput {
+                    index,
+                    stage: "raw",
+                }),
+                None => match baseline.predict_batch(xs) {
+                    Ok(rows) if first_non_finite(&rows).is_none() => {
+                        Ok((Cow::Owned(rows), Served::Baseline))
+                    }
+                    Ok(_) => Err(non_finite("baseline")),
+                    Err(err) => Err(err),
+                },
+            },
+            None => Err(ModelError::InvalidParameter {
+                name: "fallback",
+                reason: "no baseline to answer in the primary's place",
+            }),
+        };
+        BatchOutcome {
+            answer,
+            primary_failure,
         }
+    }
+}
+
+/// The column of the first non-finite value in `m`, if any.
+fn first_non_finite(m: &Matrix) -> Option<usize> {
+    (0..m.rows()).find_map(|r| m.row(r).iter().position(|v| !v.is_finite()))
+}
+
+fn non_finite(name: &'static str) -> ModelError {
+    ModelError::InvalidParameter {
+        name,
+        reason: "model produced non-finite predictions",
     }
 }
 
@@ -275,6 +317,26 @@ mod tests {
         LinearModel::fit(&dataset(), LinearFeatures::FirstOrder).unwrap()
     }
 
+    type Answer = Result<(Vec<f64>, Served), ModelError>;
+
+    /// Predicts the one-row batch `x` with the breaker's verdict
+    /// `allow` and fault injection `inject`; returns the answer's row
+    /// and the primary's failure.
+    fn predict(
+        bundle: &FallbackModel,
+        x: &[f64],
+        allow: bool,
+        inject: bool,
+    ) -> (Answer, Option<ModelError>) {
+        let xs = Matrix::from_rows(&[x]).unwrap();
+        let (mut scratch, mut engine) = (PredictScratch::new(), BandEngine::new(1));
+        let outcome = bundle.predict_batch(&xs, || allow, || inject, &mut scratch, &mut engine);
+        let answer = outcome
+            .answer
+            .map(|(rows, served)| (rows.row(0).to_vec(), served));
+        (answer, outcome.primary_failure)
+    }
+
     #[test]
     fn requires_at_least_one_model() {
         assert!(matches!(
@@ -300,11 +362,15 @@ mod tests {
 
     #[test]
     fn healthy_primary_answers_and_is_not_degraded() {
-        let bundle = FallbackModel::new(Some(primary()), Some(baseline()), vec![], vec![]).unwrap();
-        let (y, served) = bundle.predict_with(&[2.0, 3.0], true).unwrap();
+        let model = primary();
+        let expected = model.predict(&[2.0, 3.0]).unwrap();
+        let bundle = FallbackModel::new(Some(model), Some(baseline()), vec![], vec![]).unwrap();
+        let (answer, failure) = predict(&bundle, &[2.0, 3.0], true, false);
+        let (y, served) = answer.unwrap();
         assert_eq!(served, Served::Primary);
         assert!(!served.is_degraded());
-        assert_eq!(y.len(), 2);
+        assert!(failure.is_none());
+        assert_eq!(y, expected, "a one-row batch is bitwise `predict`");
         assert_eq!(bundle.input_names(), &["a", "b"]);
         assert_eq!(bundle.output_names(), &["y0", "y1"]);
     }
@@ -314,9 +380,11 @@ mod tests {
         let base = baseline();
         let expected = base.predict(&[2.0, 3.0]).unwrap();
         let bundle = FallbackModel::new(Some(primary()), Some(base), vec![], vec![]).unwrap();
-        let (y, served) = bundle.predict_with(&[2.0, 3.0], false).unwrap();
+        let (answer, failure) = predict(&bundle, &[2.0, 3.0], false, false);
+        let (y, served) = answer.unwrap();
         assert_eq!(served, Served::Baseline);
         assert!(served.is_degraded());
+        assert!(failure.is_none(), "a vetoed primary has not failed");
         assert_eq!(y, expected);
     }
 
@@ -330,28 +398,66 @@ mod tests {
         )
         .unwrap();
         assert!(!bundle.has_primary());
-        let (_, served) = bundle.predict_with(&[1.0, 1.0], true).unwrap();
-        assert_eq!(served, Served::Baseline);
+        let (answer, _) = predict(&bundle, &[1.0, 1.0], true, false);
+        assert_eq!(answer.unwrap().1, Served::Baseline);
     }
 
     #[test]
     fn open_circuit_without_baseline_still_answers_from_primary() {
         let bundle = FallbackModel::new(Some(primary()), None, vec![], vec![]).unwrap();
-        let (_, served) = bundle.predict_with(&[2.0, 2.0], false).unwrap();
-        assert_eq!(served, Served::Primary);
+        let (answer, _) = predict(&bundle, &[2.0, 2.0], false, false);
+        assert_eq!(answer.unwrap().1, Served::Primary);
     }
 
     #[test]
     fn caller_input_errors_are_not_degraded_around() {
         let bundle = FallbackModel::new(Some(primary()), Some(baseline()), vec![], vec![]).unwrap();
-        assert!(matches!(
-            bundle.predict_with(&[1.0], true),
-            Err(ModelError::WidthMismatch { .. })
-        ));
-        assert!(matches!(
-            bundle.predict_with(&[f64::NAN, 1.0], true),
-            Err(ModelError::NonFiniteInput { .. })
-        ));
+        // Whether or not the breaker lets the primary run.
+        for allow in [true, false] {
+            let (answer, failure) = predict(&bundle, &[1.0], allow, false);
+            assert!(matches!(answer, Err(ModelError::WidthMismatch { .. })));
+            assert!(failure.is_none());
+            let (answer, failure) = predict(&bundle, &[f64::NAN, 1.0], allow, false);
+            assert!(matches!(answer, Err(ModelError::NonFiniteInput { .. })));
+            assert!(failure.is_none());
+        }
+    }
+
+    #[test]
+    fn failed_primary_is_reported_and_degrades_when_it_can() {
+        let base = baseline();
+        let expected = base.predict(&[2.0, 3.0]).unwrap();
+        let bundle = FallbackModel::new(Some(primary()), Some(base), vec![], vec![]).unwrap();
+        let (answer, failure) = predict(&bundle, &[2.0, 3.0], true, true);
+        assert_eq!(answer.unwrap(), (expected, Served::Baseline));
+        assert!(failure.is_some());
+
+        // Nothing to degrade to: the batch goes unanswered.
+        let lone = FallbackModel::new(Some(primary()), None, vec![], vec![]).unwrap();
+        let (answer, failure) = predict(&lone, &[2.0, 3.0], true, true);
+        assert!(answer.is_err());
+        assert!(failure.is_some());
+    }
+
+    #[test]
+    fn hooks_run_only_when_the_primary_could_answer() {
+        let xs = Matrix::from_rows(&[&[2.0, 3.0]]).unwrap();
+        let (mut scratch, mut engine) = (PredictScratch::new(), BandEngine::new(1));
+        let never = || -> bool { panic!("hook must not run") };
+        // No primary: the breaker is not consulted.
+        let degraded = FallbackModel::new(
+            None,
+            Some(baseline()),
+            vec!["a".into(), "b".into()],
+            vec!["y0".into(), "y1".into()],
+        )
+        .unwrap();
+        let outcome = degraded.predict_batch(&xs, never, never, &mut scratch, &mut engine);
+        assert!(outcome.answer.is_ok());
+        // A vetoed primary is not run, so no failure is injected.
+        let full = FallbackModel::new(Some(primary()), Some(baseline()), vec![], vec![]).unwrap();
+        let outcome = full.predict_batch(&xs, || false, never, &mut scratch, &mut engine);
+        assert!(outcome.answer.is_ok());
     }
 
     #[test]
@@ -365,7 +471,7 @@ mod tests {
         .unwrap();
         let upgraded = bundle.with_primary(primary()).unwrap();
         assert!(upgraded.has_primary() && upgraded.has_baseline());
-        let (_, served) = upgraded.predict_with(&[2.0, 2.0], true).unwrap();
-        assert_eq!(served, Served::Primary);
+        let (answer, _) = predict(&upgraded, &[2.0, 2.0], true, false);
+        assert_eq!(answer.unwrap().1, Served::Primary);
     }
 }

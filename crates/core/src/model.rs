@@ -44,9 +44,9 @@ pub trait PerformanceModel {
     }
 }
 
-/// Reusable scratch for [`WorkloadModel::predict_batch_with`] —
+/// Reusable scratch for [`WorkloadModel::predict_batch_engine`] —
 /// a serving worker keeps one of these alive across requests so the
-/// steady-state batch-prediction path performs no heap allocations.
+/// steady-state prediction path performs no heap allocations.
 ///
 /// The scratch adapts itself: if the served model's topology changes
 /// (hot reload) or a request carries a different batch size, the buffers
@@ -133,53 +133,23 @@ impl WorkloadModel {
         self.mlp.topology()
     }
 
-    /// Batched prediction through caller-owned scratch buffers — the
-    /// allocation-free serving path.
+    /// Batched prediction through caller-owned scratch buffers, with the
+    /// forward pass's row bands fanned out over `engine`'s worker team —
+    /// the allocation-free serving path.
     ///
     /// Bit-identical to calling [`PerformanceModel::predict`] on each row
     /// (the batched forward pass is a GEMM with the same fixed
-    /// accumulation order as the per-row path). Once `scratch` has been
-    /// warmed by a call of the same batch size and topology, no heap
-    /// allocation occurs. The returned matrix borrows from `scratch` and
-    /// is valid until the next call.
+    /// accumulation order as the per-row path) for any team size: band
+    /// geometry and per-element reduction order never depend on the
+    /// worker count. Once `scratch` has been warmed by a call of the same
+    /// batch size and topology, no heap allocation occurs. The returned
+    /// matrix borrows from `scratch` and is valid until the next call.
     ///
     /// # Errors
     ///
     /// - [`ModelError::WidthMismatch`] if `xs.cols() != self.inputs()`.
     /// - [`ModelError::NonFiniteInput`] for non-finite raw or
     ///   standardized features (same checks as `predict`).
-    pub fn predict_batch_with<'s>(
-        &self,
-        xs: &Matrix,
-        scratch: &'s mut PredictScratch,
-    ) -> Result<&'s Matrix, ModelError> {
-        if xs.cols() != self.inputs() {
-            return Err(ModelError::WidthMismatch {
-                expected: self.inputs(),
-                actual: xs.cols(),
-                what: "configuration",
-            });
-        }
-        let PredictScratch { scaled, out, ws } = scratch;
-        self.scale_inputs(xs, scaled)?;
-        let workspace = match ws {
-            Some(w) if w.matches(&self.mlp) => w,
-            _ => ws.insert(Workspace::for_mlp(&self.mlp)),
-        };
-        let acts = self.mlp.forward_batch_with(scaled, workspace)?;
-        Self::unscale_outputs(&self.output_scaler, acts, out)?;
-        Ok(out)
-    }
-
-    /// [`WorkloadModel::predict_batch_with`] with the forward pass's
-    /// row bands fanned out over `engine`'s worker team. Bitwise
-    /// identical to the single-threaded path for any team size — band
-    /// geometry and per-element reduction order never depend on the
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// As for [`WorkloadModel::predict_batch_with`].
     pub fn predict_batch_engine<'s>(
         &self,
         xs: &Matrix,
@@ -836,7 +806,7 @@ mod tests {
         let mut scratch = PredictScratch::new();
         let reference = outcome
             .model
-            .predict_batch_with(&xs, &mut scratch)
+            .predict_batch_engine(&xs, &mut scratch, &mut BandEngine::new(1))
             .unwrap()
             .clone();
         for jobs in [1, 2, 4, 7] {
@@ -926,14 +896,15 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_with_is_bitwise_predict_and_survives_reload() {
+    fn predict_batch_engine_is_bitwise_predict_and_survives_reload() {
         let ds = synthetic_dataset();
         let outcome = quick_builder().max_epochs(50).train(&ds).unwrap();
         let (xs, _) = ds.to_matrices();
         let mut scratch = PredictScratch::new();
+        let mut engine = BandEngine::new(1);
         let batch = outcome
             .model
-            .predict_batch_with(&xs, &mut scratch)
+            .predict_batch_engine(&xs, &mut scratch, &mut engine)
             .unwrap()
             .clone();
         for r in 0..xs.rows() {
@@ -950,18 +921,25 @@ mod tests {
             .max_epochs(10)
             .train(&ds)
             .unwrap();
-        let swapped = other.model.predict_batch_with(&xs, &mut scratch).unwrap();
+        let swapped = other
+            .model
+            .predict_batch_engine(&xs, &mut scratch, &mut engine)
+            .unwrap();
         assert_eq!(swapped.row(2), other.model.predict(xs.row(2)).unwrap());
         // Errors mirror `predict`: width and finiteness checks.
         let narrow = Matrix::zeros(2, 1);
         assert!(matches!(
-            outcome.model.predict_batch_with(&narrow, &mut scratch),
+            outcome
+                .model
+                .predict_batch_engine(&narrow, &mut scratch, &mut engine),
             Err(ModelError::WidthMismatch { .. })
         ));
         let mut bad = xs.clone();
         bad.row_mut(1)[0] = f64::NAN;
         assert!(matches!(
-            outcome.model.predict_batch_with(&bad, &mut scratch),
+            outcome
+                .model
+                .predict_batch_engine(&bad, &mut scratch, &mut engine),
             Err(ModelError::NonFiniteInput { stage: "raw", .. })
         ));
     }

@@ -89,49 +89,9 @@ impl Mlp {
     ///
     /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
     pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let max_w = self.max_layer_width();
-        let mut ping = vec![0.0; max_w];
-        let mut pong = vec![0.0; max_w];
-        let (in_ping, width) = self.forward_ping_pong(input, &mut ping, &mut pong)?;
-        let mut out = if in_ping { ping } else { pong };
-        out.truncate(width);
-        Ok(out)
-    }
-
-    /// Widest layer output (sizing for ping-pong buffers).
-    pub(crate) fn max_layer_width(&self) -> usize {
         self.layers
             .iter()
-            .map(DenseLayer::outputs)
-            .max()
-            .expect("non-empty network")
-    }
-
-    /// Runs the layers through two ping-pong buffers (each at least
-    /// [`Mlp::max_layer_width`] long), allocating nothing. Returns
-    /// `(true, width)` if the final activation sits in `ping[..width]`,
-    /// `(false, width)` if it sits in `pong[..width]`.
-    pub(crate) fn forward_ping_pong(
-        &self,
-        input: &[f64],
-        ping: &mut [f64],
-        pong: &mut [f64],
-    ) -> Result<(bool, usize), NnError> {
-        let first = &self.layers[0];
-        first.forward_into(input, &mut ping[..first.outputs()])?;
-        let mut width = first.outputs();
-        let mut in_ping = true;
-        for layer in &self.layers[1..] {
-            let outs = layer.outputs();
-            if in_ping {
-                layer.forward_into(&ping[..width], &mut pong[..outs])?;
-            } else {
-                layer.forward_into(&pong[..width], &mut ping[..outs])?;
-            }
-            width = outs;
-            in_ping = !in_ping;
-        }
-        Ok((in_ping, width))
+            .try_fold(input.to_vec(), |acts, layer| layer.forward(&acts))
     }
 
     /// Runs the forward pass for every row of `inputs`, returning one

@@ -2,12 +2,11 @@
 //!
 //! A [`Workspace`] owns every intermediate buffer the forward and
 //! backward passes need — batched activation/pre-activation/delta
-//! matrices, per-layer gradient matrices, a flat gradient vector,
-//! single-sample ping-pong buffers and the scalar reference path's
-//! trace. Constructed once per network topology, it lets steady-state
-//! training run with **zero heap allocations per epoch**: buffers are
-//! grown on first use and thereafter only resized within their existing
-//! capacity.
+//! matrices, per-layer gradient matrices, a flat gradient vector and
+//! the scalar reference path's trace. Constructed once per network
+//! topology, it lets steady-state training run with **zero heap
+//! allocations per epoch**: buffers are grown on first use and
+//! thereafter only resized within their existing capacity.
 //!
 //! Two gradient implementations share the workspace:
 //!
@@ -127,9 +126,6 @@ pub struct Workspace {
     /// Full-size prediction matrix returned by the strip-mined
     /// [`Mlp::forward_batch_with`].
     out: Matrix,
-    /// Single-sample ping-pong activation buffers (max layer width).
-    ping: Vec<f64>,
-    pong: Vec<f64>,
     /// Scalar reference path: per-layer pre-activation trace.
     trace_pre: Vec<Vec<f64>>,
     /// Scalar reference path: activations (`trace_acts[0]` is the input).
@@ -193,8 +189,6 @@ impl Workspace {
                 .collect(),
             grad: vec![0.0; param_count],
             out: Matrix::zeros(0, mlp.outputs()),
-            ping: vec![0.0; max_width],
-            pong: vec![0.0; max_width],
             trace_pre: mlp
                 .layers()
                 .iter()
@@ -280,28 +274,6 @@ impl Workspace {
 }
 
 impl Mlp {
-    /// Allocation-free single-sample forward pass through `ws`'s
-    /// ping-pong buffers; bit-identical to [`Mlp::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] for a wrong input width or a
-    /// workspace built for a different topology.
-    #[wlc_hot]
-    pub fn forward_with<'ws>(
-        &self,
-        input: &[f64],
-        ws: &'ws mut Workspace,
-    ) -> Result<&'ws [f64], NnError> {
-        ws.check(self)?;
-        let (in_ping, width) = self.forward_ping_pong(input, &mut ws.ping, &mut ws.pong)?;
-        Ok(if in_ping {
-            &ws.ping[..width]
-        } else {
-            &ws.pong[..width]
-        })
-    }
-
     /// Allocation-free batched forward pass: one GEMM per layer per
     /// [`BAND_ROWS`] band, so the intermediates stay cache-resident.
     /// Returns the `rows x outputs` prediction matrix held inside `ws`;
@@ -995,20 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_with_is_bitwise_forward() {
-        let mut rng = Xoshiro256::seed_from(22);
-        for (mlp, _) in cases() {
-            let xs = random_batch(4, mlp.inputs(), &mut rng);
-            let mut ws = Workspace::for_mlp(&mlp);
-            for r in 0..4 {
-                let expect = mlp.forward(xs.row(r)).unwrap();
-                let got = mlp.forward_with(xs.row(r), &mut ws).unwrap();
-                assert_eq!(got, expect.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn batched_gradient_is_bitwise_scalar() {
         let mut rng = Xoshiro256::seed_from(23);
         let losses = [
@@ -1088,13 +1046,12 @@ mod tests {
             .build()
             .unwrap();
         let mut ws = Workspace::for_mlp(&mlp_a);
-        assert!(matches!(
-            mlp_b.forward_with(&[0.0; 3], &mut ws),
-            Err(NnError::ShapeMismatch { .. })
-        ));
         let xs = Matrix::zeros(2, 3);
         let ys = Matrix::zeros(2, 2);
-        assert!(mlp_b.forward_batch_with(&xs, &mut ws).is_err());
+        assert!(matches!(
+            mlp_b.forward_batch_with(&xs, &mut ws),
+            Err(NnError::ShapeMismatch { .. })
+        ));
         assert!(mlp_b
             .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
             .is_err());

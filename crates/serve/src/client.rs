@@ -16,12 +16,15 @@ use crate::error::ServeError;
 use crate::http;
 use crate::json::Json;
 
-/// A successful `/predict` response.
+/// A successful prediction response. From `/predict`, `outputs` is one
+/// row (the default `T`); from `/predict_batch` it is one row per input
+/// configuration ([`BatchPrediction`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Prediction {
-    /// Predicted performance indicators, in output order.
-    pub outputs: Vec<f64>,
-    /// Names of the outputs (parallel to `outputs`).
+pub struct Prediction<T = Vec<f64>> {
+    /// Predicted performance indicators, in output order (one row per
+    /// input configuration, in request order, for a batch).
+    pub outputs: T,
+    /// Names of the outputs (parallel to each row of `outputs`).
     pub output_names: Vec<String>,
     /// Whether the linear baseline answered instead of the MLP.
     pub degraded: bool,
@@ -34,21 +37,7 @@ pub struct Prediction {
 }
 
 /// A successful `/predict_batch` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchPrediction {
-    /// One prediction row per input configuration, in request order.
-    pub outputs: Vec<Vec<f64>>,
-    /// Names of the outputs (parallel to each row of `outputs`).
-    pub output_names: Vec<String>,
-    /// Whether the linear baseline answered instead of the MLP.
-    pub degraded: bool,
-    /// Which model answered (`"mlp"` or `"linear-baseline"`).
-    pub model: String,
-    /// Serving-model generation (bumped by each successful hot reload).
-    pub generation: u64,
-    /// Which replica answered.
-    pub replica: u64,
-}
+pub type BatchPrediction = Prediction<Vec<Vec<f64>>>;
 
 /// A completed rolling reload, as reported by `POST /reload`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,27 +174,25 @@ impl ServeClient {
         })
     }
 
-    /// Requests a prediction for one configuration.
-    pub fn predict(&self, inputs: &[f64]) -> Result<Prediction, ServeError> {
-        self.predict_with_deadline(inputs, None)
-    }
-
-    /// Requests a prediction with an explicit deadline in milliseconds.
-    pub fn predict_with_deadline(
+    /// POSTs `inputs` to the prediction route `path` and parses the
+    /// answer, reading `outputs` with `rows`.
+    fn post_prediction<T>(
         &self,
-        inputs: &[f64],
+        path: &str,
+        inputs: Json,
         deadline_ms: Option<u64>,
-    ) -> Result<Prediction, ServeError> {
-        let mut body = vec![("inputs", Json::nums(inputs))];
+        rows: impl FnOnce(&Json) -> Option<T>,
+    ) -> Result<Prediction<T>, ServeError> {
+        let mut body = vec![("inputs", inputs)];
         if let Some(ms) = deadline_ms {
             body.push(("deadline_ms", Json::Num(ms as f64)));
         }
         let body =
             Json::Obj(body.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_string();
-        let json = self.request_json("POST", "/predict", &body)?;
+        let json = self.request_json("POST", path, &body)?;
         let outputs = json
             .get("outputs")
-            .and_then(Json::as_f64_array)
+            .and_then(rows)
             .ok_or_else(|| ServeError::Protocol("response missing `outputs`".into()))?;
         let output_names = json
             .get("output_names")
@@ -234,6 +221,25 @@ impl ServeClient {
         })
     }
 
+    /// Requests a prediction for one configuration.
+    pub fn predict(&self, inputs: &[f64]) -> Result<Prediction, ServeError> {
+        self.predict_with_deadline(inputs, None)
+    }
+
+    /// Requests a prediction with an explicit deadline in milliseconds.
+    pub fn predict_with_deadline(
+        &self,
+        inputs: &[f64],
+        deadline_ms: Option<u64>,
+    ) -> Result<Prediction, ServeError> {
+        self.post_prediction(
+            "/predict",
+            Json::nums(inputs),
+            deadline_ms,
+            Json::as_f64_array,
+        )
+    }
+
     /// Requests predictions for many configurations in one round trip
     /// (`POST /predict_batch`): the server answers every row through its
     /// allocation-free batched forward pass.
@@ -248,47 +254,8 @@ impl ServeClient {
         deadline_ms: Option<u64>,
     ) -> Result<BatchPrediction, ServeError> {
         let rows = Json::Arr(inputs.iter().map(|row| Json::nums(row)).collect());
-        let mut body = vec![("inputs", rows)];
-        if let Some(ms) = deadline_ms {
-            body.push(("deadline_ms", Json::Num(ms as f64)));
-        }
-        let body =
-            Json::Obj(body.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_string();
-        let json = self.request_json("POST", "/predict_batch", &body)?;
-        let outputs = json
-            .get("outputs")
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .map(Json::as_f64_array)
-                    .collect::<Option<Vec<_>>>()
-            })
-            .and_then(|rows| rows)
-            .ok_or_else(|| ServeError::Protocol("response missing `outputs` rows".into()))?;
-        let output_names = json
-            .get("output_names")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok(BatchPrediction {
-            outputs,
-            output_names,
-            degraded: json
-                .get("degraded")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            model: json
-                .get("model")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            generation: json.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            replica: json.get("replica").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+        self.post_prediction("/predict_batch", rows, deadline_ms, |outputs| {
+            outputs.as_arr()?.iter().map(Json::as_f64_array).collect()
         })
     }
 

@@ -30,8 +30,8 @@
 //!
 //! | Route            | Purpose                                          |
 //! |------------------|--------------------------------------------------|
-//! | `POST /predict`  | `{"inputs":[...], "deadline_ms":n?}` → prediction |
-//! | `POST /predict_batch` | `{"inputs":[[...],...], "deadline_ms":n?}` → one prediction per row, served through the worker's reusable [`PredictScratch`] (allocation-free model pass) |
+//! | `POST /predict`  | `{"inputs":[...], "deadline_ms":n?}` → prediction: a one-row batch through the same pipeline, scratch and engine as `/predict_batch` |
+//! | `POST /predict_batch` | `{"inputs":[[...],...], "deadline_ms":n?}` → one prediction per row, computed through the worker's reusable [`PredictScratch`] and [`BandEngine`] (allocation-free model pass) |
 //! | `GET /healthz`   | liveness (200 while the process serves)          |
 //! | `GET /readyz`    | readiness: per-replica health, ready while ≥ 1 replica can answer |
 //! | `GET /stats`     | fleet counters plus a per-replica breakdown      |
@@ -51,7 +51,7 @@ use wlc_fault::FsHandle;
 use wlc_math::rng::Xoshiro256;
 use wlc_math::Matrix;
 use wlc_model::fallback::{FallbackModel, Served};
-use wlc_model::{ModelError, PerformanceModel, PredictScratch};
+use wlc_model::{ModelError, PredictScratch};
 use wlc_nn::BandEngine;
 
 use crate::breaker::{BreakerState, CircuitBreaker};
@@ -96,7 +96,7 @@ pub struct ServeConfig {
     /// makes the jitter sequence reproducible.
     pub shed_jitter_seed: u64,
     /// Worker threads for the batched forward pass inside each
-    /// `/predict_batch` request (a per-worker [`wlc_nn::BandEngine`]
+    /// prediction request (a per-worker [`wlc_nn::BandEngine`]
     /// team; minimum 1). Predictions are bitwise identical for every
     /// setting — the band fan-out never changes reduction order.
     pub band_jobs: usize,
@@ -521,9 +521,11 @@ fn route(
     accepted_at: Instant,
 ) -> (u16, String, bool) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/predict") => handle_predict(shared, replica, request, accepted_at),
+        ("POST", "/predict") => {
+            handle_predict(shared, replica, state, request, accepted_at, Shape::Single)
+        }
         ("POST", "/predict_batch") => {
-            handle_predict_batch(shared, replica, state, request, accepted_at)
+            handle_predict(shared, replica, state, request, accepted_at, Shape::Batch)
         }
         ("GET", "/healthz") => (
             200,
@@ -929,11 +931,73 @@ fn record_compute_deadline(replica: &Replica<Conn>, breaker: &CircuitBreaker, se
     }
 }
 
+/// The two prediction endpoints. They share one pipeline and differ
+/// only in how `inputs` becomes rows and how `outputs` is shaped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// `POST /predict`: `inputs` is one configuration and `outputs` one
+    /// flat row.
+    Single,
+    /// `POST /predict_batch`: `inputs` is a non-empty array of
+    /// configurations, answered by one `outputs` row each plus `rows`.
+    Batch,
+}
+
+/// Parses the body's `inputs` into a `rows x width` matrix, or the 400
+/// text naming what is wrong with it.
+fn parse_rows(body: &Json, shape: Shape, width: usize) -> Result<Matrix, String> {
+    let not_numbers = "request must carry an `inputs` array of numbers";
+    let rows = match (shape, body.get("inputs")) {
+        (Shape::Single, Some(row)) => std::slice::from_ref(row),
+        (Shape::Single, None) => return Err(not_numbers.into()),
+        (Shape::Batch, Some(Json::Arr(rows))) if !rows.is_empty() => rows.as_slice(),
+        (Shape::Batch, _) => {
+            return Err(
+                "request must carry a non-empty `inputs` array of configuration rows".into(),
+            )
+        }
+    };
+    let mut xs = Matrix::zeros(rows.len(), width);
+    for (r, row) in rows.iter().enumerate() {
+        // `/predict` has a single row, so its texts name no row.
+        let at = || match shape {
+            Shape::Single => String::new(),
+            Shape::Batch => format!(" in row {r}"),
+        };
+        let values = row.as_f64_array().ok_or_else(|| match shape {
+            Shape::Single => not_numbers.to_string(),
+            Shape::Batch => format!("inputs row {r} must be an array of numbers"),
+        })?;
+        if values.len() != width {
+            return Err(format!(
+                "configuration width mismatch{}: expected {width}, got {}",
+                at(),
+                values.len()
+            ));
+        }
+        if let Some(index) = values.iter().position(|v| !v.is_finite()) {
+            return Err(format!(
+                "configuration feature {index}{} is not finite",
+                at()
+            ));
+        }
+        xs.row_mut(r).copy_from_slice(&values);
+    }
+    Ok(xs)
+}
+
+/// `POST /predict` and `POST /predict_batch`: the rows run as one batch
+/// through the worker's reusable scratch and band engine, under one
+/// deadline, breaker and degradation policy. A batch comes all from the
+/// primary or all from the baseline, never mixed, so `degraded` stays a
+/// single flag.
 fn handle_predict(
     shared: &Shared,
     replica: &Replica<Conn>,
+    state: &mut WorkerState,
     request: &http::Request,
     accepted_at: Instant,
+    shape: Shape,
 ) -> (u16, String, bool) {
     let body = match request
         .body_str()
@@ -963,112 +1027,45 @@ fn handle_predict(
             false,
         );
     }
-    let inputs = match body.get("inputs").and_then(Json::as_f64_array) {
-        Some(inputs) => inputs,
-        None => {
-            return (
-                400,
-                error_body("request must carry an `inputs` array of numbers", false),
-                false,
-            )
-        }
-    };
-
-    let breaker = replica.breaker();
     let snapshot = replica.slot().snapshot();
-    if inputs.len() != snapshot.inputs() {
-        return (
-            400,
-            error_body(
-                &format!(
-                    "configuration width mismatch: expected {}, got {}",
-                    snapshot.inputs(),
-                    inputs.len()
-                ),
-                false,
-            ),
-            false,
-        );
-    }
-    if let Some(index) = inputs.iter().position(|v| !v.is_finite()) {
-        return (
-            400,
-            error_body(
-                &format!("configuration feature {index} is not finite"),
-                false,
-            ),
-            false,
-        );
-    }
+    let xs = match parse_rows(&body, shape, snapshot.inputs()) {
+        Ok(xs) => xs,
+        Err(reason) => return (400, error_body(&reason, false), false),
+    };
 
     if !shared.config.slow_per_request.is_zero() {
         std::thread::sleep(shared.config.slow_per_request);
     }
 
+    let breaker = replica.breaker();
     let now = Instant::now();
-    // With no baseline to degrade to, bypassing the primary would leave
-    // nothing to answer with — try the primary even when the breaker is
-    // open. The breaker is only consulted (it consumes the half-open
-    // trial slot) when a primary actually exists.
-    let chosen = match snapshot.primary() {
-        Some(model) if breaker.allow_primary(now) || !snapshot.has_baseline() => Some(model),
-        _ => None,
-    };
-
-    let mut primary_error: Option<String> = None;
-    let mut outcome: Option<(Vec<f64>, Served)> = None;
-    if let Some(model) = chosen {
-        let forced = shared.take_forced_failure();
-        if forced {
-            breaker.record_failure(Instant::now());
-            primary_error = Some("injected primary failure (--force-fail)".into());
-        } else {
-            match model.predict(&inputs) {
-                Ok(y) if y.iter().all(|v| v.is_finite()) => {
-                    // Success is recorded only after the deadline
-                    // check below: a primary answer that arrives too
-                    // late is a compute-phase failure, not a success.
-                    outcome = Some((y, Served::Primary));
-                }
-                Err(err @ ModelError::NonFiniteInput { .. })
-                | Err(err @ ModelError::WidthMismatch { .. }) => {
-                    // Caller-input problem: a 4xx never counts against
-                    // the breaker (FailurePhase::CallerError), so the
-                    // half-open trial is released without a verdict.
-                    breaker.abandon_trial();
-                    return (400, error_body(&err.to_string(), false), false);
-                }
-                Ok(_) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some("primary produced non-finite predictions".into());
-                }
-                Err(err) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some(err.to_string());
-                }
-            }
-        }
+    let outcome = snapshot.predict_batch(
+        &xs,
+        || breaker.allow_primary(now),
+        || shared.take_forced_failure(),
+        &mut state.scratch,
+        &mut state.engine,
+    );
+    if outcome.primary_failure.is_some() {
+        breaker.record_failure(Instant::now());
     }
-    let (y, served) = match outcome {
-        Some(pair) => pair,
-        None => match snapshot.baseline() {
-            Some(baseline) => match baseline.predict(&inputs) {
-                Ok(y) if y.iter().all(|v| v.is_finite()) => (y, Served::Baseline),
-                Ok(_) => {
-                    return (
-                        500,
-                        error_body("baseline produced non-finite predictions", false),
-                        false,
-                    )
-                }
-                Err(err) => return (500, error_body(&err.to_string(), false), false),
-            },
-            None => {
-                let reason = primary_error
-                    .unwrap_or_else(|| "no model available to serve this request".into());
-                return (500, error_body(&reason, false), false);
-            }
-        },
+    let (ys, served) = match outcome.answer {
+        Ok(answer) => answer,
+        Err(err @ (ModelError::NonFiniteInput { .. } | ModelError::WidthMismatch { .. })) => {
+            // `parse_rows` already rejected wrong widths and non-finite
+            // raw features, so this comes from the primary: a feature
+            // that standardizes to a non-finite value. A caller error
+            // never counts against the breaker (FailurePhase::CallerError),
+            // so the half-open trial is released without a verdict.
+            breaker.abandon_trial();
+            return (400, error_body(&err.to_string(), false), false);
+        }
+        // No model answered; the primary's failure, if it was tried,
+        // is the root cause.
+        Err(err) => {
+            let reason = outcome.primary_failure.unwrap_or(err);
+            return (500, error_body(&reason.to_string(), false), false);
+        }
     };
 
     // The answer must also *arrive* within the deadline.
@@ -1080,6 +1077,8 @@ fn handle_predict(
             false,
         );
     }
+    // Recorded only after the deadline check: a primary answer that
+    // arrives too late is a compute-phase failure, not a success.
     if served == Served::Primary {
         breaker.record_success();
     }
@@ -1092,230 +1091,33 @@ fn handle_predict(
         .output_names()
         .iter()
         .map(|n| Json::Str(n.clone()))
-        .collect::<Vec<_>>();
-    let body = Json::obj([
-        ("outputs", Json::nums(&y)),
+        .collect();
+    let model = match served {
+        Served::Primary => "mlp",
+        Served::Baseline => "linear-baseline",
+    };
+    let mut fields = vec![
         ("output_names", Json::Arr(names)),
         ("degraded", Json::Bool(degraded)),
-        (
-            "model",
-            Json::Str(
-                match served {
-                    Served::Primary => "mlp",
-                    Served::Baseline => "linear-baseline",
-                }
-                .into(),
-            ),
-        ),
+        ("model", Json::Str(model.into())),
         ("generation", Json::Num(replica.slot().generation() as f64)),
         ("replica", Json::Num(replica.id() as f64)),
-    ])
-    .to_string();
-    (200, body, degraded)
-}
-
-/// `POST /predict_batch`: one prediction per input row, computed by the
-/// batched GEMM forward pass through the worker's reusable scratch. The
-/// breaker/degradation policy is the same as `/predict`, applied to the
-/// whole batch (it either all comes from the primary or all from the
-/// baseline — never mixed, so `degraded` stays a single flag).
-fn handle_predict_batch(
-    shared: &Shared,
-    replica: &Replica<Conn>,
-    state: &mut WorkerState,
-    request: &http::Request,
-    accepted_at: Instant,
-) -> (u16, String, bool) {
-    let body = match request
-        .body_str()
-        .map_err(|e| e.to_string())
-        .and_then(Json::parse)
-    {
-        Ok(json) => json,
-        Err(reason) => {
-            return (
-                400,
-                error_body(&format!("bad request body: {reason}"), false),
-                false,
-            )
-        }
-    };
-    let deadline = match deadline_for(shared, &body, accepted_at) {
-        Ok(deadline) => deadline,
-        Err(reason) => return (400, error_body(&reason, false), false),
-    };
-    if Instant::now() >= deadline {
-        record_queued_deadline(replica);
-        return (
-            504,
-            error_body("deadline exceeded while queued", true),
-            false,
-        );
-    }
-    let rows = match body.get("inputs").and_then(Json::as_arr) {
-        Some(rows) if !rows.is_empty() => rows,
-        _ => {
-            return (
-                400,
-                error_body(
-                    "request must carry a non-empty `inputs` array of configuration rows",
-                    false,
-                ),
-                false,
-            )
-        }
-    };
-
-    let breaker = replica.breaker();
-    let snapshot = replica.slot().snapshot();
-    let width = snapshot.inputs();
-    let mut xs = Matrix::zeros(rows.len(), width);
-    for (r, row) in rows.iter().enumerate() {
-        let values = match row.as_f64_array() {
-            Some(values) => values,
-            None => {
-                return (
-                    400,
-                    error_body(
-                        &format!("inputs row {r} must be an array of numbers"),
-                        false,
-                    ),
-                    false,
-                )
-            }
-        };
-        if values.len() != width {
-            return (
-                400,
-                error_body(
-                    &format!(
-                        "configuration width mismatch in row {r}: expected {width}, got {}",
-                        values.len()
-                    ),
-                    false,
-                ),
-                false,
-            );
-        }
-        if let Some(index) = values.iter().position(|v| !v.is_finite()) {
-            return (
-                400,
-                error_body(
-                    &format!("configuration feature {index} in row {r} is not finite"),
-                    false,
-                ),
-                false,
-            );
-        }
-        xs.row_mut(r).copy_from_slice(&values);
-    }
-
-    if !shared.config.slow_per_request.is_zero() {
-        std::thread::sleep(shared.config.slow_per_request);
-    }
-
-    let now = Instant::now();
-    let chosen = match snapshot.primary() {
-        Some(model) if breaker.allow_primary(now) || !snapshot.has_baseline() => Some(model),
-        _ => None,
-    };
-
-    let mut primary_error: Option<String> = None;
-    let mut outcome: Option<(Vec<Json>, Served)> = None;
-    if let Some(model) = chosen {
-        let forced = shared.take_forced_failure();
-        if forced {
-            breaker.record_failure(Instant::now());
-            primary_error = Some("injected primary failure (--force-fail)".into());
-        } else {
-            match model.predict_batch_engine(&xs, &mut state.scratch, &mut state.engine) {
-                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
-                    // Success is recorded after the deadline check.
-                    let json_rows = (0..out.rows()).map(|r| Json::nums(out.row(r))).collect();
-                    outcome = Some((json_rows, Served::Primary));
-                }
-                Err(err @ ModelError::NonFiniteInput { .. })
-                | Err(err @ ModelError::WidthMismatch { .. }) => {
-                    breaker.abandon_trial();
-                    return (400, error_body(&err.to_string(), false), false);
-                }
-                Ok(_) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some("primary produced non-finite predictions".into());
-                }
-                Err(err) => {
-                    breaker.record_failure(Instant::now());
-                    primary_error = Some(err.to_string());
-                }
-            }
+    ];
+    match shape {
+        Shape::Single => fields.push(("outputs", Json::nums(ys.row(0)))),
+        Shape::Batch => {
+            let rows = (0..ys.rows()).map(|r| Json::nums(ys.row(r))).collect();
+            fields.push(("outputs", Json::Arr(rows)));
+            fields.push(("rows", Json::Num(ys.rows() as f64)));
         }
     }
-    let (json_rows, served) = match outcome {
-        Some(pair) => pair,
-        None => match snapshot.baseline() {
-            Some(baseline) => match baseline.predict_batch(&xs) {
-                Ok(out) if out.as_slice().iter().all(|v| v.is_finite()) => {
-                    let json_rows = (0..out.rows()).map(|r| Json::nums(out.row(r))).collect();
-                    (json_rows, Served::Baseline)
-                }
-                Ok(_) => {
-                    return (
-                        500,
-                        error_body("baseline produced non-finite predictions", false),
-                        false,
-                    )
-                }
-                Err(err) => return (500, error_body(&err.to_string(), false), false),
-            },
-            None => {
-                let reason = primary_error
-                    .unwrap_or_else(|| "no model available to serve this request".into());
-                return (500, error_body(&reason, false), false);
-            }
-        },
-    };
-
-    if Instant::now() >= deadline {
-        record_compute_deadline(replica, breaker, served);
-        return (
-            504,
-            error_body("deadline exceeded during computation", true),
-            false,
-        );
-    }
-    if served == Served::Primary {
-        breaker.record_success();
-    }
-
-    let degraded = served.is_degraded();
-    if degraded {
-        replica.count_degraded();
-    }
-    let names = snapshot
-        .output_names()
-        .iter()
-        .map(|n| Json::Str(n.clone()))
-        .collect::<Vec<_>>();
-    let body = Json::obj([
-        ("outputs", Json::Arr(json_rows)),
-        ("output_names", Json::Arr(names)),
-        ("rows", Json::Num(rows.len() as f64)),
-        ("degraded", Json::Bool(degraded)),
-        (
-            "model",
-            Json::Str(
-                match served {
-                    Served::Primary => "mlp",
-                    Served::Baseline => "linear-baseline",
-                }
-                .into(),
-            ),
-        ),
-        ("generation", Json::Num(replica.slot().generation() as f64)),
-        ("replica", Json::Num(replica.id() as f64)),
-    ])
-    .to_string();
-    (200, body, degraded)
+    let body = Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    );
+    (200, body.to_string(), degraded)
 }
 
 #[cfg(test)]

@@ -161,23 +161,30 @@ mod tests {
         let expected = replacement.predict(&[3.0, 4.0]).unwrap();
         assert_eq!(slot.install(replacement).unwrap(), 1);
         let after = slot.snapshot();
-        let (got, _) = after.predict_with(&[3.0, 4.0], true).unwrap();
+        let got = after.primary().unwrap().predict(&[3.0, 4.0]).unwrap();
         assert_eq!(got, expected);
         // Old snapshot still predicts: in-flight requests are unaffected.
-        assert!(before.predict_with(&[3.0, 4.0], true).is_ok());
+        assert!(before.primary().unwrap().predict(&[3.0, 4.0]).is_ok());
     }
 
     #[test]
     fn dimension_mismatch_is_rejected_without_disturbing_serving() {
         let slot = slot(2);
-        let baseline_pred = {
-            let (y, _) = slot.snapshot().predict_with(&[3.0, 4.0], true).unwrap();
-            y
-        };
+        let baseline_pred = slot
+            .snapshot()
+            .primary()
+            .unwrap()
+            .predict(&[3.0, 4.0])
+            .unwrap();
         let err = slot.install(model(3, 2)).unwrap_err();
         assert!(matches!(err, ServeError::Model(_)), "{err}");
         assert_eq!(slot.generation(), 0);
-        let (still, _) = slot.snapshot().predict_with(&[3.0, 4.0], true).unwrap();
+        let still = slot
+            .snapshot()
+            .primary()
+            .unwrap()
+            .predict(&[3.0, 4.0])
+            .unwrap();
         assert_eq!(still, baseline_pred, "serving model must be untouched");
     }
 

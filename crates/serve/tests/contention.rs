@@ -13,7 +13,7 @@ use wlc_data::{Dataset, Sample};
 use wlc_exec::tracked_acquisitions;
 use wlc_model::baseline::{LinearFeatures, LinearModel};
 use wlc_model::fallback::FallbackModel;
-use wlc_model::{WorkloadModel, WorkloadModelBuilder};
+use wlc_model::{PerformanceModel, WorkloadModel, WorkloadModelBuilder};
 use wlc_serve::{BreakerState, CircuitBreaker, ModelSlot};
 
 fn dataset(inputs: usize) -> Dataset {
@@ -117,8 +117,10 @@ fn model_reload_races_in_flight_predictions() {
                     );
                     last_generation = generation;
                     let snapshot = slot.snapshot();
-                    let (y, _served) = snapshot
-                        .predict_with(&[3.0, 4.0], true)
+                    let y = snapshot
+                        .primary()
+                        .expect("the bundle keeps its primary across reloads")
+                        .predict(&[3.0, 4.0])
                         .expect("snapshot predicts even mid-reload");
                     assert!(
                         y.iter().all(|v| v.is_finite()),

@@ -515,133 +515,169 @@ fn predict_batch_error_paths_match_the_http_contract() {
     let client = quick_client(&addr);
 
     // Raw bodies so the test pins the wire contract, not the client's
-    // serializer. Every malformed batch is a 400 per the README status
-    // table, marked non-retriable, with an error message naming the
-    // problem.
-    let bad: &[(&str, &str)] = &[
-        (r#"{"inputs":[]}"#, "empty batch"),
-        (r#"{"inputs":[[1.0,2.0],[1.0]]}"#, "ragged rows"),
-        (r#"{"inputs":[[1.0,null]]}"#, "non-finite value"),
-        (r#"{"inputs":[5.0]}"#, "non-array row"),
-        (r#"{"inputs":"x"}"#, "non-array inputs"),
-        (r#"{}"#, "missing inputs"),
-        (r#"{"#, "unparseable body"),
+    // serializer. Every malformed request to either prediction route is
+    // a 400 per the README status table, marked non-retriable, with an
+    // error message naming the problem.
+    let bad: &[(&str, &str, &str)] = &[
+        ("/predict_batch", r#"{"inputs":[]}"#, "empty batch"),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[1.0,2.0],[1.0]]}"#,
+            "ragged rows",
+        ),
+        (
+            "/predict_batch",
+            r#"{"inputs":[[1.0,null]]}"#,
+            "non-finite value",
+        ),
+        ("/predict_batch", r#"{"inputs":[5.0]}"#, "non-array row"),
+        ("/predict_batch", r#"{"inputs":"x"}"#, "non-array inputs"),
+        ("/predict_batch", r#"{}"#, "missing inputs"),
+        ("/predict_batch", r#"{"#, "unparseable body"),
+        ("/predict", r#"{"inputs":[1.0]}"#, "width mismatch"),
+        ("/predict", r#"{"inputs":[1.0,null]}"#, "null feature"),
+        ("/predict", r#"{"inputs":"x"}"#, "non-array inputs"),
+        ("/predict", r#"{}"#, "missing inputs"),
+        ("/predict", r#"{"#, "unparseable body"),
     ];
-    for (body, what) in bad {
-        let resp = client.request("POST", "/predict_batch", body).unwrap();
-        assert_eq!(resp.status, 400, "{what} must answer 400");
+    for (route, body, what) in bad {
+        let resp = client.request("POST", route, body).unwrap();
+        assert_eq!(resp.status, 400, "{route}: {what} must answer 400");
         let json = Json::parse(resp.body_str().unwrap()).unwrap();
         assert_eq!(
             json.get("retriable").and_then(Json::as_bool),
             Some(false),
-            "{what} is the caller's fault: retrying cannot help"
+            "{route}: {what} is the caller's fault: retrying cannot help"
         );
         assert!(
             json.get("error")
                 .and_then(Json::as_str)
                 .is_some_and(|m| !m.is_empty()),
-            "{what} must carry an error message"
+            "{route}: {what} must carry an error message"
         );
     }
 
-    // The same endpoint still answers a well-formed batch.
-    let resp = client
-        .request(
-            "POST",
-            "/predict_batch",
-            r#"{"inputs":[[2.0,3.0],[1.0,1.0]]}"#,
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200);
+    // The same endpoints still answer well-formed requests.
+    for (route, body) in [
+        ("/predict_batch", r#"{"inputs":[[2.0,3.0],[1.0,1.0]]}"#),
+        ("/predict", r#"{"inputs":[2.0,3.0]}"#),
+    ] {
+        let resp = client.request("POST", route, body).unwrap();
+        assert_eq!(resp.status, 200, "{route}");
+    }
 
     client.shutdown().unwrap();
     let stats = handle.join().unwrap();
     assert_eq!(stats.deadline_missed, 0);
 }
 
+/// Sends `x` to `route` — `/predict`, or `/predict_batch` as a one-row
+/// batch — and returns whether the answer was degraded.
+fn degraded_via(
+    route: &str,
+    client: &ServeClient,
+    x: &[f64],
+    deadline_ms: Option<u64>,
+) -> Result<bool, ServeError> {
+    match route {
+        "/predict" => client
+            .predict_with_deadline(x, deadline_ms)
+            .map(|p| p.degraded),
+        _ => client
+            .predict_batch_with_deadline(&[x.to_vec()], deadline_ms)
+            .map(|p| p.degraded),
+    }
+}
+
 /// Behavioral pin of the breaker accounting sweep (the unit rule lives
 /// in `wlc_serve::counts_against_breaker`): with a threshold of one, a
-/// single miscounted failure would flip `/stats` to "open".
+/// single miscounted failure would flip `/stats` to "open". Both
+/// prediction routes run the same scenario, each on a fresh server.
 #[test]
 fn breaker_ignores_caller_errors_and_queued_deadline_misses() {
-    let probe = [2.0, 3.0];
-    let config = ServeConfig {
-        workers: 1,
-        breaker_threshold: 1,
-        breaker_cooldown: Duration::from_secs(60),
-        slow_per_request: Duration::from_millis(250),
-        default_deadline: Duration::from_secs(10),
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = start(full_bundle(4), config);
-    let client = quick_client(&addr);
+    for route in ["/predict", "/predict_batch"] {
+        let probe = [2.0, 3.0];
+        let config = ServeConfig {
+            workers: 1,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(60),
+            slow_per_request: Duration::from_millis(250),
+            default_deadline: Duration::from_secs(10),
+            ..ServeConfig::default()
+        };
+        let (addr, handle) = start(full_bundle(4), config);
+        let client = quick_client(&addr);
 
-    // Caller errors: 400s and a 404 never touch the breaker.
-    assert!(matches!(
-        client.predict(&[1.0]),
-        Err(ServeError::Rejected { status: 400, .. })
-    ));
-    assert!(matches!(
-        client.predict(&[f64::NAN, 1.0]),
-        Err(ServeError::Rejected { status: 400, .. })
-    ));
-    assert_eq!(client.request("GET", "/nope", "").unwrap().status, 404);
+        // Caller errors: 400s and a 404 never touch the breaker.
+        assert!(matches!(
+            degraded_via(route, &client, &[1.0], None),
+            Err(ServeError::Rejected { status: 400, .. })
+        ));
+        assert!(matches!(
+            degraded_via(route, &client, &[f64::NAN, 1.0], None),
+            Err(ServeError::Rejected { status: 400, .. })
+        ));
+        assert_eq!(client.request("GET", "/nope", "").unwrap().status, 404);
 
-    // Queued-phase deadline miss: a slow request occupies the single
-    // worker, so a tight-deadline request expires while still queued.
-    let bg = {
-        let addr = addr.clone();
-        thread::spawn(move || quick_client(&addr).predict_with_deadline(&probe, Some(5000)))
-    };
-    thread::sleep(Duration::from_millis(60)); // slow request is in service
-    match client.predict_with_deadline(&probe, Some(20)) {
-        Err(ServeError::Rejected {
-            status,
-            retriable,
-            message,
-        }) => {
-            assert_eq!(status, 504);
-            assert!(retriable);
-            assert!(message.contains("while queued"), "got: {message}");
+        // Queued-phase deadline miss: a slow request occupies the single
+        // worker, so a tight-deadline request expires while still queued.
+        let bg = {
+            let addr = addr.clone();
+            thread::spawn(move || degraded_via(route, &quick_client(&addr), &probe, Some(5000)))
+        };
+        thread::sleep(Duration::from_millis(60)); // slow request is in service
+        match degraded_via(route, &client, &probe, Some(20)) {
+            Err(ServeError::Rejected {
+                status,
+                retriable,
+                message,
+            }) => {
+                assert_eq!(status, 504);
+                assert!(retriable);
+                assert!(message.contains("while queued"), "{route}: got: {message}");
+            }
+            other => panic!("{route}: expected queued deadline miss, got {other:?}"),
         }
-        other => panic!("expected queued deadline miss, got {other:?}"),
-    }
-    assert!(bg.join().unwrap().is_ok());
+        assert!(bg.join().unwrap().is_ok());
 
-    // None of the above counted: the breaker is still closed and the
-    // primary still serves.
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.get("breaker").and_then(Json::as_str),
-        Some("closed"),
-        "caller errors and queued 504s must not trip the breaker"
-    );
-    assert!(!client.predict(&probe).unwrap().degraded);
+        // None of the above counted: the breaker is still closed and the
+        // primary still serves.
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.get("breaker").and_then(Json::as_str),
+            Some("closed"),
+            "{route}: caller errors and queued 504s must not trip the breaker"
+        );
+        assert!(!degraded_via(route, &client, &probe, None).unwrap());
 
-    // A compute-phase deadline miss (the primary answered, but too
-    // late) is a real serving failure and opens the breaker at once.
-    match client.predict_with_deadline(&probe, Some(100)) {
-        Err(ServeError::Rejected {
-            status, message, ..
-        }) => {
-            assert_eq!(status, 504);
-            assert!(message.contains("during computation"), "got: {message}");
+        // A compute-phase deadline miss (the primary answered, but too
+        // late) is a real serving failure and opens the breaker at once.
+        match degraded_via(route, &client, &probe, Some(100)) {
+            Err(ServeError::Rejected {
+                status, message, ..
+            }) => {
+                assert_eq!(status, 504);
+                assert!(
+                    message.contains("during computation"),
+                    "{route}: got: {message}"
+                );
+            }
+            other => panic!("{route}: expected compute deadline miss, got {other:?}"),
         }
-        other => panic!("expected compute deadline miss, got {other:?}"),
-    }
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.get("breaker").and_then(Json::as_str),
-        Some("open"),
-        "one compute-phase failure must open a threshold-1 breaker"
-    );
-    // Open breaker bypasses the primary: serving degrades to baseline.
-    assert!(client.predict(&probe).unwrap().degraded);
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.get("breaker").and_then(Json::as_str),
+            Some("open"),
+            "{route}: one compute-phase failure must open a threshold-1 breaker"
+        );
+        // Open breaker bypasses the primary: serving degrades to baseline.
+        assert!(degraded_via(route, &client, &probe, None).unwrap());
 
-    client.shutdown().unwrap();
-    let stats = handle.join().unwrap();
-    assert!(stats.deadline_missed >= 2);
-    assert!(stats.degraded >= 1);
+        client.shutdown().unwrap();
+        let stats = handle.join().unwrap();
+        assert!(stats.deadline_missed >= 2);
+        assert!(stats.degraded >= 1);
+    }
 }
 
 #[test]
