@@ -45,6 +45,22 @@ fi
 echo "==> cargo test -q (tier-1 default members)"
 cargo test -q
 
+echo "==> serve flake guard (fleet overload + keep-alive tests, 20 runs each)"
+# A shed 503 lost to the acceptor's reset failed about one run in
+# sixteen. Twenty runs of the test binaries the tier-1 step already
+# built take a few seconds and fail about three times in four on a race
+# that rare.
+serve_test_bin() {
+    cargo test -q -p wlc-serve --test "$1" --no-run --message-format=json \
+        | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p'
+}
+fleet_bin=$(serve_test_bin fleet)
+server_bin=$(serve_test_bin server)
+for _ in $(seq 1 20); do
+    "$fleet_bin" -q fleet_overload_sheds_only_when_every_queue_is_full
+    "$server_bin" -q keep_alive
+done
+
 echo "==> benchmark unit tests (e2ebench, offline)"
 # The benchmark compiles against the public `wlc` facade: an API it calls
 # that disappears fails here, not in a benchmark run.

@@ -204,6 +204,7 @@ fn serve_code(e: &ServeError) -> u8 {
         // or a 5xx rejection (shed/deadline) that outlived the retries.
         ServeError::Bind { .. }
         | ServeError::Io(_)
+        | ServeError::ConnectionClosed
         | ServeError::Protocol(_)
         | ServeError::Rejected { .. }
         | ServeError::RetriesExhausted { .. } => EXIT_SERVE,

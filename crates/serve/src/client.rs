@@ -5,8 +5,13 @@
 //! exponential backoff plus deterministic jitter (seeded
 //! [`Xoshiro256`], so tests replay exactly); validation errors (`4xx`)
 //! and protocol errors surface immediately.
+//!
+//! Requests reuse one kept-alive connection. The server closes an idle
+//! connection only before it starts on the next request, so a request
+//! whose reused connection turns out closed before any response byte
+//! ([`ServeError::ConnectionClosed`]) is sent again at once on a fresh
+//! connection, without spending an attempt or backing off.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use wlc_exec::TrackedMutex;
@@ -75,12 +80,15 @@ impl Default for ClientConfig {
     }
 }
 
-/// A connection-per-request client with retry + backoff (see module docs).
+/// A client that reuses one kept-alive connection, with retry + backoff
+/// (see module docs).
 #[derive(Debug)]
 pub struct ServeClient {
     addr: String,
     config: ClientConfig,
     rng: TrackedMutex<Xoshiro256>,
+    /// The idle connection the next request reuses.
+    idle: TrackedMutex<Option<http::Connection>>,
 }
 
 impl ServeClient {
@@ -91,6 +99,7 @@ impl ServeClient {
             addr: addr.into(),
             config,
             rng: TrackedMutex::new("ServeClient.rng", Xoshiro256::seed_from(seed)),
+            idle: TrackedMutex::new("ServeClient.idle", None),
         }
     }
 
@@ -103,11 +112,34 @@ impl ServeClient {
         (exp + jitter).min(self.config.max_backoff)
     }
 
+    /// One attempt: on the idle connection when there is one, else, or
+    /// when the server had already closed it, on a fresh connection.
     fn attempt(&self, method: &str, path: &str, body: &str) -> Result<http::Response, ServeError> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        http::configure(&stream)?;
-        http::write_request(&mut stream, method, path, body)?;
-        http::read_response(&mut stream)
+        let idle = self.idle.lock().take();
+        if let Some(conn) = idle {
+            match self.exchange(conn, method, path, body) {
+                Err(ServeError::ConnectionClosed) => {}
+                outcome => return outcome,
+            }
+        }
+        self.exchange(http::Connection::connect(&self.addr)?, method, path, body)
+    }
+
+    /// Sends one request on `conn` and reads its response, keeping the
+    /// connection for the next request when the server keeps it open.
+    fn exchange(
+        &self,
+        mut conn: http::Connection,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> Result<http::Response, ServeError> {
+        http::write_request(conn.get_mut(), method, path, body)?;
+        let response = conn.read_response()?;
+        if response.keep_alive {
+            *self.idle.lock() = Some(conn);
+        }
+        Ok(response)
     }
 
     /// Sends one request, retrying retriable failures (connect/IO
@@ -138,6 +170,7 @@ impl ServeClient {
                 // Connection-level failures are retriable: the server
                 // may be draining, restarting, or mid-accept.
                 Err(ServeError::Io(err)) => last_io = format!("io error: {err}"),
+                Err(err @ ServeError::ConnectionClosed) => last_io = err.to_string(),
                 Err(err) => return Err(err),
             }
         }

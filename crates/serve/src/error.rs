@@ -16,6 +16,11 @@ pub enum ServeError {
     },
     /// A socket read/write failed mid-conversation.
     Io(std::io::Error),
+    /// The peer closed or reset the connection before the first byte of
+    /// the next message. A server closes an idle kept-alive connection
+    /// only before it starts on the next request, so a request that
+    /// meets this on a reused connection was never processed.
+    ConnectionClosed,
     /// The peer sent something that is not valid HTTP/JSON for this
     /// protocol (malformed request line, missing body, bad JSON, ...).
     Protocol(String),
@@ -79,7 +84,7 @@ impl ServeError {
     /// validation errors (4xx) and protocol errors are not.
     pub fn is_retriable(&self) -> bool {
         match self {
-            ServeError::Io(_) => true,
+            ServeError::Io(_) | ServeError::ConnectionClosed => true,
             ServeError::Rejected { retriable, .. } => *retriable,
             ServeError::Durable { retriable, .. } => *retriable,
             _ => false,
@@ -94,6 +99,9 @@ impl fmt::Display for ServeError {
                 write!(f, "failed to bind `{addr}`: {source}")
             }
             ServeError::Io(e) => write!(f, "server io error: {e}"),
+            ServeError::ConnectionClosed => {
+                write!(f, "connection closed by the peer before a message began")
+            }
             ServeError::Protocol(reason) => write!(f, "protocol error: {reason}"),
             ServeError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")

@@ -1,13 +1,18 @@
 //! Minimal HTTP/1.1 framing over [`TcpStream`].
 //!
 //! Just enough of the protocol for a loopback prediction service:
-//! request line + headers + `Content-Length` bodies, one request per
-//! connection (`Connection: close` on every response). Header and body
+//! request line + headers + `Content-Length` bodies over persistent
+//! connections. A [`Connection`] keeps every byte read past the current
+//! message, so a pipelined next request is never lost, and each parsed
+//! message says whether its peer lets the connection stay open
+//! ([`Request::keep_alive`], [`Response::keep_alive`]). Every message goes
+//! out in one `write_all` on a `TCP_NODELAY` socket. Header and body
 //! sizes are bounded so a misbehaving peer cannot balloon memory, and
 //! sockets carry read/write timeouts so a stalled peer cannot wedge a
 //! worker.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -27,6 +32,9 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// minutes across a 16 KiB head. Responses are exempt: a loaded
 /// server may legitimately take long before its first response byte.
 pub const HEAD_DEADLINE: Duration = Duration::from_secs(10);
+/// Bytes asked of the socket per read while the message length is
+/// still unknown.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -40,6 +48,9 @@ pub struct Request {
     pub headers: BTreeMap<String, String>,
     /// Raw body bytes (empty when no `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the client lets the connection stay open after this
+    /// request (see [`Response::keep_alive`] for the rule).
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -59,6 +70,10 @@ pub struct Response {
     pub headers: BTreeMap<String, String>,
     /// Raw body bytes.
     pub body: Vec<u8>,
+    /// Whether the server lets the connection stay open after this
+    /// response: for HTTP/1.1 unless it sent `Connection: close`, for
+    /// HTTP/1.0 only when it sent `Connection: keep-alive`.
+    pub keep_alive: bool,
 }
 
 impl Response {
@@ -69,96 +84,347 @@ impl Response {
     }
 }
 
-/// Applies the standard socket timeouts to a stream.
+/// The socket calls a [`Connection`] makes besides reading and writing.
+/// [`TcpStream`] implements it; tests substitute scripted byte sources.
+pub trait Transport: Read + Write {
+    /// As [`TcpStream::set_read_timeout`].
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+    /// As [`TcpStream::set_nonblocking`].
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+}
+
+impl Transport for TcpStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+impl<T: Transport + ?Sized> Transport for &mut T {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        (**self).set_read_timeout(timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        (**self).set_nonblocking(nonblocking)
+    }
+}
+
+/// Applies the standard socket settings to a stream: read/write
+/// timeouts, and `TCP_NODELAY` so a message leaves at once instead of
+/// waiting behind the peer's delayed ACK.
 pub fn configure(stream: &TcpStream) -> Result<(), ServeError> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     Ok(())
 }
 
-/// Reads bytes until the `\r\n\r\n` head terminator, bounded by
-/// [`MAX_HEAD_BYTES`] and, when `deadline` is set, by a total wall
-/// clock across all reads. Returns `(head, leftover-after-terminator)`.
+/// One HTTP/1.1 connection: the socket plus the bytes read past the
+/// last parsed message (the start of a pipelined next one).
 ///
-/// The head may arrive across any number of TCP segments — even split
-/// mid-terminator — so the loop keeps reading until the delimiter is
-/// seen, rescanning only the bytes a new segment could complete (the
-/// terminator can start at most 3 bytes before the old buffer end).
-/// Under a deadline the socket read timeout is shrunk to the remaining
-/// budget each iteration, so a slow writer cannot stretch the wait
-/// past `deadline` by trickling bytes; the caller restores the
-/// standard timeout afterwards.
-fn read_head(
-    stream: &mut TcpStream,
-    deadline: Option<Duration>,
-) -> Result<(Vec<u8>, Vec<u8>), ServeError> {
-    // wlc-lint: sanitize(determinism-taint, reason = "deadline arithmetic only; the clock never escapes into the returned bytes")
-    let start = std::time::Instant::now();
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    let mut scanned = 0usize;
-    loop {
-        if let Some(end) = find_terminator(&buf, scanned) {
-            let rest = buf.split_off(end + 4);
-            buf.truncate(end);
-            if deadline.is_some() {
-                stream.set_read_timeout(Some(IO_TIMEOUT))?;
-            }
-            return Ok((buf, rest));
+/// A read that fails before the first byte of a message because the
+/// peer closed or reset the connection reports
+/// [`ServeError::ConnectionClosed`]; once a message has begun, the same
+/// failure is a [`ServeError::Protocol`] or [`ServeError::Io`] error.
+#[derive(Debug)]
+pub struct Connection<S = TcpStream> {
+    stream: S,
+    buf: Vec<u8>,
+    /// The read timeout last set on the socket (`None`: not known), so
+    /// it is set again only when it changes.
+    read_timeout: Option<Duration>,
+}
+
+impl Connection {
+    /// Wraps an accepted or connected socket, applying [`configure`].
+    pub fn new(stream: TcpStream) -> Result<Connection, ServeError> {
+        configure(&stream)?;
+        Ok(Connection {
+            stream,
+            buf: Vec::new(),
+            read_timeout: Some(IO_TIMEOUT),
+        })
+    }
+
+    /// Opens a connection to `addr` (e.g. `127.0.0.1:4321`).
+    pub fn connect(addr: &str) -> Result<Connection, ServeError> {
+        Connection::new(TcpStream::connect(addr)?)
+    }
+}
+
+impl<S: Transport> Connection<S> {
+    /// Wraps a transport whose read timeout is not known.
+    pub fn over(stream: S) -> Connection<S> {
+        Connection {
+            stream,
+            buf: Vec::new(),
+            read_timeout: None,
         }
-        scanned = buf.len().saturating_sub(3);
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ServeError::Protocol("request head too large".into()));
+    }
+
+    /// The underlying transport, for writing messages. Reading from it
+    /// directly would bypass the buffered bytes.
+    pub fn get_mut(&mut self) -> &mut S {
+        &mut self.stream
+    }
+
+    /// Waits up to `wait` for the first bytes of the next message, or
+    /// only checks for them when `wait` is zero. `Ok(true)` once bytes
+    /// are buffered, `Ok(false)` when none arrived in time, and
+    /// [`ServeError::ConnectionClosed`] when the peer closed the
+    /// connection.
+    pub fn poll(&mut self, wait: Duration) -> Result<bool, ServeError> {
+        if !self.buf.is_empty() {
+            return Ok(true);
         }
-        if let Some(total) = deadline {
-            let timeout_err = || ServeError::HeaderTimeout {
-                deadline_ms: total.as_millis() as u64,
+        let read = if wait.is_zero() {
+            self.stream.set_nonblocking(true)?;
+            let read = self.fill(0);
+            self.stream.set_nonblocking(false)?;
+            read
+        } else {
+            self.set_read_timeout(wait)?;
+            self.fill(0)
+        };
+        match read {
+            Ok(0) => Err(ServeError::ConnectionClosed),
+            Ok(_) => Ok(true),
+            Err(err) if timed_out(&err) => Ok(false),
+            Err(err) => Err(closed_or_io(err)),
+        }
+    }
+
+    /// Reads and parses the next request. Its head must arrive within
+    /// `head_deadline` of the first read (not merely per read); the
+    /// server answers a breach with 408.
+    pub fn read_request(&mut self, head_deadline: Duration) -> Result<Request, ServeError> {
+        let head_len = self.read_head(Some(head_deadline))?;
+        let (method, path, headers, keep_alive) = {
+            let (start_line, headers) = parse_head(&self.buf[..head_len], "request")?;
+            let mut parts = start_line.split_whitespace();
+            let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(p), Some(v)) => (m, p, v),
+                _ => {
+                    return Err(ServeError::Protocol(format!(
+                        "malformed request line `{start_line}`"
+                    )))
+                }
             };
-            let remaining = total
-                .checked_sub(start.elapsed())
-                .filter(|r| !r.is_zero())
-                .ok_or_else(timeout_err)?;
-            stream.set_read_timeout(Some(remaining.min(IO_TIMEOUT)))?;
-            match read_some(stream, &mut chunk) {
+            if !version.starts_with("HTTP/1.") {
+                return Err(ServeError::Protocol(format!(
+                    "unsupported protocol version `{version}`"
+                )));
+            }
+            let keep_alive = persistent(version, &headers);
+            (
+                method.to_ascii_uppercase(),
+                path.to_string(),
+                headers,
+                keep_alive,
+            )
+        };
+        let body = self.read_body(head_len, &headers)?;
+        Ok(Request {
+            method,
+            path,
+            headers,
+            body,
+            keep_alive,
+        })
+    }
+
+    /// Reads and parses the next response. No total head deadline: a
+    /// loaded server may take a while before its first byte; the
+    /// per-read [`IO_TIMEOUT`] still applies.
+    pub fn read_response(&mut self) -> Result<Response, ServeError> {
+        let head_len = self.read_head(None)?;
+        let (status, headers, keep_alive) = {
+            let (status_line, headers) = parse_head(&self.buf[..head_len], "response")?;
+            let mut parts = status_line.split_whitespace();
+            let bad = || ServeError::Protocol(format!("bad status line `{status_line}`"));
+            let (version, status) = match (parts.next(), parts.next()) {
+                (Some(version), Some(code)) if version.starts_with("HTTP/1.") => {
+                    (version, code.parse::<u16>().map_err(|_| bad())?)
+                }
+                _ => return Err(bad()),
+            };
+            let keep_alive = persistent(version, &headers);
+            (status, headers, keep_alive)
+        };
+        let body = self.read_body(head_len, &headers)?;
+        Ok(Response {
+            status,
+            headers,
+            body,
+            keep_alive,
+        })
+    }
+
+    fn set_read_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.read_timeout != Some(timeout) {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.read_timeout = Some(timeout);
+        }
+        Ok(())
+    }
+
+    /// One read into `want.max(READ_CHUNK)` bytes of room at the end of
+    /// the buffer, retrying [`io::ErrorKind::Interrupted`]: a signal
+    /// landing mid-read must not tear down the connection. Returns the
+    /// count read (0 at end of stream).
+    fn fill(&mut self, want: usize) -> io::Result<usize> {
+        let len = self.buf.len();
+        self.buf.resize(len + want.max(READ_CHUNK), 0);
+        let read = loop {
+            match self.stream.read(&mut self.buf[len..]) {
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+                other => break other,
+            }
+        };
+        self.buf.truncate(len + read.as_ref().map_or(0, |n| *n));
+        read
+    }
+
+    /// Reads until the buffer holds a whole head, bounded by
+    /// [`MAX_HEAD_BYTES`] and, when `deadline` is set, by a total wall
+    /// clock across all reads. Returns the head's length including its
+    /// `\r\n\r\n` terminator.
+    ///
+    /// The head may arrive across any number of TCP segments — even split
+    /// mid-terminator — so the loop keeps reading until the delimiter is
+    /// seen, rescanning only the bytes a new segment could complete (the
+    /// terminator can start at most 3 bytes before the old buffer end).
+    /// Under a deadline each read waits at most the remaining budget, so
+    /// a slow writer cannot stretch the wait past `deadline` by trickling
+    /// bytes. The budget is rounded up to whole milliseconds: the first
+    /// read of a fresh request then keeps the socket's [`IO_TIMEOUT`]
+    /// instead of setting a timeout a few microseconds shorter.
+    fn read_head(&mut self, deadline: Option<Duration>) -> Result<usize, ServeError> {
+        // wlc-lint: sanitize(determinism-taint, reason = "deadline arithmetic only; the clock never escapes into the returned bytes")
+        let start = std::time::Instant::now();
+        let timeout_err = |total: Duration| ServeError::HeaderTimeout {
+            deadline_ms: total.as_millis() as u64,
+        };
+        let mut scanned = 0usize;
+        loop {
+            if let Some(end) = find_terminator(&self.buf, scanned) {
+                return Ok(end + 4);
+            }
+            scanned = self.buf.len().saturating_sub(3);
+            if self.buf.len() > MAX_HEAD_BYTES {
+                return Err(ServeError::Protocol("request head too large".into()));
+            }
+            let timeout = match deadline {
+                None => IO_TIMEOUT,
+                Some(total) => {
+                    let left = total.saturating_sub(start.elapsed()).min(IO_TIMEOUT);
+                    if left.is_zero() {
+                        return Err(timeout_err(total));
+                    }
+                    Duration::from_millis(left.as_nanos().div_ceil(1_000_000) as u64)
+                }
+            };
+            let before_first_byte = self.buf.is_empty();
+            self.set_read_timeout(timeout)?;
+            match self.fill(0) {
+                Ok(0) if before_first_byte => return Err(ServeError::ConnectionClosed),
                 Ok(0) => {
                     return Err(ServeError::Protocol(
                         "connection closed before end of headers".into(),
                     ))
                 }
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(ServeError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Err(timeout_err())
+                Ok(_) => {}
+                Err(err) => {
+                    return Err(match deadline {
+                        Some(total) if timed_out(&err) => timeout_err(total),
+                        _ if before_first_byte => closed_or_io(err),
+                        _ => err.into(),
+                    })
                 }
-                Err(e) => return Err(e),
             }
-        } else {
-            let n = read_some(stream, &mut chunk)?;
-            if n == 0 {
-                return Err(ServeError::Protocol(
-                    "connection closed before end of headers".into(),
-                ));
-            }
-            buf.extend_from_slice(&chunk[..n]);
         }
+    }
+
+    /// Reads the `Content-Length` body that starts at byte `start` of the
+    /// buffer, then consumes the message, keeping any bytes past it.
+    fn read_body(
+        &mut self,
+        start: usize,
+        headers: &BTreeMap<String, String>,
+    ) -> Result<Vec<u8>, ServeError> {
+        let length = match headers.get("content-length") {
+            None => 0,
+            Some(raw) => raw
+                .parse::<usize>()
+                .map_err(|_| ServeError::Protocol(format!("bad content-length `{raw}`")))?,
+        };
+        if length > MAX_BODY_BYTES {
+            return Err(ServeError::BodyTooLarge {
+                length,
+                limit: MAX_BODY_BYTES,
+            });
+        }
+        let end = start + length;
+        while self.buf.len() < end {
+            self.set_read_timeout(IO_TIMEOUT)?;
+            let want = end - self.buf.len();
+            match self.fill(want) {
+                Ok(0) => return Err(ServeError::Protocol("connection closed mid-body".into())),
+                Ok(_) => {}
+                Err(err) => {
+                    return Err(ServeError::Protocol(format!(
+                        "connection closed mid-body: {err}"
+                    )))
+                }
+            }
+        }
+        let body = self.buf[start..end].to_vec();
+        self.buf.drain(..end);
+        Ok(body)
     }
 }
 
-/// One `read`, retrying [`io::ErrorKind::Interrupted`]: a signal
-/// landing mid-read must not tear down the connection as a protocol
-/// error.
-fn read_some(stream: &mut TcpStream, chunk: &mut [u8]) -> Result<usize, ServeError> {
-    loop {
-        match stream.read(chunk) {
-            Ok(n) => return Ok(n),
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(err) => return Err(err.into()),
-        }
+/// Whether a connection stays open after a message with protocol
+/// `version` and `headers`: for HTTP/1.1 unless `Connection: close`,
+/// for HTTP/1.0 only with `Connection: keep-alive`.
+fn persistent(version: &str, headers: &BTreeMap<String, String>) -> bool {
+    let says = |token: &str| {
+        headers.get("connection").is_some_and(|value| {
+            value
+                .split(',')
+                .any(|t| t.trim().eq_ignore_ascii_case(token))
+        })
+    };
+    if version == "HTTP/1.0" {
+        says("keep-alive")
+    } else {
+        !says("close")
     }
+}
+
+/// A failure to send a message, or to read one before its first byte:
+/// the peer closing or resetting the connection is
+/// [`ServeError::ConnectionClosed`], anything else stays an I/O error.
+fn closed_or_io(err: io::Error) -> ServeError {
+    match err.kind() {
+        io::ErrorKind::ConnectionReset
+        | io::ErrorKind::ConnectionAborted
+        | io::ErrorKind::BrokenPipe
+        | io::ErrorKind::UnexpectedEof => ServeError::ConnectionClosed,
+        _ => ServeError::Io(err),
+    }
+}
+
+/// Whether a read failed only because its timeout passed.
+fn timed_out(err: &io::Error) -> bool {
+    matches!(
+        err.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// First `\r\n\r\n` at or after byte `from` (absolute index).
@@ -169,48 +435,32 @@ fn find_terminator(buf: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i)
 }
 
-fn parse_headers(lines: std::str::Lines<'_>) -> Result<BTreeMap<String, String>, ServeError> {
+/// Splits a head (terminator included) into its first line and its
+/// headers, with lower-cased names.
+fn parse_head<'a>(
+    head: &'a [u8],
+    what: &str,
+) -> Result<(&'a str, BTreeMap<String, String>), ServeError> {
+    let head = std::str::from_utf8(head)
+        .map_err(|_| ServeError::Protocol(format!("{what} head is not valid utf-8")))?;
+    let mut lines = head.lines();
+    let first = lines
+        .next()
+        .filter(|line| !line.is_empty())
+        .ok_or_else(|| ServeError::Protocol(format!("empty {what}")))?;
     let mut headers = BTreeMap::new();
-    for line in lines {
+    for line in lines.take_while(|line| !line.is_empty()) {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| ServeError::Protocol(format!("malformed header line `{line}`")))?;
         headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
     }
-    Ok(headers)
+    Ok((first, headers))
 }
 
-fn read_body(
-    stream: &mut TcpStream,
-    headers: &BTreeMap<String, String>,
-    mut leftover: Vec<u8>,
-) -> Result<Vec<u8>, ServeError> {
-    let length = match headers.get("content-length") {
-        None => return Ok(Vec::new()),
-        Some(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| ServeError::Protocol(format!("bad content-length `{raw}`")))?,
-    };
-    if length > MAX_BODY_BYTES {
-        return Err(ServeError::BodyTooLarge {
-            length,
-            limit: MAX_BODY_BYTES,
-        });
-    }
-    if leftover.len() < length {
-        let mut rest = vec![0u8; length - leftover.len()];
-        stream
-            .read_exact(&mut rest)
-            .map_err(|e| ServeError::Protocol(format!("connection closed mid-body: {e}")))?;
-        leftover.extend_from_slice(&rest);
-    }
-    leftover.truncate(length);
-    Ok(leftover)
-}
-
-/// Reads and parses one request from a connection. The head must
-/// arrive within [`HEAD_DEADLINE`] total (not merely per read); the
-/// server answers a breach with 408.
+/// Reads one request from a socket with the [`HEAD_DEADLINE`]; the server
+/// answers a breach with 408. Bytes past the request are dropped: a peer
+/// that reads more than one message uses a [`Connection`].
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
     read_request_deadline(stream, HEAD_DEADLINE)
 }
@@ -220,66 +470,12 @@ pub fn read_request_deadline(
     stream: &mut TcpStream,
     deadline: Duration,
 ) -> Result<Request, ServeError> {
-    let (head, leftover) = read_head(stream, Some(deadline))?;
-    let head = std::str::from_utf8(&head)
-        .map_err(|_| ServeError::Protocol("request head is not valid utf-8".into()))?;
-    let mut lines = head.lines();
-    let request_line = lines
-        .next()
-        .ok_or_else(|| ServeError::Protocol("empty request".into()))?;
-    let mut parts = request_line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => {
-            return Err(ServeError::Protocol(format!(
-                "malformed request line `{request_line}`"
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(ServeError::Protocol(format!(
-            "unsupported protocol version `{version}`"
-        )));
-    }
-    let headers = parse_headers(lines)?;
-    let body = read_body(stream, &headers, leftover)?;
-    Ok(Request {
-        method: method.to_ascii_uppercase(),
-        path: path.to_string(),
-        headers,
-        body,
-    })
+    Connection::over(stream).read_request(deadline)
 }
 
-/// Reads and parses one response from a connection. No total head
-/// deadline: a loaded server may take a while before its first byte;
-/// the per-read [`IO_TIMEOUT`] still applies.
+/// Reads one response from a socket (see [`Connection::read_response`]).
 pub fn read_response(stream: &mut TcpStream) -> Result<Response, ServeError> {
-    let (head, leftover) = read_head(stream, None)?;
-    let head = std::str::from_utf8(&head)
-        .map_err(|_| ServeError::Protocol("response head is not valid utf-8".into()))?;
-    let mut lines = head.lines();
-    let status_line = lines
-        .next()
-        .ok_or_else(|| ServeError::Protocol("empty response".into()))?;
-    let mut parts = status_line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| ServeError::Protocol(format!("bad status line `{status_line}`")))?,
-        _ => {
-            return Err(ServeError::Protocol(format!(
-                "bad status line `{status_line}`"
-            )))
-        }
-    };
-    let headers = parse_headers(lines)?;
-    let body = read_body(stream, &headers, leftover)?;
-    Ok(Response {
-        status,
-        headers,
-        body,
-    })
+    Connection::over(stream).read_response()
 }
 
 fn reason(status: u16) -> &'static str {
@@ -297,61 +493,69 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response and flushes. Adds `Connection: close`,
-/// `Content-Type: application/json` and a `Retry-After: 1` hint on
-/// 503/504 so well-behaved clients back off.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> Result<(), ServeError> {
-    write_response_retry_after(stream, status, body, 1)
-}
-
-/// [`write_response`] with an explicit `Retry-After` value (seconds) on
-/// 503/504 responses; other statuses carry no hint. The acceptor's shed
-/// path passes a seeded-jittered value here so synchronized clients do
-/// not retry in lockstep.
-pub fn write_response_retry_after(
-    stream: &mut TcpStream,
+/// Writes one response. It carries `Content-Type: application/json`, a
+/// `Retry-After: <retry_after_secs>` hint on 503/504 so well-behaved
+/// clients back off (other statuses carry none), and the connection
+/// decision: `Connection: keep-alive`, or `Connection: close` when the
+/// caller closes the connection after it.
+pub fn write_response(
+    stream: &mut impl Write,
     status: u16,
     body: &str,
     retry_after_secs: u64,
+    keep_alive: bool,
 ) -> Result<(), ServeError> {
-    let retry_hint = if status == 503 || status == 504 {
-        format!("Retry-After: {retry_after_secs}\r\n")
-    } else {
-        String::new()
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: close\r\n{retry_hint}\r\n",
+    let mut message = String::with_capacity(160 + body.len());
+    let _ = write!(
+        message,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: {connection}\r\n",
         reason = reason(status),
         len = body.len(),
+        connection = if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    Ok(())
+    if status == 503 || status == 504 {
+        let _ = write!(message, "Retry-After: {retry_after_secs}\r\n");
+    }
+    message.push_str("\r\n");
+    message.push_str(body);
+    send(stream, &message)
 }
 
-/// Writes one request and flushes (`Connection: close`).
+/// Writes one request on a connection the client means to reuse
+/// (`Connection: keep-alive`).
 pub fn write_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     method: &str,
     path: &str,
     body: &str,
 ) -> Result<(), ServeError> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: wlc\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: close\r\n\r\n",
+    let mut message = String::with_capacity(160 + body.len());
+    let _ = write!(
+        message,
+        "{method} {path} HTTP/1.1\r\nHost: wlc\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: keep-alive\r\n\r\n",
         len = body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    Ok(())
+    message.push_str(body);
+    send(stream, &message)
+}
+
+/// One `write_all` per message: a head and body written separately
+/// leave the body behind Nagle's algorithm until the head is
+/// acknowledged, and a close in that window resets it away.
+fn send(stream: &mut impl Write, message: &str) -> Result<(), ServeError> {
+    stream
+        .write_all(message.as_bytes())
+        .and_then(|()| stream.flush())
+        .map_err(closed_or_io)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::net::TcpListener;
     use std::thread;
+    use wlc_math::propcheck;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -360,6 +564,57 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         let client = join.join().unwrap();
         (client, server)
+    }
+
+    /// Serves its chunks one read at a time, then end of stream.
+    struct Scripted(VecDeque<Vec<u8>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for Scripted {
+        fn set_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_nonblocking(&self, _: bool) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Parses every request `chunks` carries, in order, until the first
+    /// error (end of stream included).
+    fn parse_all(chunks: Vec<Vec<u8>>) -> (Vec<(String, String, Vec<u8>)>, ServeError) {
+        let mut conn = Connection::over(Scripted(chunks.into()));
+        let mut parsed = Vec::new();
+        loop {
+            match conn.read_request(HEAD_DEADLINE) {
+                Ok(r) => parsed.push((r.method, r.path, r.body)),
+                Err(err) => return (parsed, err),
+            }
+        }
     }
 
     #[test]
@@ -372,10 +627,10 @@ mod tests {
         assert_eq!(req.body_str().unwrap(), "{\"inputs\":[1.0]}");
         assert_eq!(
             req.headers.get("connection").map(String::as_str),
-            Some("close")
+            Some("keep-alive")
         );
 
-        write_response(&mut server, 200, "{\"ok\":true}").unwrap();
+        write_response(&mut server, 200, "{\"ok\":true}", 1, true).unwrap();
         let resp = read_response(&mut client).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body_str().unwrap(), "{\"ok\":true}");
@@ -384,7 +639,7 @@ mod tests {
     #[test]
     fn shed_responses_carry_retry_after() {
         let (mut client, mut server) = pair();
-        write_response(&mut server, 503, "{}").unwrap();
+        write_response(&mut server, 503, "{}", 1, false).unwrap();
         let resp = read_response(&mut client).unwrap();
         assert_eq!(resp.status, 503);
         assert_eq!(
@@ -395,16 +650,96 @@ mod tests {
         // Explicit (jittered) values pass through verbatim on 503/504
         // and never appear on other statuses.
         let (mut client, mut server) = pair();
-        write_response_retry_after(&mut server, 504, "{}", 3).unwrap();
+        write_response(&mut server, 504, "{}", 3, false).unwrap();
         let resp = read_response(&mut client).unwrap();
         assert_eq!(
             resp.headers.get("retry-after").map(String::as_str),
             Some("3")
         );
         let (mut client, mut server) = pair();
-        write_response_retry_after(&mut server, 200, "{}", 3).unwrap();
+        write_response(&mut server, 200, "{}", 3, false).unwrap();
         let resp = read_response(&mut client).unwrap();
         assert!(!resp.headers.contains_key("retry-after"));
+    }
+
+    #[test]
+    fn connection_header_follows_the_keep_alive_decision() {
+        for (keep_alive, header) in [(true, "keep-alive"), (false, "close")] {
+            let (mut client, mut server) = pair();
+            write_response(&mut server, 200, "{}", 1, keep_alive).unwrap();
+            let resp = read_response(&mut client).unwrap();
+            assert_eq!(
+                resp.headers.get("connection").map(String::as_str),
+                Some(header)
+            );
+            assert_eq!(resp.keep_alive, keep_alive);
+        }
+    }
+
+    #[test]
+    fn keep_alive_follows_version_and_connection_header() {
+        let cases: [(&[u8], bool); 6] = [
+            (b"GET / HTTP/1.1\r\n\r\n", true),
+            (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", false),
+            (
+                b"GET / HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n",
+                false,
+            ),
+            (b"GET / HTTP/1.0\r\n\r\n", false),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", true),
+            (b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", true),
+        ];
+        for (raw, want) in cases {
+            let mut conn = Connection::over(Scripted(vec![raw.to_vec()].into()));
+            let req = conn.read_request(HEAD_DEADLINE).unwrap();
+            assert_eq!(req.keep_alive, want, "{}", String::from_utf8_lossy(raw));
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_split_anywhere_parse_as_unsplit() {
+        let first: &[u8] =
+            b"POST /predict HTTP/1.1\r\nHost: wlc\r\nContent-Length: 16\r\n\r\n{\"inputs\":[1.0]}";
+        let second: &[u8] = b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\nok";
+        let wire: Vec<u8> = [first, second].concat();
+        // Offsets the splits must reach: inside the first terminator and
+        // inside the first body.
+        let terminator = first.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let inside = [
+            terminator + 1,
+            terminator + 2,
+            terminator + 3,
+            first.len() - 5,
+        ];
+        let (unsplit, end) = parse_all(vec![wire.clone()]);
+        assert_eq!(unsplit.len(), 2);
+        assert!(matches!(end, ServeError::ConnectionClosed));
+
+        propcheck::run_cases(256, |g| {
+            let mut cuts: Vec<usize> = (0..g.usize_in(1, 6))
+                .map(|_| g.usize_in(1, wire.len()))
+                .collect();
+            cuts.push(*g.pick(&inside));
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut chunks = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([wire.len()]) {
+                chunks.push(wire[from..cut].to_vec());
+                from = cut;
+            }
+            let (parsed, end) = parse_all(chunks.clone());
+            assert_eq!(parsed, unsplit, "split as {chunks:?}");
+            assert!(matches!(end, ServeError::ConnectionClosed));
+
+            // Truncating the second request anywhere past its first byte
+            // ends in a typed framing error, never a panic or a hang.
+            let cut = g.usize_in(first.len() + 1, wire.len());
+            let (parsed, end) = parse_all(vec![wire[..cut].to_vec()]);
+            assert_eq!(parsed.len(), 1);
+            assert_eq!(parsed[0], unsplit[0]);
+            assert!(matches!(end, ServeError::Protocol(_)), "got {end:?}");
+        });
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! - [`ModelSlot`] — validated, atomic last-good hot reload; corrupt or
 //!   mismatched files never disturb the serving model.
 //! - [`ServeClient`] — retry with exponential backoff and seeded
-//!   jitter, honouring the server's retriable/non-retriable marking.
+//!   jitter, honouring the server's retriable/non-retriable marking,
+//!   over one reused keep-alive connection.
 //!
 //! # Example
 //!

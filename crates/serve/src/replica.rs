@@ -39,7 +39,8 @@ pub struct ReplicaHealth {
     /// Jobs queued but not yet picked up by a worker.
     pub queue_depth: usize,
     /// Jobs dispatched to this replica and not yet answered (queued
-    /// plus in service).
+    /// plus in service). A kept-alive connection handed back here
+    /// counts until its next response or its close.
     pub in_flight: u64,
     /// Model-slot generation (bumped per successful swap).
     pub generation: u64,
@@ -61,9 +62,11 @@ pub struct Replica<T> {
     queue: Arc<BoundedQueue<T>>,
     /// Dispatched-but-unanswered jobs: incremented by the router before
     /// the queue push, decremented by the worker after the response is
-    /// written. This is the replica's load *and* the rolling-reload
-    /// drain condition (zero means no request can still observe the
-    /// old model slot mid-swap).
+    /// written. A kept-alive connection handed back to this replica
+    /// counts from its re-dispatch until its next response or its
+    /// close. This is the replica's load *and* the rolling-reload drain
+    /// condition (zero means no request can still observe the old model
+    /// slot mid-swap).
     in_flight: AtomicU64,
     draining: AtomicBool,
     alive: AtomicBool,

@@ -11,6 +11,15 @@
 //!   ([`wlc_exec::BoundedQueue`]); when every queue is full the
 //!   acceptor answers `503` (retriable) immediately instead of queueing
 //!   unboundedly.
+//! - **Persistent connections** — after answering an HTTP/1.1 request
+//!   that did not ask to close, a worker hands the connection back
+//!   through [`Router::dispatch`], so routing, load accounting, drains
+//!   and shedding are still decided per request. A worker that pops an
+//!   idle connection waits for its next request in 1 ms slices and
+//!   gives it up as soon as other work is queued, the replica leaves
+//!   rotation or the server shuts down; one idle for 1 s is closed.
+//!   Framing errors, sheds, `/shutdown` and every response while
+//!   shutting down carry `Connection: close`.
 //! - **Deadlines** — every request carries a deadline (default from
 //!   [`ServeConfig::default_deadline`], overridable per request); work
 //!   that misses it is answered `504` (retriable) rather than returned
@@ -175,9 +184,22 @@ pub fn counts_against_breaker(status: u16, phase: FailurePhase) -> bool {
     matches!(phase, FailurePhase::Compute) && status >= 500
 }
 
+/// How long a kept-alive connection may wait for its next request
+/// before the server closes it.
+const IDLE_BOUND: Duration = Duration::from_secs(1);
+/// How long a worker waits on an idle connection before it looks at its
+/// queue, its replica and shutdown again (a socket read timeout, which
+/// the kernel may round up to its timer tick).
+const IDLE_SLICE: Duration = Duration::from_millis(1);
+
+/// A connection waiting in a replica queue.
 struct Conn {
-    stream: TcpStream,
-    accepted_at: Instant,
+    stream: http::Connection,
+    /// When the connection entered the queue: its accept, or its
+    /// re-dispatch after a response.
+    queued_at: Instant,
+    /// When its last response was written; `None` before the first.
+    idle_since: Option<Instant>,
 }
 
 struct Shared {
@@ -403,8 +425,19 @@ impl Server {
                         engine: BandEngine::new(band_jobs),
                     },
                     move |_worker, state, conn| {
-                        handle_connection(&shared, &replica, state, conn);
-                        // The response is written: this replica's
+                        if let Some(conn) = handle_connection(&shared, &replica, state, conn) {
+                            // Kept open: back through the router for
+                            // its next request. If no replica can take
+                            // it, it is closed, and the client resends
+                            // on a fresh connection the acceptor
+                            // decides.
+                            let _ = shared.router.dispatch(Conn {
+                                queued_at: Instant::now(),
+                                ..conn
+                            });
+                        }
+                        // The response is written and the connection
+                        // handed on or closed: this replica's
                         // in-flight count (the rolling-reload drain
                         // condition) drops only now.
                         replica.finish_request();
@@ -422,14 +455,16 @@ impl Server {
                 // the acceptor; either way, stop accepting.
                 break;
             }
-            let stream = match incoming {
-                Ok(stream) => stream,
-                Err(_) => continue,
+            let Ok(stream) = incoming
+                .map_err(ServeError::from)
+                .and_then(http::Connection::new)
+            else {
+                continue;
             };
-            let _ = http::configure(&stream);
             let conn = Conn {
                 stream,
-                accepted_at: Instant::now(),
+                queued_at: Instant::now(),
+                idle_since: None,
             };
             if let Err(routed) = shared.router.dispatch(conn) {
                 // Router-level shed: never touches any replica's
@@ -442,8 +477,8 @@ impl Server {
                 // Jittered Retry-After: clients shed in the same burst
                 // get different hints and don't stampede back together.
                 let retry_after = shed_retry_after(&mut shed_rng);
-                let _ = http::write_response_retry_after(&mut conn.stream, 503, &body, retry_after);
-                shared.log_request(None, "-", "-", 503, conn.accepted_at, false, true);
+                let _ = http::write_response(conn.stream.get_mut(), 503, &body, retry_after, false);
+                shared.log_request(None, "-", "-", 503, conn.queued_at, false, true);
             }
         }
 
@@ -467,14 +502,75 @@ struct WorkerState {
     engine: BandEngine,
 }
 
+/// What a worker does with a returning connection.
+enum Wait {
+    /// Serve the request whose first bytes are buffered; its deadline
+    /// runs from the given instant.
+    Request(Instant),
+    /// Hand the still-idle connection back: other work is queued.
+    Requeue,
+    /// Close it.
+    Close,
+}
+
+/// Waits on a returning connection for its next request, one
+/// [`IDLE_SLICE`] at a time, without holding it while other work waits.
+/// It is closed when the client goes away, the server shuts down, the
+/// replica leaves rotation, or it stays idle past [`IDLE_BOUND`].
+fn await_request(
+    shared: &Shared,
+    replica: &Replica<Conn>,
+    conn: &mut Conn,
+    idle_since: Instant,
+) -> Wait {
+    // A request that arrived while the connection sat in the queue is
+    // timed from its re-dispatch; one a worker waited for, from its
+    // arrival. A connection popped at once has had no time to queue.
+    if conn.queued_at.elapsed() >= IDLE_SLICE {
+        match conn.stream.poll(Duration::ZERO) {
+            Ok(true) => return Wait::Request(conn.queued_at),
+            Ok(false) => {}
+            Err(_) => return Wait::Close,
+        }
+    }
+    loop {
+        match conn.stream.poll(IDLE_SLICE) {
+            Ok(true) => return Wait::Request(Instant::now()),
+            Ok(false) => {}
+            Err(_) => return Wait::Close,
+        }
+        if shared.shutting_down.load(Ordering::SeqCst)
+            || !replica.routable()
+            || idle_since.elapsed() >= IDLE_BOUND
+        {
+            return Wait::Close;
+        }
+        if !replica.queue().is_empty() {
+            return Wait::Requeue;
+        }
+    }
+}
+
+/// Serves the next request on `conn`. Returns the connection when it
+/// stays open.
 fn handle_connection(
     shared: &Shared,
     replica: &Replica<Conn>,
     state: &mut WorkerState,
     mut conn: Conn,
-) {
-    let request = match http::read_request(&mut conn.stream) {
+) -> Option<Conn> {
+    let started = match conn.idle_since {
+        None => conn.queued_at,
+        Some(idle_since) => match await_request(shared, replica, &mut conn, idle_since) {
+            Wait::Request(started) => started,
+            Wait::Requeue => return Some(conn),
+            Wait::Close => return None,
+        },
+    };
+    let request = match conn.stream.read_request(http::HEAD_DEADLINE) {
         Ok(request) => request,
+        // The client closed the connection without starting a request.
+        Err(ServeError::ConnectionClosed) => return None,
         Err(err) => {
             // Framing failures get a precise status: oversize bodies
             // 413, a head that outlasted its deadline 408, anything
@@ -485,32 +581,29 @@ fn handle_connection(
                 _ => 400,
             };
             let body = error_body(&err.to_string(), false);
-            let _ = http::write_response(&mut conn.stream, status, &body);
+            let _ = http::write_response(conn.stream.get_mut(), status, &body, 1, false);
             replica.count_handled();
-            shared.log_request(
-                Some(replica.id()),
-                "-",
-                "-",
-                status,
-                conn.accepted_at,
-                false,
-                false,
-            );
-            return;
+            shared.log_request(Some(replica.id()), "-", "-", status, started, false, false);
+            return None;
         }
     };
-    let (status, body, degraded) = route(shared, replica, state, &request, conn.accepted_at);
-    let _ = http::write_response(&mut conn.stream, status, &body);
+    let (status, body, degraded) = route(shared, replica, state, &request, started);
+    let keep_alive = request.keep_alive && !shared.shutting_down.load(Ordering::SeqCst);
+    let written = http::write_response(conn.stream.get_mut(), status, &body, 1, keep_alive);
     replica.count_handled();
     shared.log_request(
         Some(replica.id()),
         &request.method,
         &request.path,
         status,
-        conn.accepted_at,
+        started,
         degraded,
         false,
     );
+    (keep_alive && written.is_ok()).then(|| Conn {
+        idle_since: Some(Instant::now()),
+        ..conn
+    })
 }
 
 fn route(
@@ -518,14 +611,14 @@ fn route(
     replica: &Replica<Conn>,
     state: &mut WorkerState,
     request: &http::Request,
-    accepted_at: Instant,
+    started: Instant,
 ) -> (u16, String, bool) {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/predict") => {
-            handle_predict(shared, replica, state, request, accepted_at, Shape::Single)
+            handle_predict(shared, replica, state, request, started, Shape::Single)
         }
         ("POST", "/predict_batch") => {
-            handle_predict(shared, replica, state, request, accepted_at, Shape::Batch)
+            handle_predict(shared, replica, state, request, started, Shape::Batch)
         }
         ("GET", "/healthz") => (
             200,
@@ -898,12 +991,12 @@ fn handle_shutdown(shared: &Shared) -> (u16, String, bool) {
     )
 }
 
-fn deadline_for(shared: &Shared, body: &Json, accepted_at: Instant) -> Result<Instant, String> {
+fn deadline_for(shared: &Shared, body: &Json, started: Instant) -> Result<Instant, String> {
     match body.get("deadline_ms") {
-        None => Ok(accepted_at + shared.config.default_deadline),
+        None => Ok(started + shared.config.default_deadline),
         Some(value) => match value.as_f64() {
             Some(ms) if ms.is_finite() && ms > 0.0 && ms <= 3_600_000.0 => {
-                Ok(accepted_at + Duration::from_secs_f64(ms / 1e3))
+                Ok(started + Duration::from_secs_f64(ms / 1e3))
             }
             _ => Err("deadline_ms must be a positive number of milliseconds".into()),
         },
@@ -996,7 +1089,7 @@ fn handle_predict(
     replica: &Replica<Conn>,
     state: &mut WorkerState,
     request: &http::Request,
-    accepted_at: Instant,
+    started: Instant,
     shape: Shape,
 ) -> (u16, String, bool) {
     let body = match request
@@ -1013,7 +1106,7 @@ fn handle_predict(
             )
         }
     };
-    let deadline = match deadline_for(shared, &body, accepted_at) {
+    let deadline = match deadline_for(shared, &body, started) {
         Ok(deadline) => deadline,
         Err(reason) => return (400, error_body(&reason, false), false),
     };

@@ -1,7 +1,9 @@
 //! End-to-end tests for the prediction server: healthy serving,
 //! overload shedding, deadlines, circuit-breaker degradation, hot
-//! reload under concurrent load, and graceful shutdown draining.
+//! reload under concurrent load, graceful shutdown draining, and the
+//! persistent-connection contract.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -11,7 +13,9 @@ use wlc_data::{Dataset, Sample};
 use wlc_model::baseline::{LinearFeatures, LinearModel};
 use wlc_model::fallback::FallbackModel;
 use wlc_model::{PerformanceModel, WorkloadModel, WorkloadModelBuilder};
-use wlc_serve::{ClientConfig, Json, ServeClient, ServeConfig, ServeError, ServeStats, Server};
+use wlc_serve::{
+    http, ClientConfig, Json, ServeClient, ServeConfig, ServeError, ServeStats, Server,
+};
 
 fn dataset() -> Dataset {
     let mut ds = Dataset::new(vec!["a".into(), "b".into()], vec!["y".into()]).unwrap();
@@ -780,5 +784,214 @@ fn injected_read_fault_rejects_reload_as_retriable_503_and_a_retry_succeeds() {
     assert_eq!(p.outputs, pred_b);
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// How the stand-in server below ends each exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fake {
+    /// Answer and keep the connection for the next request.
+    KeepAlive,
+    /// Answer without `Connection: close`, then drop the connection.
+    DropAfterResponse,
+    /// Send half a response, then drop the connection.
+    DropMidResponse,
+}
+
+/// A stand-in server built on `wlc_serve::http` that serves one
+/// connection at a time, answering `{"status":"ok"}`, until `stop` is
+/// set. The thread returns how many connections it accepted and how
+/// many requests it read.
+fn fake_server(mode: Fake) -> (String, Arc<AtomicBool>, thread::JoinHandle<(usize, usize)>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let handle = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            let (mut accepts, mut requests) = (0, 0);
+            while !stop.load(Ordering::SeqCst) {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        thread::sleep(Duration::from_millis(1));
+                        continue;
+                    }
+                };
+                stream.set_nonblocking(false).unwrap();
+                accepts += 1;
+                let mut conn = http::Connection::new(stream).unwrap();
+                while conn.read_request(http::HEAD_DEADLINE).is_ok() {
+                    requests += 1;
+                    let body = r#"{"status":"ok"}"#;
+                    if mode == Fake::DropMidResponse {
+                        let head =
+                            format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+                        conn.get_mut().write_all(head.as_bytes()).unwrap();
+                        conn.get_mut().write_all(&body.as_bytes()[..4]).unwrap();
+                        break;
+                    }
+                    http::write_response(conn.get_mut(), 200, body, 1, true).unwrap();
+                    if mode == Fake::DropAfterResponse {
+                        break;
+                    }
+                }
+            }
+            (accepts, requests)
+        })
+    };
+    (addr, stop, handle)
+}
+
+#[test]
+fn keep_alive_client_reuses_one_connection_for_sequential_calls() {
+    let (addr, stop, fake) = fake_server(Fake::KeepAlive);
+    let client = quick_client(&addr);
+    for _ in 0..20 {
+        client.healthz().unwrap();
+    }
+    drop(client);
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(
+        fake.join().unwrap(),
+        (1, 20),
+        "20 sequential calls must share one connection"
+    );
+}
+
+#[test]
+fn keep_alive_resends_only_requests_the_server_never_started_answering() {
+    // Each response arrives without `Connection: close`, so the client
+    // keeps the connection, but the server has already dropped it: the
+    // next call meets a closed connection before any response byte and
+    // goes again on a fresh one, spending none of its single attempt.
+    let (addr, stop, fake) = fake_server(Fake::DropAfterResponse);
+    let client = quick_client(&addr);
+    for call in 0..20 {
+        assert!(client.healthz().is_ok(), "call {call} must succeed");
+    }
+    drop(client);
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(fake.join().unwrap(), (20, 20));
+
+    // A connection dropped mid-response may have done the work: the
+    // failure is the caller's to see, and nothing is sent again.
+    let (addr, stop, fake) = fake_server(Fake::DropMidResponse);
+    match quick_client(&addr).healthz() {
+        Err(ServeError::Protocol(message)) => assert!(message.contains("mid-body"), "{message}"),
+        other => panic!("expected a mid-body protocol error, got {other:?}"),
+    }
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(
+        fake.join().unwrap(),
+        (1, 1),
+        "no resend after response bytes"
+    );
+}
+
+#[test]
+fn keep_alive_close_request_gets_close_and_eof_after_the_body() {
+    let (addr, handle) = start(full_bundle(1), ServeConfig::default());
+    let mut conn = http::Connection::connect(&addr).unwrap();
+    conn.get_mut()
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: wlc\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let response = conn.read_response().unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.headers.get("connection").map(String::as_str),
+        Some("close")
+    );
+    assert!(matches!(
+        conn.poll(Duration::from_secs(5)),
+        Err(ServeError::ConnectionClosed)
+    ));
+
+    quick_client(&addr).shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn keep_alive_pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = start(full_bundle(1), ServeConfig::default());
+    let mut conn = http::Connection::connect(&addr).unwrap();
+    conn.get_mut()
+        .write_all(
+            b"POST /predict HTTP/1.1\r\nContent-Length: 20\r\n\r\n{\"inputs\":[2.0,3.0]}\
+              GET /healthz HTTP/1.1\r\n\r\n",
+        )
+        .unwrap();
+    let first = conn.read_response().unwrap();
+    assert_eq!(first.status, 200);
+    assert!(first.keep_alive);
+    let first = Json::parse(first.body_str().unwrap()).unwrap();
+    assert_eq!(first.get("model").and_then(Json::as_str), Some("mlp"));
+    let second = conn.read_response().unwrap();
+    assert_eq!(second.status, 200);
+    assert!(second.keep_alive);
+    let second = Json::parse(second.body_str().unwrap()).unwrap();
+    assert_eq!(second.get("status").and_then(Json::as_str), Some("ok"));
+
+    quick_client(&addr).shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn keep_alive_reload_and_shutdown_do_not_wait_on_an_idle_connection() {
+    let dir = std::env::temp_dir().join(format!("wlc-serve-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.txt");
+    mlp(6).save(&path).unwrap();
+    let config = ServeConfig {
+        replicas: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start(full_bundle(5), config);
+
+    // One pooled client goes idle, holding a kept-alive connection.
+    let idle = quick_client(&addr);
+    assert!(idle.predict(&[2.0, 3.0]).is_ok());
+
+    // Well inside the idle bound: neither the rolling drain nor the
+    // shutdown drain waits for the idle connection to time out.
+    let client = quick_client(&addr);
+    let started = Instant::now();
+    assert_eq!(client.reload(path.to_str().unwrap()).unwrap(), 1);
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "reload took {:?}",
+        started.elapsed()
+    );
+    let started = Instant::now();
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_connection_is_closed_after_the_idle_bound() {
+    let (addr, handle) = start(full_bundle(1), ServeConfig::default());
+    let mut conn = http::Connection::connect(&addr).unwrap();
+    http::write_request(conn.get_mut(), "GET", "/healthz", "").unwrap();
+    assert!(conn.read_response().unwrap().keep_alive);
+    let started = Instant::now();
+    assert!(matches!(
+        conn.poll(Duration::from_secs(5)),
+        Err(ServeError::ConnectionClosed)
+    ));
+    let idle = started.elapsed();
+    assert!(
+        idle >= Duration::from_millis(900) && idle < Duration::from_secs(3),
+        "closed after {idle:?}"
+    );
+
+    quick_client(&addr).shutdown().unwrap();
     handle.join().unwrap();
 }
