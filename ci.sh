@@ -39,7 +39,7 @@ if [ "${1:-}" != "quick" ]; then
     # Ratios (batched vs legacy arm, interleaved same-run) are machine-
     # independent; absolute throughput is not compared. Writes the fresh
     # measurement to BENCH_nn.new.json for inspection.
-    ./target/release/wlc bench --quick --check BENCH_nn.json --no-serve
+    ./target/release/wlc bench --quick --check BENCH_nn.json
 fi
 
 echo "==> cargo test -q (tier-1 default members)"
@@ -74,6 +74,18 @@ echo "==> crash-consistency sweep (every op-log prefix of a supervisor round)"
 cargo test -q -p wlc-learn --test crash_sweep
 
 if [ "${1:-}" != "quick" ]; then
+    echo "==> serving correctness smoke (e2ebench serve_batch, serve_single)"
+    # Every answer is checked bit for bit through a real `wlc serve`
+    # process and `ServeClient`. No timing is gated here.
+    for workload in serve_batch serve_single; do
+        result=$(bash e2ebench/run.sh --workload "$workload" --seed 1 \
+            --seconds 2 --trace 0 | tail -n 1)
+        case "$result" in
+            *'"correct": true'*'"failed": 0,'*) ;;
+            *) echo "$workload answered wrong or failed: $result"; exit 1 ;;
+        esac
+    done
+
     echo "==> fault-injection smoke (collect with faults, cv with quarantine)"
     smoke_dir=$(mktemp -d)
     trap 'rm -rf "$smoke_dir"' EXIT

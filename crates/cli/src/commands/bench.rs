@@ -1,7 +1,7 @@
 //! `wlc bench` — tracked performance baseline for the train/predict hot
 //! path.
 //!
-//! Three benchmarks:
+//! Two benchmarks:
 //!
 //! - **train-epoch** — one full epoch (minibatch gradients + optimizer
 //!   steps + full-set evaluation) through (a) a faithful port of the
@@ -11,8 +11,9 @@
 //!   [`wlc_nn::BandEngine`] team (bitwise identical for any setting).
 //! - **forward-batch** — batched inference via the warm workspace vs the
 //!   allocating per-row forward of the baseline implementation.
-//! - **serve-predict** — end-to-end `/predict` and `/predict_batch`
-//!   throughput against a live loopback server.
+//!
+//! Serving is measured end to end by e2ebench's `serve_single` and
+//! `serve_batch` workloads (`bash e2ebench/run.sh`), not here.
 //!
 //! Each metric reports the median with p10/p90 over `--repeats` repeats
 //! and is written to a JSON report (default `BENCH_nn.json`).
@@ -26,13 +27,10 @@
 
 use std::time::Instant;
 
-use wlc_data::{Dataset, Sample};
 use wlc_math::rng::Xoshiro256;
 use wlc_math::Matrix;
-use wlc_model::fallback::FallbackModel;
-use wlc_model::WorkloadModelBuilder;
 use wlc_nn::{Activation, BandEngine, Loss, Mlp, MlpBuilder, NnError, Workspace, BAND_ROWS};
-use wlc_serve::{ClientConfig, Json, ServeClient, ServeConfig, Server};
+use wlc_serve::Json;
 
 use crate::args::Flags;
 
@@ -58,7 +56,6 @@ FLAGS:
     --hidden <list>     hidden widths                [default: 16,12]
     --outputs <usize>   output width                 [default: 5]
     --activation <act>  hidden activation            [default: relu]
-    --no-serve          skip the loopback serving benchmark
 
 The default hidden activation is `relu` so the timed work is the
 linear-algebra/allocation hot path rather than `exp` calls, whose cost
@@ -240,18 +237,6 @@ impl Summary {
             ("p90", Json::Num(self.p90)),
         ])
     }
-}
-
-/// Times `work` `repeats` times; returns per-repeat throughput in
-/// `units / second` where each call to `work` performs `units` of work.
-fn throughput<F: FnMut()>(repeats: usize, units: f64, mut work: F) -> Vec<f64> {
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let start = Instant::now();
-        work();
-        samples.push(units / start.elapsed().as_secs_f64().max(1e-12));
-    }
-    samples
 }
 
 /// Times two arms interleaved (`base, fast, base, fast, ...`) and
@@ -440,53 +425,6 @@ fn bench_forward_batch(setup: &BenchSetup, repeats: usize, jobs: usize) -> (Summ
     )
 }
 
-fn bench_serve(
-    inputs: usize,
-    outputs: usize,
-    repeats: usize,
-) -> Result<(Summary, Summary), Box<dyn std::error::Error>> {
-    let mut ds = Dataset::new(
-        (0..inputs).map(|i| format!("x{i}")).collect(),
-        (0..outputs).map(|i| format!("y{i}")).collect(),
-    )?;
-    let (xs, ys) = synthetic(inputs, outputs, 64, 11);
-    for r in 0..xs.rows() {
-        ds.push(Sample::new(xs.row(r).to_vec(), ys.row(r).to_vec()))?;
-    }
-    let model = WorkloadModelBuilder::new()
-        .max_epochs(60)
-        .seed(7)
-        .train(&ds)?
-        .model;
-    let bundle = FallbackModel::new(Some(model), None, vec![], vec![])?;
-    let server = Server::bind(
-        "127.0.0.1:0",
-        bundle,
-        ServeConfig {
-            workers: 1, // single-threaded serving for a stable baseline
-            ..ServeConfig::default()
-        },
-    )?;
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    let client = ServeClient::new(addr, ClientConfig::default());
-
-    let batch_rows: Vec<Vec<f64>> = (0..64).map(|r| xs.row(r % xs.rows()).to_vec()).collect();
-    client.predict_batch(&batch_rows)?; // warm up (worker scratch + TCP stack)
-    let batch_tp = Summary::of(throughput(repeats, batch_rows.len() as f64, || {
-        client.predict_batch(&batch_rows).expect("serving");
-    }));
-    let single_tp = Summary::of(throughput(repeats, batch_rows.len() as f64, || {
-        for row in &batch_rows {
-            client.predict(row).expect("serving");
-        }
-    }));
-
-    client.shutdown()?;
-    handle.join().expect("server thread")?;
-    Ok((batch_tp, single_tp))
-}
-
 fn speedup_from(report: &Json, section: &str) -> Option<f64> {
     report.get(section)?.get("speedup")?.as_f64()
 }
@@ -528,7 +466,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.first().map(String::as_str) == Some("--help") {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["quick", "no-serve"])?;
+    let flags = Flags::parse(raw, &["quick"])?;
     let quick = flags.switch("quick");
     let repeats: usize = flags.get_or("repeats", if quick { 7 } else { 30 })?;
     let jobs: usize = flags.get_or("jobs", 1usize)?.max(1);
@@ -653,19 +591,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     let (train_base, train_fast, train_speedup, fwd_base, fwd_fast, fwd_speedup) =
         measured.expect("at least one attempt");
 
-    let serve = if flags.switch("no-serve") {
-        None
-    } else {
-        let serve_repeats = if quick { 5 } else { repeats.min(15) };
-        let (batch_tp, single_tp) = bench_serve(inputs, outputs, serve_repeats)?;
-        println!(
-            "serve       : /predict_batch {:>8.0} rows/s | /predict {:>8.0} rows/s",
-            batch_tp.median, single_tp.median
-        );
-        Some((batch_tp, single_tp))
-    };
-
-    let mut report = vec![
+    let report = Json::obj([
         ("schema", Json::Num(REPORT_SCHEMA)),
         (
             "config",
@@ -702,22 +628,7 @@ pub fn run(raw: &[String]) -> CmdResult {
                 ("speedup", Json::Num(fwd_speedup)),
             ]),
         ),
-    ];
-    if let Some((batch_tp, single_tp)) = serve {
-        report.push((
-            "serve",
-            Json::obj([
-                ("predict_batch_rows_per_s", batch_tp.to_json()),
-                ("predict_rows_per_s", single_tp.to_json()),
-            ]),
-        ));
-    }
-    let report = Json::Obj(
-        report
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
+    ]);
     // wlc-lint: allow(durable-write, reason = "bench report is a throwaway measurement artifact, not recovered state")
     std::fs::write(&out, format!("{report}\n"))?;
     eprintln!("report written to {out}");

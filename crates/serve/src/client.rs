@@ -6,6 +6,10 @@
 //! [`Xoshiro256`], so tests replay exactly); validation errors (`4xx`)
 //! and protocol errors surface immediately.
 //!
+//! Prediction requests are written, and their 200 answers read, without
+//! a [`Json`] tree (see `json.rs`); any other answer is read
+//! through the tree.
+//!
 //! Requests reuse one kept-alive connection. The server closes an idle
 //! connection only before it starts on the next request, so a request
 //! whose reused connection turns out closed before any response byte
@@ -19,7 +23,7 @@ use wlc_math::rng::Xoshiro256;
 
 use crate::error::ServeError;
 use crate::http;
-use crate::json::Json;
+use crate::json::{self, Json, Shape};
 
 /// A successful prediction response. From `/predict`, `outputs` is one
 /// row (the default `T`); from `/predict_batch` it is one row per input
@@ -184,74 +188,29 @@ impl ServeClient {
     }
 
     fn request_json(&self, method: &str, path: &str, body: &str) -> Result<Json, ServeError> {
-        let response = self.request(method, path, body)?;
-        let text = response.body_str()?;
-        let json = Json::parse(text)
-            .map_err(|reason| ServeError::Protocol(format!("bad response body: {reason}")))?;
-        if response.status == 200 {
-            return Ok(json);
-        }
-        let message = json
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown error")
-            .to_string();
-        let retriable = json
-            .get("retriable")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        Err(ServeError::Rejected {
-            status: response.status,
-            message,
-            retriable,
-        })
+        response_json(self.request(method, path, body)?)
     }
 
-    /// POSTs `inputs` to the prediction route `path` and parses the
-    /// answer, reading `outputs` with `rows`.
-    fn post_prediction<T>(
+    /// POSTs `rows` to the prediction route of `shape` and reads the
+    /// answer, one `outputs` row per input row.
+    fn post_prediction<'r>(
         &self,
-        path: &str,
-        inputs: Json,
+        shape: Shape,
+        rows: impl IntoIterator<Item = &'r [f64]>,
         deadline_ms: Option<u64>,
-        rows: impl FnOnce(&Json) -> Option<T>,
-    ) -> Result<Prediction<T>, ServeError> {
-        let mut body = vec![("inputs", inputs)];
-        if let Some(ms) = deadline_ms {
-            body.push(("deadline_ms", Json::Num(ms as f64)));
+    ) -> Result<BatchPrediction, ServeError> {
+        let body = json::write_request(shape, rows, deadline_ms);
+        let response = self.request("POST", shape.path(), &body)?;
+        if response.status == 200 {
+            let scanned = response
+                .body_str()
+                .ok()
+                .and_then(|text| json::scan_answer(text, shape));
+            if let Some(answer) = scanned {
+                return Ok(answer);
+            }
         }
-        let body =
-            Json::Obj(body.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_string();
-        let json = self.request_json("POST", path, &body)?;
-        let outputs = json
-            .get("outputs")
-            .and_then(rows)
-            .ok_or_else(|| ServeError::Protocol("response missing `outputs`".into()))?;
-        let output_names = json
-            .get("output_names")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok(Prediction {
-            outputs,
-            output_names,
-            degraded: json
-                .get("degraded")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            model: json
-                .get("model")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            generation: json.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            replica: json.get("replica").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-        })
+        read_answer(&response_json(response)?, shape)
     }
 
     /// Requests a prediction for one configuration.
@@ -265,12 +224,23 @@ impl ServeClient {
         inputs: &[f64],
         deadline_ms: Option<u64>,
     ) -> Result<Prediction, ServeError> {
-        self.post_prediction(
-            "/predict",
-            Json::nums(inputs),
-            deadline_ms,
-            Json::as_f64_array,
-        )
+        let Prediction {
+            outputs,
+            output_names,
+            degraded,
+            model,
+            generation,
+            replica,
+        } = self.post_prediction(Shape::Single, [inputs], deadline_ms)?;
+        Ok(Prediction {
+            // A one-row answer: both readers give exactly one row.
+            outputs: outputs.into_iter().next().unwrap_or_default(),
+            output_names,
+            degraded,
+            model,
+            generation,
+            replica,
+        })
     }
 
     /// Requests predictions for many configurations in one round trip
@@ -286,10 +256,7 @@ impl ServeClient {
         inputs: &[Vec<f64>],
         deadline_ms: Option<u64>,
     ) -> Result<BatchPrediction, ServeError> {
-        let rows = Json::Arr(inputs.iter().map(|row| Json::nums(row)).collect());
-        self.post_prediction("/predict_batch", rows, deadline_ms, |outputs| {
-            outputs.as_arr()?.iter().map(Json::as_f64_array).collect()
-        })
+        self.post_prediction(Shape::Batch, inputs.iter().map(Vec::as_slice), deadline_ms)
     }
 
     /// `GET /healthz` — liveness.
@@ -389,9 +356,74 @@ impl ServeClient {
     }
 }
 
+/// A response's body as a tree: the tree for a 200, else the server's
+/// error as [`ServeError::Rejected`].
+fn response_json(response: http::Response) -> Result<Json, ServeError> {
+    let text = response.body_str()?;
+    let json = Json::parse(text)
+        .map_err(|reason| ServeError::Protocol(format!("bad response body: {reason}")))?;
+    if response.status == 200 {
+        return Ok(json);
+    }
+    let message = json
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or("unknown error")
+        .to_string();
+    let retriable = json
+        .get("retriable")
+        .and_then(Json::as_bool)
+        .unwrap_or(false);
+    Err(ServeError::Rejected {
+        status: response.status,
+        message,
+        retriable,
+    })
+}
+
+/// Reads a prediction answer from its tree: the path for a 200 body the
+/// scanner does not expect.
+fn read_answer(json: &Json, shape: Shape) -> Result<BatchPrediction, ServeError> {
+    let outputs = json
+        .get("outputs")
+        .and_then(|outputs| match shape {
+            Shape::Single => outputs.as_f64_array().map(|row| vec![row]),
+            Shape::Batch => outputs.as_arr()?.iter().map(Json::as_f64_array).collect(),
+        })
+        .ok_or_else(|| ServeError::Protocol("response missing `outputs`".into()))?;
+    let output_names = json
+        .get("output_names")
+        .and_then(Json::as_arr)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|v| v.as_str().map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default();
+    Ok(Prediction {
+        outputs,
+        output_names,
+        degraded: json
+            .get("degraded")
+            .and_then(Json::as_bool)
+            .unwrap_or(false),
+        model: json
+            .get("model")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown")
+            .to_string(),
+        generation: json.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+        replica: json.get("replica").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{testgen, Answer};
+    use wlc_math::propcheck::{self, Gen};
+    use wlc_math::Matrix;
 
     #[test]
     fn backoff_grows_exponentially_with_bounded_jitter() {
@@ -446,5 +478,113 @@ mod tests {
             Err(ServeError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 2),
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+    }
+
+    /// A random 200 answer of `shape` as the server writes it, with the
+    /// prediction it carries.
+    fn answer(g: &mut Gen, shape: Shape) -> (String, BatchPrediction) {
+        let width = g.usize_in(0, 6);
+        let count = match shape {
+            Shape::Single => 1,
+            Shape::Batch => g.usize_in(0, 6),
+        };
+        let outputs: Vec<Vec<f64>> = (0..count)
+            .map(|_| (0..width).map(|_| testgen::finite(g)).collect())
+            .collect();
+        let want = Prediction {
+            output_names: (0..g.usize_in(0, 5)).map(|_| testgen::text(g)).collect(),
+            degraded: g.usize_in(0, 2) == 1,
+            model: match g.usize_in(0, 3) {
+                0 => "mlp".to_string(),
+                1 => "linear-baseline".to_string(),
+                _ => testgen::text(g),
+            },
+            generation: g.u64_in(0, 1 << 40),
+            replica: g.u64_in(0, 64),
+            outputs,
+        };
+        let matrix = Matrix::from_vec(count, width, want.outputs.concat()).unwrap();
+        let text = json::write_answer(
+            shape,
+            &Answer {
+                degraded: want.degraded,
+                generation: want.generation,
+                model: &want.model,
+                output_names: &want.output_names,
+                replica: want.replica,
+            },
+            &matrix,
+        );
+        (text, want)
+    }
+
+    /// Equal field by field, outputs bit for bit.
+    fn same(a: &BatchPrediction, b: &BatchPrediction) -> bool {
+        let bits = |p: &BatchPrediction| -> Vec<Vec<u64>> {
+            p.outputs
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        bits(a) == bits(b)
+            && (
+                &a.output_names,
+                a.degraded,
+                &a.model,
+                a.generation,
+                a.replica,
+            ) == (
+                &b.output_names,
+                b.degraded,
+                &b.model,
+                b.generation,
+                b.replica,
+            )
+    }
+
+    /// Every answer the server writes takes the scanner and reads back
+    /// exactly.
+    #[test]
+    fn answer_scanner_reads_every_answer_the_server_writes() {
+        propcheck::run_cases(512, |g| {
+            let shape = *g.pick(&[Shape::Single, Shape::Batch]);
+            let (text, want) = answer(g, shape);
+            let got = json::scan_answer(&text, shape).expect("an answer the server writes");
+            assert!(same(&got, &want), "{text}");
+        });
+    }
+
+    /// Differential: on answers, edits of them and answers of the other
+    /// shape, the scanner returns `None` or exactly the tree read's
+    /// prediction, and `None` whenever the tree read fails.
+    #[test]
+    fn answer_scanner_agrees_with_the_tree_read() {
+        let cases = 2048;
+        let mut scanned = 0;
+        propcheck::run_cases(cases, |g| {
+            let shape = *g.pick(&[Shape::Single, Shape::Batch]);
+            let written = *g.pick(&[shape, shape, shape, Shape::Single, Shape::Batch]);
+            let (mut text, _) = answer(g, written);
+            if g.usize_in(0, 3) > 0 {
+                text = testgen::mutate(g, &text);
+            }
+            let tree = Json::parse(&text)
+                .map_err(|reason| reason.to_string())
+                .and_then(|json| read_answer(&json, shape).map_err(|e| e.to_string()));
+            match (json::scan_answer(&text, shape), tree) {
+                (None, _) => {}
+                (Some(got), Ok(want)) => {
+                    scanned += 1;
+                    assert!(same(&got, &want), "{text}");
+                }
+                (Some(_), Err(reason)) => {
+                    panic!("scanned an answer the tree rejects ({reason}): {text}")
+                }
+            }
+        });
+        assert!(
+            scanned > cases / 8,
+            "only {scanned} of {cases} answers scanned"
+        );
     }
 }

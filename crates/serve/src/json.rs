@@ -1,4 +1,5 @@
-//! A minimal JSON value type, parser and serializer.
+//! A minimal JSON value type, parser and serializer, plus a tree-free
+//! codec for the two prediction body shapes.
 //!
 //! The server's wire format is deliberately tiny — flat objects holding
 //! numbers, strings, booleans and arrays — so a from-scratch
@@ -6,9 +7,23 @@
 //! strict (trailing garbage, unterminated strings and malformed escapes
 //! are errors); the serializer emits non-finite numbers as `null`, which
 //! request validation upstream makes unreachable for prediction outputs.
+//!
+//! A `POST /predict_batch` body carries hundreds of numbers, so both
+//! prediction routes skip the tree: [`write_request`] and
+//! [`write_answer`] write their bodies straight into one `String`, and
+//! [`scan_request`] and [`scan_answer`] read them straight into rows.
+//! The writers share [`Json`]'s number formatter and string escaper, so
+//! their bytes are the tree's `to_string()` exactly. The scanners reuse
+//! the parser's whitespace and number rules and accept only the bodies
+//! they expect; on anything else they return `None`, and the caller
+//! parses the body into a [`Json`] tree instead.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+use wlc_math::Matrix;
+
+use crate::client::BatchPrediction;
 
 /// A parsed JSON value.
 ///
@@ -108,14 +123,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // `{:?}` keeps full round-trip precision for f64.
-                    write!(f, "{v:?}")
-                } else {
-                    f.write_str("null")
-                }
-            }
+            Json::Num(v) => write_num(f, *v),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -143,20 +151,39 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes a number as JSON: `{:?}` keeps full round-trip precision for
+/// a finite f64, and a non-finite one is `null`.
+fn write_num(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v:?}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// Writes a string literal, escaping quotes, backslashes and control
+/// characters. Every byte it escapes is ASCII, so the runs between them
+/// are copied whole.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
         }
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -175,7 +202,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(bytes, pos).map(Json::Num),
     }
 }
 
@@ -193,7 +220,7 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -207,7 +234,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number at byte {start}"))?;
     token
         .parse::<f64>()
-        .map(Json::Num)
         .map_err(|_| format!("invalid number `{token}` at byte {start}"))
 }
 
@@ -216,13 +242,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash as one slice.
+        // Both are ASCII, so the run ends on a char boundary and decodes
+        // by itself; the input is a `&str`, so it always does.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        let text =
+            std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|_| "invalid utf-8 in string")?;
+        out.push_str(text);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a backslash.
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -250,18 +288,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err("invalid escape sequence".into()),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // slicing on char boundaries is safe). The byte at `pos`
-                // exists (this arm matched), so the decoded text is
-                // non-empty; the `None` arm is unreachable but stays
-                // panic-free anyway.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8 in string")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -322,9 +348,386 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// The body shape of a prediction route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// `POST /predict`: `inputs` is one configuration and `outputs` one
+    /// flat row.
+    Single,
+    /// `POST /predict_batch`: `inputs` is a non-empty array of
+    /// configurations, answered by one `outputs` row each plus `rows`.
+    Batch,
+}
+
+impl Shape {
+    /// The route that takes this shape.
+    pub(crate) fn path(self) -> &'static str {
+        match self {
+            Shape::Single => "/predict",
+            Shape::Batch => "/predict_batch",
+        }
+    }
+}
+
+/// What a 200 from a prediction route says besides its `outputs`.
+#[derive(Debug)]
+pub(crate) struct Answer<'a> {
+    pub(crate) degraded: bool,
+    pub(crate) generation: u64,
+    pub(crate) model: &'a str,
+    pub(crate) output_names: &'a [String],
+    pub(crate) replica: u64,
+}
+
+// Writing to a `String` cannot fail, so the writers below drop the
+// `fmt::Result`s of the formatter and escaper they share with `Json`.
+
+/// Appends `[v0,v1,…]`.
+fn write_nums(out: &mut String, values: &[f64]) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write_num(out, v);
+    }
+    out.push(']');
+}
+
+/// Appends `rows` in `shape`'s form: the one row as a flat array, or an
+/// array of rows.
+fn write_rows<'r>(out: &mut String, shape: Shape, rows: impl IntoIterator<Item = &'r [f64]>) {
+    let mut rows = rows.into_iter();
+    match shape {
+        Shape::Single => write_nums(out, rows.next().unwrap_or_default()),
+        Shape::Batch => {
+            out.push('[');
+            for (i, row) in rows.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_nums(out, row);
+            }
+            out.push(']');
+        }
+    }
+}
+
+/// A prediction request body: byte for byte the `to_string()` of the
+/// tree `{"deadline_ms":n,"inputs":…}`, keys in the tree's order.
+pub(crate) fn write_request<'r>(
+    shape: Shape,
+    rows: impl IntoIterator<Item = &'r [f64]>,
+    deadline_ms: Option<u64>,
+) -> String {
+    let mut out = String::new();
+    out.push('{');
+    if let Some(ms) = deadline_ms {
+        out.push_str("\"deadline_ms\":");
+        let _ = write_num(&mut out, ms as f64);
+        out.push(',');
+    }
+    out.push_str("\"inputs\":");
+    write_rows(&mut out, shape, rows);
+    out.push('}');
+    out
+}
+
+/// A prediction route's 200 body: byte for byte the `to_string()` of
+/// its tree, keys in the tree's order.
+pub(crate) fn write_answer(shape: Shape, answer: &Answer<'_>, outputs: &Matrix) -> String {
+    // About 20 bytes per number; one allocation in the common case.
+    let mut out = String::with_capacity(128 + 24 * outputs.as_slice().len());
+    let _ = write!(out, "{{\"degraded\":{},\"generation\":", answer.degraded);
+    let _ = write_num(&mut out, answer.generation as f64);
+    out.push_str(",\"model\":");
+    let _ = write_escaped(&mut out, answer.model);
+    out.push_str(",\"output_names\":[");
+    for (i, name) in answer.output_names.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write_escaped(&mut out, name);
+    }
+    out.push_str("],\"outputs\":");
+    write_rows(&mut out, shape, (0..outputs.rows()).map(|r| outputs.row(r)));
+    out.push_str(",\"replica\":");
+    let _ = write_num(&mut out, answer.replica as f64);
+    if shape == Shape::Batch {
+        out.push_str(",\"rows\":");
+        let _ = write_num(&mut out, outputs.rows() as f64);
+    }
+    out.push('}');
+    out
+}
+
+/// A cursor for the prediction scanners. Each step skips whitespace as
+/// [`Json::parse`] does, then reads exactly the token it expects, or
+/// returns `None`.
+struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// The next byte that is not whitespace, consumed.
+    fn next(&mut self) -> Option<u8> {
+        skip_ws(self.bytes(), &mut self.pos);
+        let b = *self.bytes().get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    fn punct(&mut self, want: u8) -> Option<()> {
+        (self.next()? == want).then_some(())
+    }
+
+    /// An object key, raw, and its `:`. A key holding an escape never
+    /// equals a name the scanners look for, so it is refused like an
+    /// unknown one.
+    fn key(&mut self) -> Option<&'a str> {
+        self.punct(b'"')?;
+        let (key, _) = self.text.get(self.pos..)?.split_once('"')?;
+        self.pos += key.len() + 1;
+        self.punct(b':')?;
+        Some(key)
+    }
+
+    /// `lead` (`{` or `,`), then the key `name` and its `:`.
+    fn field(&mut self, lead: u8, name: &str) -> Option<()> {
+        self.punct(lead)?;
+        (self.key()? == name).then_some(())
+    }
+
+    /// A finite number, read by the parser's own [`parse_number`].
+    fn number(&mut self) -> Option<f64> {
+        skip_ws(self.bytes(), &mut self.pos);
+        parse_number(self.bytes(), &mut self.pos)
+            .ok()
+            .filter(|v| v.is_finite())
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        skip_ws(self.bytes(), &mut self.pos);
+        let rest = self.bytes().get(self.pos..)?;
+        let (value, len) = if rest.starts_with(b"true") {
+            (true, 4)
+        } else if rest.starts_with(b"false") {
+            (false, 5)
+        } else {
+            return None;
+        };
+        self.pos += len;
+        Some(value)
+    }
+
+    /// A string, read by the parser's own [`parse_string`].
+    fn string(&mut self) -> Option<String> {
+        skip_ws(self.bytes(), &mut self.pos);
+        if self.bytes().get(self.pos) != Some(&b'"') {
+            return None;
+        }
+        parse_string(self.bytes(), &mut self.pos).ok()
+    }
+
+    /// An array, reading each element with `item`; returns how many.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<usize> {
+        self.punct(b'[')?;
+        skip_ws(self.bytes(), &mut self.pos);
+        if self.bytes().get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Some(0);
+        }
+        let mut count = 0;
+        loop {
+            item(self)?;
+            count += 1;
+            match self.next()? {
+                b',' => {}
+                b']' => return Some(count),
+                _ => return None,
+            }
+        }
+    }
+
+    /// An array of finite numbers, appended to `out`; returns how many.
+    fn nums(&mut self, out: &mut Vec<f64>) -> Option<usize> {
+        self.array(|s| {
+            out.push(s.number()?);
+            Some(())
+        })
+    }
+
+    /// Nothing but whitespace is left.
+    fn end(&mut self) -> Option<()> {
+        skip_ws(self.bytes(), &mut self.pos);
+        (self.pos == self.bytes().len()).then_some(())
+    }
+}
+
+/// Reads a prediction request body, `{"inputs":…}` with an optional
+/// `"deadline_ms":n` in either order, straight into a `rows x width`
+/// matrix. Returns the rows and `deadline_ms`, or `None` for anything
+/// else: an unknown, duplicate or escaped key, a row of another width,
+/// an empty batch, a value that is not a finite number, trailing bytes.
+pub(crate) fn scan_request(
+    text: &str,
+    shape: Shape,
+    width: usize,
+) -> Option<(Matrix, Option<f64>)> {
+    let mut scan = Scan { text, pos: 0 };
+    let mut values = Vec::new();
+    let mut row = |s: &mut Scan<'_>| (s.nums(&mut values)? == width).then_some(());
+    let (mut rows, mut deadline_ms) = (None, None);
+    scan.punct(b'{')?;
+    loop {
+        match scan.key()? {
+            "inputs" if rows.is_none() => {
+                rows = Some(match shape {
+                    Shape::Single => row(&mut scan).map(|()| 1)?,
+                    Shape::Batch => scan.array(&mut row).filter(|&n| n > 0)?,
+                });
+            }
+            "deadline_ms" if deadline_ms.is_none() => deadline_ms = Some(scan.number()?),
+            _ => return None,
+        }
+        match scan.next()? {
+            b',' => {}
+            b'}' => break,
+            _ => return None,
+        }
+    }
+    scan.end()?;
+    let xs = Matrix::from_vec(rows?, width, values).ok()?;
+    Some((xs, deadline_ms))
+}
+
+/// Reads a prediction route's 200 body in the exact form
+/// [`write_answer`] writes, or returns `None`.
+pub(crate) fn scan_answer(text: &str, shape: Shape) -> Option<BatchPrediction> {
+    let mut scan = Scan { text, pos: 0 };
+    scan.field(b'{', "degraded")?;
+    let degraded = scan.boolean()?;
+    scan.field(b',', "generation")?;
+    let generation = scan.number()? as u64;
+    scan.field(b',', "model")?;
+    let model = scan.string()?;
+    scan.field(b',', "output_names")?;
+    let mut output_names = Vec::new();
+    scan.array(|s| {
+        output_names.push(s.string()?);
+        Some(())
+    })?;
+    scan.field(b',', "outputs")?;
+    let mut outputs = Vec::new();
+    let mut row = |s: &mut Scan<'_>| {
+        let mut values = Vec::new();
+        s.nums(&mut values)?;
+        outputs.push(values);
+        Some(())
+    };
+    match shape {
+        Shape::Single => row(&mut scan)?,
+        Shape::Batch => scan.array(&mut row).map(drop)?,
+    }
+    scan.field(b',', "replica")?;
+    let replica = scan.number()? as u64;
+    if shape == Shape::Batch {
+        scan.field(b',', "rows")?;
+        scan.number()?;
+    }
+    scan.punct(b'}')?;
+    scan.end()?;
+    Some(BatchPrediction {
+        outputs,
+        output_names,
+        degraded,
+        model,
+        generation,
+        replica,
+    })
+}
+
+/// Random values and edits for the prediction codec's differential
+/// tests, here and in the server and client.
+#[cfg(test)]
+pub(crate) mod testgen {
+    use wlc_math::propcheck::Gen;
+
+    /// Finite numbers at the edges of `{:?}`: signed zero, the smallest
+    /// subnormal and normal, the largest magnitudes, and both sides of
+    /// its switches to exponent form at 1e16 and below 1e-4.
+    const EDGES: [f64; 11] = [
+        -0.0,
+        5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        1e16,
+        9999999999999998.0,
+        0.0001,
+        0.00009999999999999999,
+        1e-5,
+        -42.0,
+    ];
+
+    /// A finite number: an edge, an integer, arbitrary bits or a plain
+    /// value.
+    pub(crate) fn finite(g: &mut Gen) -> f64 {
+        match g.usize_in(0, 4) {
+            0 => *g.pick(&EDGES),
+            1 => f64::from(g.u32_in(0, 20_000)) - 10_000.0,
+            2 => Some(f64::from_bits(g.u64()))
+                .filter(|v| v.is_finite())
+                .unwrap_or(0.0),
+            _ => g.f64_in(-1e4, 1e4),
+        }
+    }
+
+    /// Text with quotes, backslashes, control characters and multi-byte
+    /// characters.
+    pub(crate) fn text(g: &mut Gen) -> String {
+        const CHARS: [char; 16] = [
+            'a', 'Z', '7', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+            '€', '😀',
+        ];
+        (0..g.usize_in(0, 8)).map(|_| *g.pick(&CHARS)).collect()
+    }
+
+    /// `text` with one edit at a char boundary: cut short, one char
+    /// replaced, whitespace inserted, or bytes appended.
+    pub(crate) fn mutate(g: &mut Gen, text: &str) -> String {
+        const REPLACEMENTS: [&str; 20] = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "0", "1", "9", "-", "+", ".", "e", "n", "t",
+            "x", " ", "é",
+        ];
+        let cuts: Vec<usize> = text
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([text.len()])
+            .collect();
+        let (head, tail) = text.split_at(*g.pick(&cuts));
+        match g.usize_in(0, 4) {
+            0 => head.to_string(),
+            1 => {
+                let mut rest = tail.chars();
+                rest.next();
+                format!("{head}{}{}", g.pick(&REPLACEMENTS), rest.as_str())
+            }
+            2 => format!("{head}{}{tail}", g.pick(&[" ", "\n", "\t", "\r\n"])),
+            _ => format!("{text}{}", g.pick(&["x", " ,", "}", "]", "0", " "])),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlc_math::propcheck;
 
     #[test]
     fn parses_round_trips() {
@@ -385,5 +788,189 @@ mod tests {
         let v = Json::parse(r#""é\t""#).unwrap();
         assert_eq!(v.as_str(), Some("é\t"));
         assert!(Json::parse(r#""\ud800""#).is_err()); // lone surrogate
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_are_stable() {
+        let v = Json::parse(r#""é\"ü\\n€""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\"ü\\n€"));
+        for text in [
+            r#""é\"ü\\n€""#,
+            r#""€""#,
+            r#""\\€""#,
+            r#""😀\"""#,
+            r#""aé€\t😀""#,
+            r#""\"é""#,
+            r#"{"ключ":["é\n","€\\"]}"#,
+        ] {
+            let v = Json::parse(text).unwrap();
+            let again = Json::parse(&v.to_string()).unwrap();
+            assert_eq!(again, v, "{text}");
+            assert_eq!(again.to_string(), v.to_string(), "{text}");
+        }
+        assert!(Json::parse(r#""é\"ü"#).is_err()); // unterminated after a multi-byte run
+    }
+
+    #[test]
+    fn request_scanner_reads_only_the_bodies_it_expects() {
+        let scan = |text: &str, shape| scan_request(text, shape, 2);
+        let (xs, deadline) = scan(
+            r#"{"deadline_ms":250.0,"inputs":[1.0,-0.0]}"#,
+            Shape::Single,
+        )
+        .unwrap();
+        assert_eq!(deadline, Some(250.0));
+        assert_eq!(xs.row(0)[1].to_bits(), (-0.0f64).to_bits());
+        let (xs, deadline) = scan(" { \"inputs\" : [ [1,2] , [3e0,4] ] }\n", Shape::Batch).unwrap();
+        assert_eq!((xs.as_slice(), deadline), (&[1.0, 2.0, 3.0, 4.0][..], None));
+        for bad in [
+            r#"{"inputs":[1,2],"inputs":[1,2]}"#,
+            r#"{"in\u0070uts":[1,2]}"#,
+            r#"{"inputs":[1,2],"extra":1}"#,
+            r#"{"inputs":[1,null]}"#,
+            r#"{"inputs":[1,1e999]}"#,
+            r#"{"inputs":[1,2]} x"#,
+            r#"{"inputs":[1]}"#,
+            r#"{"inputs":[1,2,3]}"#,
+            r#"{"inputs":[[1,2]]}"#,
+            r#"{"inputs":[1,2],}"#,
+            r#"{"deadline_ms":null,"inputs":[1,2]}"#,
+            r#"{}"#,
+        ] {
+            assert!(scan(bad, Shape::Single).is_none(), "scanned {bad}");
+        }
+        for bad in [
+            r#"{"inputs":[]}"#,
+            r#"{"inputs":[[1,2],[3]]}"#,
+            r#"{"inputs":[1,2]}"#,
+        ] {
+            assert!(scan(bad, Shape::Batch).is_none(), "scanned {bad}");
+        }
+    }
+
+    /// The wire bytes, pinned apart from the tree: `{:?}` numbers (an
+    /// exponent from 1e16 up and below 1e-4, `-0.0`, `.0` on integers)
+    /// and keys in the tree's order.
+    #[test]
+    fn prediction_bodies_are_pinned() {
+        let rows = [
+            vec![1e16, 1e-5, -0.0, 3.0],
+            vec![0.0001, 5e-324, -1.7976931348623157e308, 123456.789],
+        ];
+        assert_eq!(
+            write_request(Shape::Batch, rows.iter().map(Vec::as_slice), Some(250)),
+            r#"{"deadline_ms":250.0,"inputs":[[1e16,1e-5,-0.0,3.0],[0.0001,5e-324,-1.7976931348623157e308,123456.789]]}"#
+        );
+        assert_eq!(
+            write_request(Shape::Single, [rows[0].as_slice()], None),
+            r#"{"inputs":[1e16,1e-5,-0.0,3.0]}"#
+        );
+        let names = ["a\"b".to_string(), "é\u{1}".to_string()];
+        let answer = Answer {
+            degraded: true,
+            generation: 3,
+            model: "linear-baseline",
+            output_names: &names,
+            replica: 1,
+        };
+        let outputs = Matrix::from_vec(1, 2, vec![9999999999999998.0, f64::NAN]).unwrap();
+        assert_eq!(
+            write_answer(Shape::Batch, &answer, &outputs),
+            r#"{"degraded":true,"generation":3.0,"model":"linear-baseline","output_names":["a\"b","é\u0001"],"outputs":[[9999999999999998.0,null]],"replica":1.0,"rows":1.0}"#
+        );
+        assert_eq!(
+            write_answer(Shape::Single, &answer, &outputs),
+            r#"{"degraded":true,"generation":3.0,"model":"linear-baseline","output_names":["a\"b","é\u0001"],"outputs":[9999999999999998.0,null],"replica":1.0}"#
+        );
+    }
+
+    /// The tree of `fields`, as `Json` prints a prediction body.
+    fn tree(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    fn tree_rows(shape: Shape, rows: &[Vec<f64>]) -> Json {
+        match shape {
+            Shape::Single => Json::nums(&rows[0]),
+            Shape::Batch => Json::Arr(rows.iter().map(|row| Json::nums(row)).collect()),
+        }
+    }
+
+    /// Differential: both writers print exactly what the tree prints,
+    /// for rows holding the edges of `{:?}`, integers, arbitrary bits and
+    /// non-finite values, and for names needing every kind of escape.
+    #[test]
+    fn prediction_writers_match_the_tree_byte_for_byte() {
+        propcheck::run_cases(1024, |g| {
+            let shape = *g.pick(&[Shape::Single, Shape::Batch]);
+            let width = g.usize_in(0, 6);
+            let count = match shape {
+                Shape::Single => 1,
+                Shape::Batch => g.usize_in(0, 6),
+            };
+            let rows: Vec<Vec<f64>> = (0..count)
+                .map(|_| {
+                    (0..width)
+                        .map(|_| match g.usize_in(0, 12) {
+                            0 => *g.pick(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+                            _ => testgen::finite(g),
+                        })
+                        .collect()
+                })
+                .collect();
+
+            let deadline_ms = match g.usize_in(0, 3) {
+                0 => None,
+                1 => Some(g.u64_in(1, 3_600_001)),
+                _ => Some(g.u64()),
+            };
+            let mut fields = vec![("inputs", tree_rows(shape, &rows))];
+            if let Some(ms) = deadline_ms {
+                fields.push(("deadline_ms", Json::Num(ms as f64)));
+            }
+            assert_eq!(
+                write_request(shape, rows.iter().map(Vec::as_slice), deadline_ms),
+                tree(fields).to_string()
+            );
+
+            let names: Vec<String> = (0..g.usize_in(0, 5)).map(|_| testgen::text(g)).collect();
+            let model = match g.usize_in(0, 3) {
+                0 => "mlp".to_string(),
+                1 => "linear-baseline".to_string(),
+                _ => testgen::text(g),
+            };
+            let answer = Answer {
+                degraded: g.usize_in(0, 2) == 1,
+                generation: g.u64(),
+                model: &model,
+                output_names: &names,
+                replica: g.u64_in(0, 64),
+            };
+            let flat: Vec<f64> = rows.concat();
+            let outputs = Matrix::from_vec(count, width, flat).unwrap();
+            let mut fields = vec![
+                (
+                    "output_names",
+                    Json::Arr(names.iter().map(|n| Json::Str(n.clone())).collect()),
+                ),
+                ("degraded", Json::Bool(answer.degraded)),
+                ("model", Json::Str(model.clone())),
+                ("generation", Json::Num(answer.generation as f64)),
+                ("replica", Json::Num(answer.replica as f64)),
+                ("outputs", tree_rows(shape, &rows)),
+            ];
+            if shape == Shape::Batch {
+                fields.push(("rows", Json::Num(count as f64)));
+            }
+            assert_eq!(
+                write_answer(shape, &answer, &outputs),
+                tree(fields).to_string()
+            );
+        });
     }
 }

@@ -218,9 +218,11 @@ impl<T> Router<T> {
     /// then drains and swaps one replica at a time.
     ///
     /// `requester` is the replica currently handling the `/reload`
-    /// request itself — its drain waits for in-flight to fall to one
-    /// (the reload request) instead of zero, so a reload routed
-    /// through the fleet cannot deadlock on itself.
+    /// request itself — its drain waits until the reload is the only
+    /// request in service, so a reload routed through the fleet cannot
+    /// deadlock on itself. Jobs queued behind the reload on that replica
+    /// do not hold the drain: with one worker they cannot start before
+    /// the reload ends, and they are answered by the new model.
     ///
     /// Dead replicas are not drained (they receive no traffic) but are
     /// still swapped, so a later revive serves the current model.
@@ -250,8 +252,8 @@ impl<T> Router<T> {
         for replica in &self.replicas {
             if replica.is_alive() {
                 replica.set_draining(true);
-                let allowed = u64::from(requester == Some(replica.id()));
-                if !wait_for_drain(replica, allowed, drain_timeout) {
+                let requester = requester == Some(replica.id());
+                if !wait_for_drain(replica, requester, drain_timeout) {
                     replica.set_draining(false);
                     return Err(ReloadError::DrainTimeout {
                         replica: replica.id(),
@@ -282,13 +284,21 @@ impl Drop for ClearOnDrop<'_> {
     }
 }
 
-/// Polls until the replica's in-flight count falls to `allowed`, or
+/// Polls until the replica's in-flight count falls to zero, or
 /// `timeout` elapses. The replica is already un-routable (draining),
-/// so the count can only fall.
-fn wait_for_drain<T>(replica: &Replica<T>, allowed: u64, timeout: Duration) -> bool {
+/// so the count can only fall. On the `requester`'s replica the reload
+/// itself stays in flight, and jobs still queued behind it do not
+/// count.
+fn wait_for_drain<T>(replica: &Replica<T>, requester: bool, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
-        if replica.load() <= allowed {
+        // In-flight first, then the queue: a job popped in between
+        // counts as in service, never as queued.
+        let mut busy = replica.load();
+        if requester {
+            busy = busy.saturating_sub(replica.queue().len() as u64 + 1);
+        }
+        if busy == 0 {
             return true;
         }
         if Instant::now() >= deadline {
@@ -484,6 +494,54 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.generations, vec![1, 1]);
+    }
+
+    #[test]
+    fn requester_drain_does_not_wait_for_jobs_queued_behind_the_reload() {
+        let router = fleet(2, 4);
+        let queue_job = |replica: &Replica<u32>| {
+            replica.begin_dispatch();
+            replica.queue().push(7).unwrap();
+        };
+        // Replica 1's one worker is running the reload (in flight, not
+        // queued), and an idle kept-alive connection waits behind it.
+        let replica = router.replica(1).unwrap();
+        replica.begin_dispatch();
+        queue_job(replica);
+        // Replica 0 holds a queued job too, and no worker pops it.
+        queue_job(router.replica(0).unwrap());
+        let trained = WorkloadModelBuilder::new()
+            .no_hidden_layers()
+            .hidden_layer(4)
+            .max_epochs(120)
+            .seed(6)
+            .train(&dataset())
+            .unwrap()
+            .model;
+        let dir = std::env::temp_dir().join(format!("wlc-router-queued-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.txt");
+        trained.save(&path).unwrap();
+
+        // A replica that is not the requester still waits for its queue.
+        match router.rolling_reload(
+            &wlc_fault::RealFs,
+            &path,
+            Some(1),
+            Duration::from_millis(30),
+        ) {
+            Err(ReloadError::DrainTimeout { replica }) => assert_eq!(replica, 0),
+            other => panic!("expected drain timeout on replica 0, got {other:?}"),
+        }
+        assert!(router.replica(0).unwrap().queue().pop().is_some());
+        router.replica(0).unwrap().finish_request();
+
+        let report = router
+            .rolling_reload(&wlc_fault::RealFs, &path, Some(1), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(report.generations, vec![1, 1]);
+        assert_eq!((replica.load(), replica.queue().len()), (2, 1));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

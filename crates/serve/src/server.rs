@@ -48,6 +48,14 @@
 //! | `POST /replica`  | `{"replica":n,"action":"kill"\|"revive"\|"force_fail"}` admin/test hook |
 //! | `POST /supervisor` | `{"event":"promotion"\|"rollback"\|...}` learning-lifecycle counters for `/stats` |
 //! | `POST /shutdown` | graceful drain and exit                          |
+//!
+//! The two prediction routes read and write their bodies without a
+//! [`Json`] tree (`json::scan_request`, `json::write_answer`): the
+//! rows go straight into the model's input matrix, and the 200 body
+//! straight into one `String`, byte for byte what the tree prints. A
+//! body the scanner does not expect is parsed into a tree instead, so
+//! every 400 text still comes from one place and a queued 504 still
+//! wins over a 400. The other routes use [`Json`].
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -66,7 +74,7 @@ use wlc_nn::BandEngine;
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::error::ServeError;
 use crate::http;
-use crate::json::Json;
+use crate::json::{self, Answer, Json, Shape};
 use crate::replica::{Replica, ReplicaHealth};
 use crate::router::{ReloadError, Router};
 
@@ -991,15 +999,22 @@ fn handle_shutdown(shared: &Shared) -> (u16, String, bool) {
     )
 }
 
-fn deadline_for(shared: &Shared, body: &Json, started: Instant) -> Result<Instant, String> {
+/// The wait a request's `deadline_ms` asks for: a positive number of
+/// milliseconds, at most an hour.
+fn requested_deadline(ms: f64) -> Option<Duration> {
+    (ms.is_finite() && ms > 0.0 && ms <= 3_600_000.0).then(|| Duration::from_secs_f64(ms / 1e3))
+}
+
+/// The wait the tree's `deadline_ms` asks for, `None` without one, or
+/// the 400 text.
+fn deadline_for(body: &Json) -> Result<Option<Duration>, String> {
     match body.get("deadline_ms") {
-        None => Ok(started + shared.config.default_deadline),
-        Some(value) => match value.as_f64() {
-            Some(ms) if ms.is_finite() && ms > 0.0 && ms <= 3_600_000.0 => {
-                Ok(started + Duration::from_secs_f64(ms / 1e3))
-            }
-            _ => Err("deadline_ms must be a positive number of milliseconds".into()),
-        },
+        None => Ok(None),
+        Some(value) => value
+            .as_f64()
+            .and_then(requested_deadline)
+            .map(Some)
+            .ok_or_else(|| "deadline_ms must be a positive number of milliseconds".into()),
     }
 }
 
@@ -1024,16 +1039,24 @@ fn record_compute_deadline(replica: &Replica<Conn>, breaker: &CircuitBreaker, se
     }
 }
 
-/// The two prediction endpoints. They share one pipeline and differ
-/// only in how `inputs` becomes rows and how `outputs` is shaped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// `POST /predict`: `inputs` is one configuration and `outputs` one
-    /// flat row.
-    Single,
-    /// `POST /predict_batch`: `inputs` is a non-empty array of
-    /// configurations, answered by one `outputs` row each plus `rows`.
-    Batch,
+/// A prediction body, read by the scanner or parsed into a tree.
+enum Body {
+    /// The rows, read without a tree.
+    Rows(Matrix),
+    /// The tree, whose rows [`parse_rows`] has yet to check.
+    Tree(Json),
+}
+
+/// Reads a prediction body without a tree: the wait its `deadline_ms`
+/// asks for and its rows. `None` for anything [`json::scan_request`]
+/// does not expect, and for an invalid `deadline_ms`.
+fn scan_body(text: &str, shape: Shape, width: usize) -> Option<(Option<Duration>, Matrix)> {
+    let (xs, deadline_ms) = json::scan_request(text, shape, width)?;
+    let requested = match deadline_ms {
+        None => None,
+        Some(ms) => Some(requested_deadline(ms)?),
+    };
+    Some((requested, xs))
 }
 
 /// Parses the body's `inputs` into a `rows x width` matrix, or the 400
@@ -1092,24 +1115,39 @@ fn handle_predict(
     started: Instant,
     shape: Shape,
 ) -> (u16, String, bool) {
-    let body = match request
+    let snapshot = replica.slot().snapshot();
+    // The scanner reads a well-formed body. Anything else is parsed into
+    // a tree, in the order that decides which error wins: an unparsable
+    // body or a bad `deadline_ms` is a 400, then a queued deadline miss
+    // a 504, then bad rows a 400.
+    let scanned = request
         .body_str()
-        .map_err(|e| e.to_string())
-        .and_then(Json::parse)
-    {
-        Ok(json) => json,
-        Err(reason) => {
-            return (
-                400,
-                error_body(&format!("bad request body: {reason}"), false),
-                false,
-            )
+        .ok()
+        .and_then(|text| scan_body(text, shape, snapshot.inputs()));
+    let (requested, body) = match scanned {
+        Some((requested, xs)) => (requested, Body::Rows(xs)),
+        None => {
+            let tree = match request
+                .body_str()
+                .map_err(|e| e.to_string())
+                .and_then(Json::parse)
+            {
+                Ok(json) => json,
+                Err(reason) => {
+                    return (
+                        400,
+                        error_body(&format!("bad request body: {reason}"), false),
+                        false,
+                    )
+                }
+            };
+            match deadline_for(&tree) {
+                Ok(requested) => (requested, Body::Tree(tree)),
+                Err(reason) => return (400, error_body(&reason, false), false),
+            }
         }
     };
-    let deadline = match deadline_for(shared, &body, started) {
-        Ok(deadline) => deadline,
-        Err(reason) => return (400, error_body(&reason, false), false),
-    };
+    let deadline = started + requested.unwrap_or(shared.config.default_deadline);
     // Time already burned in the queue counts against the deadline: a
     // request that waited too long is answered 504 before any compute.
     if Instant::now() >= deadline {
@@ -1120,10 +1158,12 @@ fn handle_predict(
             false,
         );
     }
-    let snapshot = replica.slot().snapshot();
-    let xs = match parse_rows(&body, shape, snapshot.inputs()) {
-        Ok(xs) => xs,
-        Err(reason) => return (400, error_body(&reason, false), false),
+    let xs = match body {
+        Body::Rows(xs) => xs,
+        Body::Tree(tree) => match parse_rows(&tree, shape, snapshot.inputs()) {
+            Ok(xs) => xs,
+            Err(reason) => return (400, error_body(&reason, false), false),
+        },
     };
 
     if !shared.config.slow_per_request.is_zero() {
@@ -1180,42 +1220,25 @@ fn handle_predict(
     if degraded {
         replica.count_degraded();
     }
-    let names = snapshot
-        .output_names()
-        .iter()
-        .map(|n| Json::Str(n.clone()))
-        .collect();
     let model = match served {
         Served::Primary => "mlp",
         Served::Baseline => "linear-baseline",
     };
-    let mut fields = vec![
-        ("output_names", Json::Arr(names)),
-        ("degraded", Json::Bool(degraded)),
-        ("model", Json::Str(model.into())),
-        ("generation", Json::Num(replica.slot().generation() as f64)),
-        ("replica", Json::Num(replica.id() as f64)),
-    ];
-    match shape {
-        Shape::Single => fields.push(("outputs", Json::nums(ys.row(0)))),
-        Shape::Batch => {
-            let rows = (0..ys.rows()).map(|r| Json::nums(ys.row(r))).collect();
-            fields.push(("outputs", Json::Arr(rows)));
-            fields.push(("rows", Json::Num(ys.rows() as f64)));
-        }
-    }
-    let body = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    (200, body.to_string(), degraded)
+    let answer = Answer {
+        degraded,
+        generation: replica.slot().generation(),
+        model,
+        output_names: snapshot.output_names(),
+        replica: replica.id() as u64,
+    };
+    (200, json::write_answer(shape, &answer, &ys), degraded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::testgen;
+    use wlc_math::propcheck::{self, Gen};
 
     /// Pins the breaker-accounting table from the serve-layer bugfix
     /// sweep: router sheds and caller errors never count, queued
@@ -1260,5 +1283,155 @@ mod tests {
         };
         assert_eq!(sequence(7), sequence(7));
         assert_ne!(sequence(7), sequence(8));
+    }
+
+    /// The tree path for a prediction body: its `Ok` rows and
+    /// deadline, or its first 400 text.
+    fn tree_body(
+        text: &str,
+        shape: Shape,
+        width: usize,
+    ) -> Result<(Option<Duration>, Matrix), String> {
+        let body = Json::parse(text)?;
+        Ok((deadline_for(&body)?, parse_rows(&body, shape, width)?))
+    }
+
+    /// One number as a client might write it: any `f64` format, or a
+    /// token the tree reads differently or not at all.
+    fn number_text(g: &mut Gen) -> String {
+        match g.usize_in(0, 10) {
+            0 => g
+                .pick(&[
+                    "+1", ".5", "01", "1.", "-0", "1E5", "2e+3", "1e999", "-1e999", "1e-400",
+                    "null", "true", "\"1\"", "-", "[1]",
+                ])
+                .to_string(),
+            1 => format!("{}", testgen::finite(g)),
+            2 => format!("{:e}", testgen::finite(g)),
+            _ => format!("{:?}", testgen::finite(g)),
+        }
+    }
+
+    /// A row that is usually `width` numbers wide, sometimes one more or
+    /// one fewer.
+    fn row_text(g: &mut Gen, width: usize) -> String {
+        let width = match g.usize_in(0, 12) {
+            0 => width + 1,
+            1 => width - 1,
+            _ => width,
+        };
+        let numbers: Vec<String> = (0..width).map(|_| number_text(g)).collect();
+        format!("[{}]", numbers.join(","))
+    }
+
+    /// A prediction body that is mostly well formed, with the keys in
+    /// either order, and sometimes a bad `deadline_ms`, an empty batch,
+    /// a duplicate, escaped or unknown key, or whitespace between tokens.
+    fn request_text(g: &mut Gen, shape: Shape, width: usize) -> String {
+        let inputs = match shape {
+            Shape::Single => row_text(g, width),
+            Shape::Batch => {
+                let count = if g.usize_in(0, 12) == 0 {
+                    0
+                } else {
+                    g.usize_in(1, 5)
+                };
+                let rows: Vec<String> = (0..count).map(|_| row_text(g, width)).collect();
+                format!("[{}]", rows.join(","))
+            }
+        };
+        let mut fields = vec![format!("\"inputs\":{inputs}")];
+        if g.usize_in(0, 2) == 0 {
+            let ms = match g.usize_in(0, 6) {
+                0 => g
+                    .pick(&["0", "-5", "3600001", "1e999", "null", "\"5\"", "0.0001"])
+                    .to_string(),
+                1 => format!("{:?}", g.f64_in(0.5, 3.6e6)),
+                _ => g.u32_in(1, 3_600_001).to_string(),
+            };
+            fields.push(format!("\"deadline_ms\":{ms}"));
+        }
+        match g.usize_in(0, 12) {
+            0 => fields.push(fields[0].clone()),
+            1 => fields.push("\"extra\":1".to_string()),
+            2 => fields[0] = format!("\"in\\u0070uts\":{inputs}"),
+            _ => {}
+        }
+        if g.usize_in(0, 2) == 0 {
+            fields.reverse();
+        }
+        let ws = *g.pick(&["", "", " ", "\n\t"]);
+        format!("{{{ws}{}{ws}}}", fields.join(&format!("{ws},{ws}")))
+    }
+
+    fn same_rows(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Differential: on random bodies and edits of them, the scanner
+    /// returns `None` or exactly the tree path's rows (bitwise) and
+    /// deadline, and `None` whenever the tree path answers 400.
+    #[test]
+    fn request_scanner_agrees_with_the_tree_path() {
+        let cases = 4096;
+        let mut scanned = 0;
+        propcheck::run_cases(cases, |g| {
+            let shape = *g.pick(&[Shape::Single, Shape::Batch]);
+            let width = g.usize_in(1, 6);
+            let mut text = request_text(g, shape, width);
+            if g.usize_in(0, 3) == 0 {
+                text = testgen::mutate(g, &text);
+            }
+            match (
+                scan_body(&text, shape, width),
+                tree_body(&text, shape, width),
+            ) {
+                (None, _) => {}
+                (Some((deadline, xs)), Ok((want_deadline, want))) => {
+                    scanned += 1;
+                    assert_eq!(deadline, want_deadline, "{text}");
+                    assert!(same_rows(&xs, &want), "{text}");
+                }
+                (Some(_), Err(reason)) => {
+                    panic!("scanned a body the tree path answers 400 ({reason}): {text}")
+                }
+            }
+        });
+        // The generator must reach the scanner's accepting path often
+        // enough for the comparison to mean something.
+        assert!(
+            scanned > cases / 8,
+            "only {scanned} of {cases} bodies scanned"
+        );
+    }
+
+    /// Every body `ServeClient` writes takes the scanner, and reads back
+    /// exactly.
+    #[test]
+    fn request_scanner_reads_every_body_the_client_writes() {
+        propcheck::run_cases(512, |g| {
+            let shape = *g.pick(&[Shape::Single, Shape::Batch]);
+            let width = g.usize_in(1, 6);
+            let count = match shape {
+                Shape::Single => 1,
+                Shape::Batch => g.usize_in(1, 6),
+            };
+            let rows: Vec<Vec<f64>> = (0..count)
+                .map(|_| (0..width).map(|_| testgen::finite(g)).collect())
+                .collect();
+            let deadline_ms = (g.usize_in(0, 2) == 0).then(|| g.u64_in(1, 3_600_001));
+            let text = json::write_request(shape, rows.iter().map(Vec::as_slice), deadline_ms);
+            let (deadline, xs) = scan_body(&text, shape, width).expect("a body the client writes");
+            assert_eq!(
+                deadline,
+                deadline_ms.and_then(|ms| requested_deadline(ms as f64))
+            );
+            let want = Matrix::from_vec(count, width, rows.concat()).unwrap();
+            assert!(same_rows(&xs, &want), "{text}");
+        });
     }
 }
