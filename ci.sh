@@ -99,7 +99,10 @@ if [ "${1:-}" != "quick" ]; then
     # Train the same model at three band-thread counts and sweep a
     # surface at three --jobs values: every artifact must be
     # byte-identical — the determinism contract's end-to-end check.
-    ./target/release/wlc collect --samples 48 --out "$smoke_dir/det.csv" \
+    # 520 samples are 9 row bands of 64, past the band pool's dispatch
+    # threshold of 2 bands per thread at --jobs 2 and 4, so the pooled
+    # training path is byte-compared too.
+    ./target/release/wlc collect --samples 520 --out "$smoke_dir/det.csv" \
         --duration 3 --warmup 1 --seed 21
     for j in 1 2 4; do
         ./target/release/wlc train --data "$smoke_dir/det.csv" \

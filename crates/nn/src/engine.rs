@@ -299,21 +299,44 @@ mod tests {
     #[test]
     fn pooled_gradient_is_bitwise_inline_for_any_jobs() {
         let mlp = mlp();
-        let xs = batch(ROWS, 4, 1);
-        let ys = batch(ROWS, 5, 2);
-        let mut ws_ref = Workspace::for_mlp(&mlp);
-        let loss_ref = mlp
-            .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
-            .unwrap();
-        for jobs in [2, 4, 7] {
-            // Threshold 2 forces the pool path.
-            let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
-            let mut ws = Workspace::for_mlp(&mlp);
-            let loss = engine
-                .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
+        // At 7 and 103 rows, `total * (1 / rows)` and `total / rows`
+        // round apart on these rows. 7 rows is one band, so it runs
+        // in-line even at threshold 2; 103 rows takes the pool path.
+        for rows in [7, 103, ROWS] {
+            let xs = batch(rows, 4, 1);
+            let ys = batch(rows, 5, 2);
+            let mut ws_ref = Workspace::for_mlp(&mlp);
+            let loss_ref = mlp
+                .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
                 .unwrap();
-            assert_eq!(loss.to_bits(), loss_ref.to_bits(), "jobs={jobs}");
-            assert_eq!(ws.grad(), ws_ref.grad(), "jobs={jobs}");
+            // The gradient pass's mean loss is the loss pass's, bit for
+            // bit: the trainer records full-batch epochs from it.
+            let loss_eval = mlp
+                .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
+                .unwrap();
+            assert_eq!(loss_ref.to_bits(), loss_eval.to_bits(), "rows={rows}");
+            for jobs in [2, 4, 7] {
+                // Threshold 2 forces the pool path.
+                let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
+                let mut ws = Workspace::for_mlp(&mlp);
+                let loss = engine
+                    .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
+                    .unwrap();
+                assert_eq!(
+                    loss.to_bits(),
+                    loss_ref.to_bits(),
+                    "rows={rows} jobs={jobs}"
+                );
+                assert_eq!(ws.grad(), ws_ref.grad(), "rows={rows} jobs={jobs}");
+                let pooled_eval = engine
+                    .batch_loss(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
+                    .unwrap();
+                assert_eq!(
+                    loss.to_bits(),
+                    pooled_eval.to_bits(),
+                    "rows={rows} jobs={jobs}"
+                );
+            }
         }
     }
 

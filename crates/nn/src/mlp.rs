@@ -112,7 +112,10 @@ impl Mlp {
     /// back-propagation.
     ///
     /// The gradient layout matches [`Mlp::params_flat`]: for each layer,
-    /// row-major weights followed by biases.
+    /// row-major weights followed by biases. The average loss is the
+    /// band-folded total divided by the row count — the same bits as
+    /// [`Mlp::batch_loss_with`] and [`Mlp::batch_gradient_with`] on the
+    /// same rows.
     ///
     /// # Errors
     ///

@@ -50,6 +50,11 @@ impl std::fmt::Display for StopReason {
 /// maintain the flexibility of a model — a threshold value is needed to
 /// indicate when to stop training".
 ///
+/// In full-batch mode (no [`TrainConfig::batch_size`], or one that
+/// covers every row) an epoch's loss comes from the gradient pass that
+/// also yields the next epoch's step, so each epoch runs the network
+/// once; see [`Trainer`].
+///
 /// # Robustness
 ///
 /// Divergence (NaN/Inf loss, non-finite parameters, exploding gradients)
@@ -407,6 +412,15 @@ pub struct TrainReport {
 
 /// Trains an [`Mlp`] by mini-batch gradient descent.
 ///
+/// Each epoch steps once per batch, then measures the training loss
+/// over every row. When the batch covers every row (one in-order chunk,
+/// never shuffled), that measuring pass is a gradient pass: it records
+/// the epoch's loss and leaves the gradient for the next epoch's step,
+/// so a full-batch epoch runs the network once instead of twice. The
+/// gradient pass returns the same loss bits as a loss-only pass, so
+/// weights, loss histories, stop epochs and checkpoints are those of
+/// the two-pass loop. Minibatch runs keep the separate loss pass.
+///
 /// # Examples
 ///
 /// See the crate-level example.
@@ -622,6 +636,12 @@ impl Trainer {
         let mut epochs_run = start_epoch;
         let mut last_finite = params.clone();
         let grad_limit = self.config.divergence_grad_norm * self.config.divergence_grad_norm;
+        // A full batch is one in-order chunk that is never shuffled, so
+        // the pass that measures an epoch's loss can be a gradient pass:
+        // it leaves the next epoch's gradient in `ws.grad`, and
+        // `grad_ready` lets that step skip its own pass.
+        let full_batch = batch == n;
+        let mut grad_ready = false;
 
         for epoch in start_epoch..self.config.max_epochs {
             epochs_run = epoch + 1;
@@ -632,9 +652,12 @@ impl Trainer {
 
             let mut exploded = false;
             for chunk in indices.chunks(batch) {
-                mlp.set_params_flat(&params)?;
-                gather_into(xs, ys, chunk, &mut bx, &mut by);
-                engine.batch_gradient(mlp, &bx, &by, self.config.loss, &mut ws)?;
+                if !grad_ready {
+                    mlp.set_params_flat(&params)?;
+                    gather_into(xs, ys, chunk, &mut bx, &mut by);
+                    engine.batch_gradient(mlp, &bx, &by, self.config.loss, &mut ws)?;
+                }
+                grad_ready = false;
                 let grads = ws.grad_mut();
                 if self.config.weight_decay > 0.0 {
                     for (g, p) in grads.iter_mut().zip(params.iter()) {
@@ -663,7 +686,13 @@ impl Trainer {
             let mut diverged = exploded || params.iter().any(|p| !p.is_finite());
             if !diverged {
                 mlp.set_params_flat(&params)?;
-                train_loss = engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?;
+                // Both passes return the same loss bits (`total / rows`).
+                train_loss = if full_batch {
+                    engine.batch_gradient(mlp, xs, ys, self.config.loss, &mut ws)?
+                } else {
+                    engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?
+                };
+                grad_ready = full_batch;
                 diverged = !train_loss.is_finite();
             }
             if diverged {
@@ -828,10 +857,9 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn trained_weights_are_bitwise_for_any_jobs() {
-        // 960 rows = 15 bands, enough to clear BandEngine::new(jobs)'s
-        // dispatch threshold (2*jobs bands) for every jobs value below.
+    /// 960 rows = 15 bands, enough to clear `BandEngine::new(jobs)`'s
+    /// dispatch threshold (2*jobs bands) for jobs up to 7.
+    fn band_data() -> (Matrix, Matrix) {
         let rows = 960;
         let xs = Matrix::from_fn(rows, 2, |r, c| {
             let t = (r * 2 + c) as f64 / rows as f64;
@@ -842,6 +870,100 @@ mod tests {
             let b = xs.get(r, 1);
             a * a + 0.5 * b
         });
+        (xs, ys)
+    }
+
+    /// The two-pass oracle's loss pass: per-row `forward` +
+    /// `Loss::value`, folded per `BAND_ROWS` band like every batched
+    /// pass (below one band this is `evaluate_loss`).
+    fn oracle_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix) -> f64 {
+        let rows = xs.rows();
+        let mut total = 0.0;
+        for b0 in (0..rows).step_by(crate::BAND_ROWS) {
+            let mut band_total = 0.0;
+            for r in b0..(b0 + crate::BAND_ROWS).min(rows) {
+                let pred = mlp.forward(xs.row(r)).unwrap();
+                band_total += Loss::MeanSquared.value(&pred, ys.row(r)).unwrap();
+            }
+            total += band_total;
+        }
+        total / rows as f64
+    }
+
+    /// What the two-pass oracle loop saw, epoch by epoch.
+    struct OracleRun {
+        /// Parameters before the first epoch, then after each finite one.
+        params: Vec<Vec<f64>>,
+        /// Training loss after each finite epoch.
+        losses: Vec<f64>,
+        /// Whether an epoch diverged (the trainer's default guards).
+        diverged: bool,
+    }
+
+    /// Optimizer, batch size, shuffle seed, learning rate and epochs.
+    type OracleCase = (OptimizerKind, usize, u64, f64, usize);
+
+    /// The trainer's epoch loop written as two passes per epoch over the
+    /// per-sample oracles: every chunk steps on the scalar
+    /// `Mlp::batch_gradient`, then `oracle_loss` measures the epoch. The
+    /// rows are shuffled only when `batch < n`, as in the trainer. Stops
+    /// at the first diverged epoch.
+    fn two_pass_oracle(mut mlp: Mlp, xs: &Matrix, ys: &Matrix, case: OracleCase) -> OracleRun {
+        let (opt, batch, seed, lr, epochs) = case;
+        let n = xs.rows();
+        let grad_limit = 1e12 * 1e12;
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut optimizer = opt.into_optimizer();
+        let mut params = mlp.params_flat();
+        let mut indices: Vec<usize> = (0..n).collect();
+        let mut run = OracleRun {
+            params: vec![params.clone()],
+            losses: Vec::new(),
+            diverged: false,
+        };
+        for _ in 0..epochs {
+            if batch < n {
+                rng.shuffle(&mut indices);
+            }
+            for chunk in indices.chunks(batch) {
+                mlp.set_params_flat(&params).unwrap();
+                let mut bx = Matrix::zeros(chunk.len(), xs.cols());
+                let mut by = Matrix::zeros(chunk.len(), ys.cols());
+                for (out_r, &r) in chunk.iter().enumerate() {
+                    bx.row_mut(out_r).copy_from_slice(xs.row(r));
+                    by.row_mut(out_r).copy_from_slice(ys.row(r));
+                }
+                let (_, grads) = mlp.batch_gradient(&bx, &by, Loss::MeanSquared).unwrap();
+                let norm_sq = grads.iter().map(|g| g * g).sum::<f64>();
+                if !norm_sq.is_finite() || norm_sq > grad_limit {
+                    run.diverged = true;
+                    return run;
+                }
+                optimizer.step(&mut params, &grads, lr).unwrap();
+            }
+            if params.iter().any(|p| !p.is_finite()) {
+                run.diverged = true;
+                return run;
+            }
+            mlp.set_params_flat(&params).unwrap();
+            let loss = oracle_loss(&mlp, xs, ys);
+            if !loss.is_finite() {
+                run.diverged = true;
+                return run;
+            }
+            run.params.push(params.clone());
+            run.losses.push(loss);
+        }
+        run
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn trained_weights_are_bitwise_for_any_jobs() {
+        let (xs, ys) = band_data();
         let train = |jobs: usize| {
             let mut mlp = xor_mlp(11);
             let config = TrainConfig::new()
@@ -857,6 +979,16 @@ mod tests {
             assert_eq!(params, ref_params, "params diverged at jobs={jobs}");
             assert_eq!(history, ref_history, "history diverged at jobs={jobs}");
         }
+
+        // Full batch on the band pool: each epoch's loss and the next
+        // step's gradient come from one pooled gradient pass, and still
+        // match the two-pass oracle bit for bit.
+        let (params, history) = train(2);
+        let case = (OptimizerKind::Sgd, xs.rows(), 0, 0.05, 8);
+        let oracle = two_pass_oracle(xor_mlp(11), &xs, &ys, case);
+        assert!(!oracle.diverged);
+        assert_eq!(bits(&params), bits(&oracle.params[8]));
+        assert_eq!(bits(&history), bits(&oracle.losses));
     }
 
     #[test]
@@ -909,6 +1041,15 @@ mod tests {
         assert_eq!(report.stop_reason, StopReason::ThresholdReached);
         assert!(report.epochs_run < 10_000);
         assert!(report.final_train_loss <= 0.05 + 1e-9);
+
+        // Full batch: the fused loop stops at the oracle's first epoch
+        // under the threshold, with the oracle's history.
+        let case = (OptimizerKind::momentum(), xs.rows(), 0, 0.3, 10_000);
+        let oracle = two_pass_oracle(xor_mlp(5), &xs, &ys, case);
+        let stop = oracle.losses.iter().position(|&l| l <= 0.05).unwrap();
+        assert_eq!(report.epochs_run, stop + 1);
+        assert_eq!(bits(&report.loss_history), bits(&oracle.losses[..=stop]));
+        assert_eq!(bits(&mlp.params_flat()), bits(&oracle.params[stop + 1]));
     }
 
     #[test]
@@ -959,18 +1100,24 @@ mod tests {
 
     #[test]
     fn batched_training_is_bitwise_scalar_training() {
-        // The Trainer now runs the GEMM-batched workspace path. Replicate
-        // its epoch loop with the legacy per-sample scalar gradient
-        // (`Mlp::batch_gradient`) and allocating per-row evaluation
-        // (`evaluate_loss`), and require byte-identical parameters and
-        // loss history.
+        // The Trainer now runs the GEMM-batched workspace path, and a
+        // full-batch epoch takes its loss from the gradient pass that
+        // feeds the next step. Replicate its epoch loop as two passes
+        // over the legacy per-sample scalar gradient
+        // (`Mlp::batch_gradient`) and per-row evaluation, and require
+        // byte-identical parameters and loss history.
         let (xs, ys) = xor_data();
         let n = xs.rows();
-        for (opt, batch, seed, lr, epochs) in [
+        for case in [
             (OptimizerKind::Sgd, 2usize, 11u64, 0.1, 40usize),
             (OptimizerKind::Sgd, 3, 5, 0.2, 25), // ragged last chunk
             (OptimizerKind::adam(), 2, 23, 0.05, 40),
+            // Full batch: one in-order chunk, never shuffled.
+            (OptimizerKind::Sgd, n, 11, 0.1, 40),
+            (OptimizerKind::momentum(), n, 5, 0.3, 60),
+            (OptimizerKind::adam(), n, 23, 0.05, 40),
         ] {
+            let (opt, batch, seed, lr, epochs) = case;
             let mut trained = xor_mlp(9);
             let config = TrainConfig::new()
                 .max_epochs(epochs)
@@ -980,35 +1127,13 @@ mod tests {
                 .rng_seed(seed);
             let report = Trainer::new(config).fit(&mut trained, &xs, &ys).unwrap();
 
-            let mut manual = xor_mlp(9);
-            let mut rng = Xoshiro256::seed_from(seed);
-            let mut optimizer = opt.into_optimizer();
-            let mut params = manual.params_flat();
-            let mut indices: Vec<usize> = (0..n).collect();
-            let mut losses = Vec::new();
-            for _ in 0..epochs {
-                rng.shuffle(&mut indices);
-                for chunk in indices.chunks(batch) {
-                    manual.set_params_flat(&params).unwrap();
-                    let mut bx = Matrix::zeros(chunk.len(), xs.cols());
-                    let mut by = Matrix::zeros(chunk.len(), ys.cols());
-                    for (out_r, &r) in chunk.iter().enumerate() {
-                        bx.row_mut(out_r).copy_from_slice(xs.row(r));
-                        by.row_mut(out_r).copy_from_slice(ys.row(r));
-                    }
-                    let (_, grads) = manual.batch_gradient(&bx, &by, Loss::MeanSquared).unwrap();
-                    optimizer.step(&mut params, &grads, lr).unwrap();
-                }
-                manual.set_params_flat(&params).unwrap();
-                losses.push(evaluate_loss(&manual, &xs, &ys, Loss::MeanSquared).unwrap());
-            }
-
-            let trained_bits: Vec<u64> =
-                trained.params_flat().iter().map(|p| p.to_bits()).collect();
-            let manual_bits: Vec<u64> = params.iter().map(|p| p.to_bits()).collect();
+            let oracle = two_pass_oracle(xor_mlp(9), &xs, &ys, case);
+            assert!(!oracle.diverged, "oracle diverged ({opt:?}, batch {batch})");
+            let trained_bits = bits(&trained.params_flat());
+            let manual_bits = bits(&oracle.params[epochs]);
             assert_eq!(trained_bits, manual_bits, "params differ ({opt:?})");
-            let hist_bits: Vec<u64> = report.loss_history.iter().map(|l| l.to_bits()).collect();
-            let manual_hist: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+            let hist_bits = bits(&report.loss_history);
+            let manual_hist = bits(&oracle.losses);
             assert_eq!(hist_bits, manual_hist, "loss history differs ({opt:?})");
         }
     }
@@ -1074,6 +1199,20 @@ mod tests {
         assert_eq!(report.stop_reason, StopReason::Diverged);
         assert!(mlp.is_finite(), "diverged params must be rolled back");
         assert!(report.final_train_loss.is_finite());
+
+        // Full batch: the rollback lands on the oracle's last finite
+        // epoch, and the final loss is that epoch's loss.
+        let case = (OptimizerKind::Sgd, xs.rows(), 0, 1e6, 200);
+        let oracle = two_pass_oracle(xor_mlp(9), &xs, &big_y, case);
+        assert!(oracle.diverged);
+        let last_finite = oracle.params.last().unwrap();
+        assert_eq!(report.epochs_run, oracle.losses.len() + 1);
+        assert_eq!(bits(&report.loss_history), bits(&oracle.losses));
+        assert_eq!(bits(&mlp.params_flat()), bits(last_finite));
+        let mut probe = xor_mlp(9);
+        probe.set_params_flat(last_finite).unwrap();
+        let final_loss = oracle_loss(&probe, &xs, &big_y);
+        assert_eq!(report.final_train_loss.to_bits(), final_loss.to_bits());
     }
 
     #[test]
@@ -1081,46 +1220,61 @@ mod tests {
         let (xs, ys) = xor_data();
         let val_x = xs.clone();
         let val_y = ys.clone();
-        let dir = std::env::temp_dir().join("wlc-nn-resume-test");
+        let dir = std::env::temp_dir().join(format!("wlc-nn-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("train.ckpt");
 
-        let base = TrainConfig::new()
+        let minibatch = TrainConfig::new()
             .max_epochs(60)
             .learning_rate(0.1)
             .batch_size(2)
             .optimizer(OptimizerKind::adam())
             .rng_seed(17);
+        // Full batch: the resumed run recomputes the gradient the
+        // interrupted run's last loss pass left behind.
+        let full_batch = TrainConfig::new()
+            .max_epochs(60)
+            .learning_rate(0.1)
+            .optimizer(OptimizerKind::adam())
+            .rng_seed(17);
+        for (name, base) in [("minibatch", minibatch), ("full-batch", full_batch)] {
+            let path = dir.join(format!("{name}.ckpt"));
 
-        // Uninterrupted run.
-        let mut full = xor_mlp(13);
-        let full_report = Trainer::new(base.clone())
-            .fit_with_validation(&mut full, &xs, &ys, &val_x, &val_y)
+            // Uninterrupted run.
+            let mut full = xor_mlp(13);
+            let full_report = Trainer::new(base.clone())
+                .fit_with_validation(&mut full, &xs, &ys, &val_x, &val_y)
+                .unwrap();
+
+            // "Killed" run: stops at epoch 40, leaving a checkpoint behind.
+            let mut partial = xor_mlp(13);
+            Trainer::new(
+                base.clone()
+                    .max_epochs(40)
+                    .checkpoint_every(20)
+                    .checkpoint_path(&path),
+            )
+            .fit_with_validation(&mut partial, &xs, &ys, &val_x, &val_y)
             .unwrap();
 
-        // "Killed" run: stops at epoch 40, leaving a checkpoint behind.
-        let mut partial = xor_mlp(13);
-        Trainer::new(
-            base.clone()
-                .max_epochs(40)
-                .checkpoint_every(20)
-                .checkpoint_path(&path),
-        )
-        .fit_with_validation(&mut partial, &xs, &ys, &val_x, &val_y)
-        .unwrap();
+            let ck = Checkpoint::load(&path).unwrap();
+            assert_eq!(ck.epochs_completed(), 40);
+            let mut resumed = xor_mlp(13);
+            let resumed_report = Trainer::new(base)
+                .resume_from_with_validation(&mut resumed, &xs, &ys, &val_x, &val_y, &ck)
+                .unwrap();
 
-        let ck = Checkpoint::load(&path).unwrap();
-        assert_eq!(ck.epochs_completed(), 40);
-        let mut resumed = xor_mlp(13);
-        let resumed_report = Trainer::new(base)
-            .resume_from_with_validation(&mut resumed, &xs, &ys, &val_x, &val_y, &ck)
-            .unwrap();
-
-        assert_eq!(resumed_report.resumed_from_epoch, Some(40));
-        assert_eq!(resumed.params_flat(), full.params_flat());
-        assert_eq!(resumed_report.loss_history, full_report.loss_history);
-        assert_eq!(resumed_report.val_history, full_report.val_history);
-        let _ = std::fs::remove_file(&path);
+            assert_eq!(resumed_report.resumed_from_epoch, Some(40));
+            assert_eq!(resumed.params_flat(), full.params_flat(), "{name}");
+            assert_eq!(
+                resumed_report.loss_history, full_report.loss_history,
+                "{name}"
+            );
+            assert_eq!(
+                resumed_report.val_history, full_report.val_history,
+                "{name}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -373,6 +373,11 @@ impl Mlp {
     /// [`Mlp::batch_gradient`] and performs no heap allocation once the
     /// workspace has seen the band size.
     ///
+    /// The returned mean loss is the band-folded loss total divided by
+    /// the row count, so it has the same bits as [`Mlp::batch_loss_with`]
+    /// on the same rows: the trainer's full-batch loop records an
+    /// epoch's loss from the pass that also yields the next gradient.
+    ///
     /// # Errors
     ///
     /// As for [`Mlp::batch_gradient`], plus [`NnError::ShapeMismatch`]
@@ -585,7 +590,7 @@ impl Mlp {
         for g in &mut ws.grad {
             *g *= scale;
         }
-        Ok(total_loss * scale)
+        Ok(total_loss / rows as f64)
     }
 
     /// Refreshes the per-layer transposed weight scratch (`ws.wts`),
@@ -754,8 +759,11 @@ fn apply_derivative(delta: &mut Matrix, pre: &Matrix, acts: &Matrix, act: crate:
 }
 
 /// Flattens the per-layer gradient totals into the `params_flat`
-/// layout, scales by `1/rows` exactly like the scalar path (accumulate,
-/// then multiply), and returns the mean loss. Shared tail of the
+/// layout, scales them by `1/rows` exactly like the scalar path
+/// (accumulate, then multiply), and returns the mean loss as
+/// `total_loss / rows` — the division [`Mlp::batch_loss_with`] and
+/// `BandEngine::batch_loss` use, so a gradient pass reports the same
+/// loss bits as a loss pass over the same rows. Shared tail of the
 /// in-line and band-pool gradient paths.
 fn flatten_and_scale(ws: &mut Workspace, rows: usize, total_loss: f64) -> f64 {
     for l in 0..ws.offsets.len() {
@@ -769,7 +777,7 @@ fn flatten_and_scale(ws: &mut Workspace, rows: usize, total_loss: f64) -> f64 {
     for g in &mut ws.grad {
         *g *= scale;
     }
-    total_loss * scale
+    total_loss / rows as f64
 }
 
 /// One band's gradient contribution, copied out of a worker's
@@ -986,6 +994,10 @@ mod tests {
                 let lb = mlp.batch_gradient_with(&xs, &ys, loss, &mut ws_b).unwrap();
                 assert_eq!(la.to_bits(), lb.to_bits(), "{loss} loss value");
                 assert_eq!(ws_a.grad(), ws_b.grad(), "{loss} gradient");
+                // One rounding rule for the mean loss: both gradient
+                // paths return the loss pass's `total / rows`.
+                let lc = mlp.batch_loss_with(&xs, &ys, loss, &mut ws_b).unwrap();
+                assert_eq!(la.to_bits(), lc.to_bits(), "{loss} loss vs loss pass");
             }
         }
     }

@@ -8,7 +8,8 @@
 //! 1. the raw epoch cycle (`gather → batch_gradient_with → optimizer.step
 //!    → batch_loss_with`) allocates nothing once warm, and
 //! 2. a full [`Trainer::fit`] run allocates the same total count whether it
-//!    trains 20 epochs or 120 — i.e. all allocation is setup, none per epoch.
+//!    trains 20 epochs or 120 — i.e. all allocation is setup, none per epoch
+//!    — in minibatches and in full batch.
 //!
 //! Everything lives in a single `#[test]` so no sibling test thread can
 //! perturb the global counter. This is an integration test (its own crate)
@@ -63,7 +64,9 @@ fn training_data() -> (Matrix, Matrix) {
     (xs, ys)
 }
 
-fn fit_alloc_count(epochs: usize) -> usize {
+/// Heap allocations of one `Trainer::fit` run; `batch: None` trains
+/// full batch (one pass per epoch), `Some(b)` in shuffled minibatches.
+fn fit_alloc_count(epochs: usize, batch: Option<usize>) -> usize {
     let (xs, ys) = training_data();
     let mut mlp = MlpBuilder::new(2)
         .hidden(6, Activation::tanh())
@@ -71,12 +74,14 @@ fn fit_alloc_count(epochs: usize) -> usize {
         .seed(3)
         .build()
         .unwrap();
-    let config = TrainConfig::new()
+    let mut config = TrainConfig::new()
         .max_epochs(epochs)
         .learning_rate(0.05)
-        .batch_size(4)
         .optimizer(OptimizerKind::adam())
         .rng_seed(7);
+    if let Some(b) = batch {
+        config = config.batch_size(b);
+    }
     let before = alloc_calls();
     Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
     alloc_calls() - before
@@ -162,11 +167,15 @@ fn steady_state_training_does_not_allocate() {
 
     // --- Level 2: Trainer::fit allocation count is epoch-independent
     // (modulo the loss-history reserve, which is one allocation either
-    // way). 20 vs 120 epochs must cost the identical number of calls. ---
-    let short = fit_alloc_count(20);
-    let long = fit_alloc_count(120);
-    assert_eq!(
-        short, long,
-        "Trainer::fit allocation count grew with epochs: 20 epochs = {short}, 120 epochs = {long}"
-    );
+    // way). 20 vs 120 epochs must cost the identical number of calls,
+    // for minibatches and for the full-batch one-pass epoch loop. ---
+    for batch in [Some(4), None] {
+        let short = fit_alloc_count(20, batch);
+        let long = fit_alloc_count(120, batch);
+        assert_eq!(
+            short, long,
+            "Trainer::fit allocation count grew with epochs at batch {batch:?}: \
+             20 epochs = {short}, 120 epochs = {long}"
+        );
+    }
 }
