@@ -96,9 +96,10 @@ if [ "${1:-}" != "quick" ]; then
         --epochs 200 --hidden 6 --force-diverge 1 --quarantine
 
     echo "==> thread-matrix determinism smoke (--jobs 1/2/4 byte-compare)"
-    # Train the same model at three band-thread counts and sweep a
-    # surface at three --jobs values: every artifact must be
-    # byte-identical — the determinism contract's end-to-end check.
+    # Train the same model at three band-thread counts, sweep a surface
+    # and cross-validate at three --jobs values, and collect at two:
+    # every artifact must be byte-identical — the determinism contract's
+    # end-to-end check. Wall-time lines go to stderr, so stdout compares.
     # 520 samples are 9 row bands of 64, past the band pool's dispatch
     # threshold of 2 bands per thread at --jobs 2 and 4, so the pooled
     # training path is byte-compared too.
@@ -122,6 +123,22 @@ if [ "${1:-}" != "quick" ]; then
         || { echo "surface --jobs 2 diverged from --jobs 1"; exit 1; }
     cmp "$smoke_dir/det-surface-j1.out" "$smoke_dir/det-surface-j4.out" \
         || { echo "surface --jobs 4 diverged from --jobs 1"; exit 1; }
+    for j in 1 2 4; do
+        ./target/release/wlc cv --data "$smoke_dir/det.csv" --k 3 \
+            --epochs 150 --hidden 8 --seed 5 --jobs "$j" \
+            > "$smoke_dir/det-cv-j$j.out"
+    done
+    cmp "$smoke_dir/det-cv-j1.out" "$smoke_dir/det-cv-j2.out" \
+        || { echo "cv --jobs 2 diverged from --jobs 1"; exit 1; }
+    cmp "$smoke_dir/det-cv-j1.out" "$smoke_dir/det-cv-j4.out" \
+        || { echo "cv --jobs 4 diverged from --jobs 1"; exit 1; }
+    for j in 1 4; do
+        ./target/release/wlc collect --samples 64 \
+            --out "$smoke_dir/det-collect-j$j.csv" \
+            --duration 3 --warmup 1 --seed 21 --jobs "$j"
+    done
+    cmp "$smoke_dir/det-collect-j1.csv" "$smoke_dir/det-collect-j4.csv" \
+        || { echo "collect --jobs 4 diverged from --jobs 1"; exit 1; }
 
     echo "==> prediction-server smoke (degraded, shed, reload, drain)"
     ./target/release/wlc collect --samples 10 --out "$smoke_dir/serve.csv" \

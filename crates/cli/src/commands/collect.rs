@@ -1,9 +1,11 @@
 //! `wlc collect` — simulate a Latin-hypercube design and save a CSV
 //! dataset.
 
+use std::time::Instant;
+
 use wlc_data::design::{latin_hypercube, round_to_integers, ParamRange};
 use wlc_math::rng::Seed;
-use wlc_sim::{run_design_faulty_jobs, run_design_replicated_timed, FaultProfile, ServerConfig};
+use wlc_sim::{run_design_faulty_jobs, run_design_replicated_jobs, FaultProfile, ServerConfig};
 
 use crate::args::Flags;
 
@@ -77,8 +79,9 @@ pub fn run(raw: &[String]) -> CmdResult {
     let retries: usize = flags.get_or("retries", 0)?;
 
     eprintln!("simulating {samples} configurations on {jobs} worker(s)...");
-    let (dataset, timing) = if profile.is_none() {
-        run_design_replicated_timed(
+    let started = Instant::now();
+    let dataset = if profile.is_none() {
+        run_design_replicated_jobs(
             &configs,
             seed.wrapping_add(1),
             duration,
@@ -90,7 +93,7 @@ pub fn run(raw: &[String]) -> CmdResult {
         if replications > 1 {
             return Err("--fault-profile cannot be combined with --replications > 1".into());
         }
-        let (ds, faults, timing) = run_design_faulty_jobs(
+        let (ds, faults) = run_design_faulty_jobs(
             &configs,
             seed.wrapping_add(1),
             duration,
@@ -103,9 +106,12 @@ pub fn run(raw: &[String]) -> CmdResult {
         for q in &faults.quarantined {
             eprintln!("  configuration {q} quarantined (all attempts failed)");
         }
-        (ds, timing)
+        ds
     };
-    eprintln!("{timing}");
+    eprintln!(
+        "simulated on {jobs} worker(s) in {:.3}s",
+        started.elapsed().as_secs_f64()
+    );
     dataset.save_csv(&out)?;
     println!("wrote {} samples to {out}", dataset.len());
     for summary in dataset.column_summaries() {

@@ -1,6 +1,8 @@
 //! `wlc cv` — k-fold cross validation on a CSV dataset (the paper's
 //! Table 2 protocol).
 
+use std::time::Instant;
+
 use wlc_model::{CrossValidator, WorkloadModelBuilder};
 
 use crate::args::Flags;
@@ -61,8 +63,12 @@ pub fn run(raw: &[String]) -> CmdResult {
     if let Some(folds) = flags.get_list::<usize>("force-diverge")? {
         validator = validator.force_diverge(&folds);
     }
-    let (report, timing) = validator.run_timed(&dataset)?;
-    eprintln!("{timing}");
+    let started = Instant::now();
+    let report = validator.run(&dataset)?;
+    eprintln!(
+        "cross-validated on {jobs} worker(s) in {:.3}s",
+        started.elapsed().as_secs_f64()
+    );
 
     println!("{}", report.to_table());
     if !report.is_complete() {

@@ -1,6 +1,5 @@
 use wlc_data::metrics::ErrorReport;
 use wlc_data::{Dataset, KFold};
-use wlc_exec::RunReport;
 use wlc_math::rng::Seed;
 use wlc_nn::TrainReport;
 
@@ -242,16 +241,6 @@ impl CrossValidator {
     /// - [`ModelError::Data`] for invalid `k` relative to the dataset.
     /// - Training/evaluation errors from the folds.
     pub fn run(&self, dataset: &Dataset) -> Result<CvReport, ModelError> {
-        self.run_timed(dataset).map(|(report, _)| report)
-    }
-
-    /// [`run`](Self::run) that also returns the worker pool's
-    /// [`RunReport`] (wall time and per-fold timings).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](Self::run).
-    pub fn run_timed(&self, dataset: &Dataset) -> Result<(CvReport, RunReport), ModelError> {
         let kf = KFold::new(dataset.len(), self.k, Seed::new(self.seed))?;
         let folds: Vec<(Vec<usize>, Vec<usize>)> = kf.folds().collect();
         let attempt_trial = |fold: usize, attempt: usize| -> Result<CvTrial, ModelError> {
@@ -303,8 +292,7 @@ impl CrossValidator {
                     Err(e) => Err(e),
                 }
             };
-        let (outcomes, report) =
-            wlc_exec::try_map_indexed_retry_timed(self.jobs, folds.len(), self.retries, task)?;
+        let outcomes = wlc_exec::try_map_indexed_retry(self.jobs, folds.len(), self.retries, task)?;
         let mut trials = Vec::new();
         let mut quarantined = Vec::new();
         for outcome in outcomes {
@@ -316,14 +304,11 @@ impl CrossValidator {
         if trials.is_empty() {
             return Err(ModelError::AllFoldsQuarantined { folds: folds.len() });
         }
-        Ok((
-            CvReport {
-                output_names: dataset.output_names().to_vec(),
-                trials,
-                quarantined,
-            },
-            report,
-        ))
+        Ok(CvReport {
+            output_names: dataset.output_names().to_vec(),
+            trials,
+            quarantined,
+        })
     }
 }
 

@@ -1,4 +1,3 @@
-use wlc_exec::RunReport;
 use wlc_math::Matrix;
 use wlc_nn::BandEngine;
 
@@ -139,22 +138,8 @@ impl ResponseSurface {
         model: &(dyn PerformanceModel + Sync),
         jobs: usize,
     ) -> Result<SurfaceGrid, ModelError> {
-        self.evaluate_timed(model, jobs).map(|(grid, _)| grid)
-    }
-
-    /// [`evaluate_jobs`](Self::evaluate_jobs) that also returns the
-    /// pool's [`RunReport`] (wall time and per-row timings).
-    ///
-    /// # Errors
-    ///
-    /// As for [`evaluate`](Self::evaluate).
-    pub fn evaluate_timed(
-        &self,
-        model: &(dyn PerformanceModel + Sync),
-        jobs: usize,
-    ) -> Result<(SurfaceGrid, RunReport), ModelError> {
         self.check(model)?;
-        let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, self.axis1_values.len(), |i| {
+        let rows = wlc_exec::try_map_indexed(jobs, self.axis1_values.len(), |i| {
             self.row(model, self.axis1_values[i])
         })?;
         let mut z = Matrix::zeros(self.axis1_values.len(), self.axis2_values.len());
@@ -163,7 +148,7 @@ impl ResponseSurface {
                 z.set(i, j, v);
             }
         }
-        Ok((self.grid_from(z), report))
+        Ok(self.grid_from(z))
     }
 
     /// [`evaluate`](Self::evaluate) for a [`WorkloadModel`], with the
@@ -297,20 +282,6 @@ pub fn evaluate_all_jobs(
     model: &(dyn PerformanceModel + Sync),
     jobs: usize,
 ) -> Result<Vec<SurfaceGrid>, ModelError> {
-    evaluate_all_timed(spec, model, jobs).map(|(grids, _)| grids)
-}
-
-/// [`evaluate_all_jobs`] that also returns the pool's [`RunReport`]
-/// (wall time and per-row timings).
-///
-/// # Errors
-///
-/// As for [`ResponseSurface::evaluate`].
-pub fn evaluate_all_timed(
-    spec: &ResponseSurface,
-    model: &(dyn PerformanceModel + Sync),
-    jobs: usize,
-) -> Result<(Vec<SurfaceGrid>, RunReport), ModelError> {
     if spec.base.len() != model.inputs() {
         return Err(ModelError::WidthMismatch {
             expected: model.inputs(),
@@ -318,10 +289,10 @@ pub fn evaluate_all_timed(
             what: "base configuration",
         });
     }
-    let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, spec.axis1_values.len(), |i| {
+    let rows = wlc_exec::try_map_indexed(jobs, spec.axis1_values.len(), |i| {
         all_outputs_row(spec, model, spec.axis1_values[i])
     })?;
-    Ok((assemble_all(spec, model.outputs(), rows)?, report))
+    assemble_all(spec, model.outputs(), rows)
 }
 
 /// Predicts one grid row for every model output: `row[j][o]` is output

@@ -58,18 +58,6 @@ fn cross_validation_is_bit_identical_across_job_counts() {
     }
 }
 
-#[test]
-fn cross_validation_timed_reports_per_fold() {
-    let ds = dataset(25);
-    let (report, timing) = CrossValidator::new(builder())
-        .jobs(2)
-        .run_timed(&ds)
-        .unwrap();
-    assert_eq!(report.trials().len(), 5);
-    assert_eq!(timing.tasks.len(), 5);
-    assert!(timing.busy() >= timing.tasks[0].elapsed);
-}
-
 /// Deterministic non-linear toy model, paper-shaped (4 in, 2 out).
 struct Toy;
 impl PerformanceModel for Toy {

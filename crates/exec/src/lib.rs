@@ -6,9 +6,11 @@
 //! cross-validation fold, one independent model evaluation per response-
 //! surface grid row. This crate provides the primitive they all share —
 //! fan an indexed task set out over a fixed number of worker threads and
-//! collect the results *in index order* — built on `std::thread` +
-//! channels only, so the workspace stays dependency-free. For *open*
-//! workloads (a long-running server fed by arriving requests) it adds
+//! collect the results *in index order* — built on scoped `std::thread`s,
+//! an atomic task cursor and one mutex over the result slots, so the
+//! workspace stays dependency-free. The pool reads no clock; a caller
+//! that reports wall time measures its own call. For *open* workloads (a
+//! long-running server fed by arriving requests) it adds
 //! [`BoundedQueue`] + [`ServicePool`]: a strictly bounded request queue
 //! with explicit load shedding drained by persistent workers.
 //!
@@ -42,10 +44,7 @@ mod service;
 mod tracked;
 
 pub use band::{band_count, band_worker, BandPool};
-pub use pool::{
-    default_jobs, map_indexed, map_indexed_timed, try_map_indexed, try_map_indexed_retry,
-    try_map_indexed_retry_timed, try_map_indexed_timed, RunReport, TaskTiming,
-};
+pub use pool::{default_jobs, map_indexed, try_map_indexed, try_map_indexed_retry};
 pub use service::{BoundedQueue, PushError, ServicePool};
 pub use tracked::{
     tracked_acquisitions, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedReadGuard,

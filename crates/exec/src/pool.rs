@@ -1,10 +1,8 @@
 //! The indexed worker pool.
 
 use std::convert::Infallible;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// The default worker count: the hardware's available parallelism, or 1
 /// if it cannot be determined.
@@ -12,80 +10,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Wall-clock cost of one task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskTiming {
-    /// The task's index in `0..n`.
-    pub index: usize,
-    /// Time spent computing that task.
-    pub elapsed: Duration,
-}
-
-/// Timing summary of one pool run: total wall time plus per-task costs,
-/// in task-index order.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Worker threads actually used (clamped to the task count).
-    pub jobs: usize,
-    /// Wall-clock time of the whole fan-out.
-    pub wall: Duration,
-    /// Per-task timings, sorted by task index. Tasks skipped after an
-    /// error are absent.
-    pub tasks: Vec<TaskTiming>,
-    /// Retries performed across all tasks (always 0 outside the
-    /// [`try_map_indexed_retry`] family).
-    pub retries: usize,
-}
-
-impl RunReport {
-    /// Sum of all per-task times — the sequential cost of the same work.
-    pub fn busy(&self) -> Duration {
-        self.tasks.iter().map(|t| t.elapsed).sum()
-    }
-
-    /// `busy / wall` — how many cores' worth of work ran per wall second.
-    /// Close to `jobs` means near-perfect scaling.
-    pub fn speedup(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall > 0.0 {
-            self.busy().as_secs_f64() / wall
-        } else {
-            1.0
-        }
-    }
-
-    /// The single most expensive task, if any ran.
-    pub fn slowest(&self) -> Option<TaskTiming> {
-        self.tasks.iter().copied().max_by_key(|t| t.elapsed)
-    }
-}
-
-impl fmt::Display for RunReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tasks on {} workers: wall {:.3}s, busy {:.3}s ({:.2}x)",
-            self.tasks.len(),
-            self.jobs,
-            self.wall.as_secs_f64(),
-            self.busy().as_secs_f64(),
-            self.speedup()
-        )?;
-        if let Some(worst) = self.slowest() {
-            write!(
-                f,
-                ", slowest task #{} at {:.3}s",
-                worst.index,
-                worst.elapsed.as_secs_f64()
-            )?;
-        }
-        if self.retries > 0 {
-            write!(f, ", {} retries", self.retries)?;
-        }
-        Ok(())
-    }
 }
 
 /// Runs `f(0..n)` on up to `jobs` worker threads and returns the results
@@ -99,17 +23,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_indexed_timed(jobs, n, f).0
-}
-
-/// Like [`map_indexed`], but also reports wall time and per-task timings.
-pub fn map_indexed_timed<T, F>(jobs: usize, n: usize, f: F) -> (Vec<T>, RunReport)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_map_indexed_timed(jobs, n, |i| Ok::<T, Infallible>(f(i))) {
-        Ok(out) => out,
+    match try_map_indexed(jobs, n, |i| Ok::<T, Infallible>(f(i))) {
+        Ok(values) => values,
         Err(e) => match e {},
     }
 }
@@ -127,112 +42,47 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    // wlc-lint: sanitize(determinism-taint, reason = "the wall-clock RunReport is discarded on this edge; only task values flow to callers")
-    try_map_indexed_timed(jobs, n, f).map(|(values, _)| values)
-}
-
-/// Fallible variant of [`map_indexed_timed`]; see [`try_map_indexed`] for
-/// the error contract.
-///
-/// # Errors
-///
-/// The lowest-index task error, if any task fails.
-pub fn try_map_indexed_timed<T, E, F>(jobs: usize, n: usize, f: F) -> Result<(Vec<T>, RunReport), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let jobs = jobs.max(1).min(n.max(1));
-    let started = Instant::now();
-    let mut slots: Vec<Option<Result<T, E>>>;
-    let mut timings: Vec<TaskTiming>;
-
+    let jobs = jobs.min(n);
     if jobs <= 1 {
-        slots = Vec::with_capacity(n);
-        timings = Vec::with_capacity(n);
-        for index in 0..n {
-            let t0 = Instant::now();
-            let out = f(index);
-            timings.push(TaskTiming {
-                index,
-                elapsed: t0.elapsed(),
+        return (0..n).map(f).collect();
+    }
+    let mut init: Vec<Option<Result<T, E>>> = Vec::new();
+    init.resize_with(n, || None);
+    let slots = Mutex::new(init);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= n {
+                    return;
+                }
+                let out = f(index);
+                if out.is_err() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                // Poison recovery: a panicking sibling task is re-raised
+                // by `thread::scope` anyway; the vector stays valid after
+                // any single assignment.
+                // wlc-lint: allow(index, reason = "index comes from fetch_add bounded by the n-sized slot vector")
+                slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(out);
             });
-            let failed = out.is_err();
-            slots.push(Some(out));
-            if failed {
-                break;
-            }
         }
-    } else {
-        let mut init: Vec<Option<Result<T, E>>> = Vec::new();
-        init.resize_with(n, || None);
-        let shared_slots = Mutex::new(init);
-        let shared_timings = Mutex::new(Vec::with_capacity(n));
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        return;
-                    }
-                    let t0 = Instant::now();
-                    let out = f(index);
-                    let elapsed = t0.elapsed();
-                    if out.is_err() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    // Poison recovery: a panicking sibling task is
-                    // re-raised by `thread::scope` anyway; the vectors
-                    // stay valid after any single push/assignment.
-                    shared_timings
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(TaskTiming { index, elapsed });
-                    // wlc-lint: allow(index, reason = "index comes from fetch_add bounded by the n-sized slot vector")
-                    shared_slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(out);
-                });
-            }
-        });
-        slots = shared_slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        timings = shared_timings
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        timings.sort_unstable_by_key(|t| t.index);
-    }
-
-    let report = RunReport {
-        jobs,
-        wall: started.elapsed(),
-        tasks: timings,
-        retries: 0,
-    };
-    // Tasks are claimed in index order, so the completed prefix is
-    // contiguous and the lowest-index error is deterministic — identical
-    // to what a sequential run would return first.
-    let mut values = Vec::with_capacity(n);
-    let mut first_error = None;
-    for slot in slots {
-        match slot {
-            Some(Ok(v)) => values.push(v),
-            Some(Err(e)) => {
-                first_error = Some(e);
-                break;
-            }
-            None => break,
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok((values, report)),
-    }
+    });
+    // Tasks are claimed in index order and every claimed task finishes,
+    // so the filled slots form a prefix that reaches past the lowest
+    // failing index: the error returned is the one a sequential run
+    // would hit first.
+    slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map_while(|slot| slot)
+        .collect()
 }
 
 /// [`try_map_indexed`] with bounded per-task retries: task `index` is
@@ -258,45 +108,14 @@ where
     E: Send,
     F: Fn(usize, usize) -> Result<T, E> + Sync,
 {
-    // wlc-lint: sanitize(determinism-taint, reason = "the wall-clock RunReport is discarded on this edge; only task values flow to callers")
-    try_map_indexed_retry_timed(jobs, n, max_retries, f).map(|(values, _)| values)
-}
-
-/// [`try_map_indexed_retry`] with a [`RunReport`]; the report's `retries`
-/// field counts retries across all tasks, and each task's timing covers
-/// all of its attempts.
-///
-/// # Errors
-///
-/// As for [`try_map_indexed_retry`].
-pub fn try_map_indexed_retry_timed<T, E, F>(
-    jobs: usize,
-    n: usize,
-    max_retries: usize,
-    f: F,
-) -> Result<(Vec<T>, RunReport), E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize, usize) -> Result<T, E> + Sync,
-{
-    let retries = AtomicUsize::new(0);
-    let result = try_map_indexed_timed(jobs, n, |index| {
-        let mut attempt = 0usize;
+    try_map_indexed(jobs, n, |index| {
+        let mut attempt = 0;
         loop {
             match f(index, attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if attempt >= max_retries => return Err(e),
-                Err(_) => {
-                    attempt += 1;
-                    retries.fetch_add(1, Ordering::Relaxed);
-                }
+                Err(_) if attempt < max_retries => attempt += 1,
+                out => return out,
             }
         }
-    });
-    result.map(|(values, mut report)| {
-        report.retries = retries.load(Ordering::Relaxed);
-        (values, report)
     })
 }
 
@@ -316,13 +135,6 @@ mod tests {
     fn zero_tasks_is_empty() {
         let got: Vec<usize> = map_indexed(4, 0, |i| i);
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn jobs_clamped_to_task_count() {
-        let (_, report) = map_indexed_timed(16, 3, |i| i);
-        assert_eq!(report.jobs, 3);
-        assert_eq!(report.tasks.len(), 3);
     }
 
     #[test]
@@ -348,24 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn report_accounts_for_all_tasks() {
-        let (values, report) = map_indexed_timed(4, 12, |i| {
-            std::thread::sleep(Duration::from_millis(1));
-            i
-        });
-        assert_eq!(values.len(), 12);
-        assert_eq!(report.tasks.len(), 12);
-        for (i, t) in report.tasks.iter().enumerate() {
-            assert_eq!(t.index, i);
-            assert!(t.elapsed >= Duration::from_millis(1));
-        }
-        assert!(report.busy() >= Duration::from_millis(12));
-        assert!(report.wall > Duration::ZERO);
-        let line = report.to_string();
-        assert!(line.contains("12 tasks on 4 workers"), "{line}");
-    }
-
-    #[test]
     fn worker_panic_propagates_instead_of_hanging() {
         let outcome = std::panic::catch_unwind(|| {
             map_indexed(4, 8, |i| {
@@ -387,7 +181,7 @@ mod tests {
     fn retry_recovers_transient_failures() {
         // Tasks 2 and 5 fail on their first two attempts, then succeed.
         for jobs in [1, 4] {
-            let (values, report) = try_map_indexed_retry_timed(jobs, 8, 3, |i, attempt| {
+            let values = try_map_indexed_retry(jobs, 8, 3, |i, attempt| {
                 if (i == 2 || i == 5) && attempt < 2 {
                     Err(format!("task {i} attempt {attempt}"))
                 } else {
@@ -401,8 +195,6 @@ mod tests {
                 .map(|i| if i == 2 || i == 5 { i * 10 + 2 } else { i * 10 })
                 .collect();
             assert_eq!(values, expected, "jobs={jobs}");
-            assert_eq!(report.retries, 4, "jobs={jobs}");
-            assert!(report.to_string().contains("4 retries"));
         }
     }
 

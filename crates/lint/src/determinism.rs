@@ -1,8 +1,10 @@
-//! Determinism analysis for the seeded crates.
+//! Determinism analysis for the seeded crates and the worker pools.
 //!
 //! `wlc-math`, `wlc-nn`, `wlc-sim`, and `wlc-data` promise bit-identical
-//! results for a fixed seed regardless of thread count. Non-test code in
-//! those crates therefore must not read wall/monotonic clocks
+//! results for a fixed seed regardless of thread count, and the
+//! `wlc-exec` fan-outs they run on (the indexed pool and the band pool)
+//! promise the same results for any worker count. Non-test code in
+//! those files therefore must not read wall/monotonic clocks
 //! (`Instant::now`, `SystemTime::now`) or construct hash containers with
 //! the randomly-seeded default hasher (`HashMap::new`, `HashSet::new`,
 //! `RandomState`), whose iteration order varies across processes.
@@ -12,12 +14,16 @@
 use crate::lexer::TokKind;
 use crate::{Finding, Rule, SourceFile};
 
-/// Crate source prefixes the determinism rule applies to.
-pub const SEEDED_SCOPES: [&str; 4] = [
+/// Source prefixes the determinism rule applies to. `wlc-exec`'s lock
+/// registry (`tracked.rs`) and service pool stay out: neither produces
+/// results that must match across worker counts.
+pub const SEEDED_SCOPES: [&str; 6] = [
     "crates/math/src/",
     "crates/nn/src/",
     "crates/sim/src/",
     "crates/data/src/",
+    "crates/exec/src/pool.rs",
+    "crates/exec/src/band.rs",
 ];
 
 /// Constructors of randomly-seeded hash containers.
@@ -51,7 +57,7 @@ pub fn analyze(file: &SourceFile) -> Vec<Finding> {
                     path: file.rel.clone(),
                     line: t.line,
                     message: format!(
-                        "`{}::now()` in a seeded crate breaks run-to-run reproducibility; \
+                        "`{}::now()` in seeded code breaks run-to-run reproducibility; \
                          thread timing through parameters or annotate \
                          `// wlc-lint: allow(determinism, reason = \"...\")`",
                         t.text
@@ -82,7 +88,7 @@ pub fn analyze(file: &SourceFile) -> Vec<Finding> {
                     path: file.rel.clone(),
                     line: t.line,
                     message: "`RandomState` is seeded from the OS at process start; \
-                              seeded crates must hash deterministically"
+                              seeded code must hash deterministically"
                         .into(),
                 });
             }
@@ -128,6 +134,22 @@ mod tests {
 "#;
         let file = source_from_str("crates/data/src/validate.rs", src);
         assert!(analyze(&file).is_empty(), "{:?}", analyze(&file));
+    }
+
+    #[test]
+    fn worker_pools_are_in_scope_but_the_lock_registry_is_not() {
+        let src = "fn run() { let t0 = Instant::now(); }";
+        let findings = |rel: &str| {
+            let file = source_from_str(rel, src);
+            if in_scope(&file.rel) {
+                analyze(&file).len()
+            } else {
+                0
+            }
+        };
+        assert_eq!(findings("crates/exec/src/pool.rs"), 1);
+        assert_eq!(findings("crates/exec/src/band.rs"), 1);
+        assert_eq!(findings("crates/exec/src/tracked.rs"), 0);
     }
 
     #[test]

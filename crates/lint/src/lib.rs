@@ -10,7 +10,8 @@
 //!   `panic!`-family macros in fault-tolerant non-test code, and slice
 //!   indexing in hot-path files.
 //! - **determinism** ([`determinism`]): forbids wall clocks and
-//!   randomly-seeded hash containers in the seeded crates.
+//!   randomly-seeded hash containers in the seeded crates and the
+//!   worker pools.
 //! - **consistency** ([`consistency`]): exit codes, HTTP statuses, and
 //!   `#![forbid(unsafe_code)]` stay in sync with the documentation.
 //! - **alloc-in-hot-path** / **blocking-in-hot-path** ([`hotpath`]):
@@ -67,7 +68,7 @@ pub enum Rule {
     Panic,
     /// Slice/array indexing in a hot path.
     Index,
-    /// Nondeterminism source in a seeded crate.
+    /// Nondeterminism source in a seeded crate or worker pool.
     Determinism,
     /// Exit-code / status / doc inconsistency.
     Consistency,

@@ -24,7 +24,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use wlc_data::{Dataset, Sample};
-use wlc_exec::RunReport;
 use wlc_math::rng::{Seed, Xoshiro256};
 
 use crate::config::ServerConfig;
@@ -278,8 +277,7 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 ///     .web_threads(8)
 ///     .build()?;
 /// let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse()?;
-/// let (ds, faults, _report) =
-///     run_design_faulty(&[config], 7, 4.0, 1.0, profile, 2)?;
+/// let (ds, faults) = run_design_faulty(&[config], 7, 4.0, 1.0, profile, 2)?;
 /// assert_eq!(ds.len(), 1);
 /// assert_eq!(faults.truncations, 1);
 /// # Ok::<(), wlc_sim::SimError>(())
@@ -291,7 +289,7 @@ pub fn run_design_faulty(
     warmup_secs: f64,
     profile: FaultProfile,
     max_retries: usize,
-) -> Result<(Dataset, FaultSummary, RunReport), SimError> {
+) -> Result<(Dataset, FaultSummary), SimError> {
     run_design_faulty_jobs(
         configs,
         base_seed,
@@ -317,7 +315,7 @@ pub fn run_design_faulty_jobs(
     profile: FaultProfile,
     max_retries: usize,
     jobs: usize,
-) -> Result<(Dataset, FaultSummary, RunReport), SimError> {
+) -> Result<(Dataset, FaultSummary), SimError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     profile.validate()?;
@@ -368,8 +366,7 @@ pub fn run_design_faulty_jobs(
         }
         Ok(Some(y))
     };
-    let (rows, report) =
-        wlc_exec::try_map_indexed_retry_timed(jobs, configs.len(), max_retries, task)?;
+    let rows = wlc_exec::try_map_indexed_retry(jobs, configs.len(), max_retries, task)?;
 
     let mut ds = Dataset::new(
         INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
@@ -389,7 +386,7 @@ pub fn run_design_faulty_jobs(
         spikes: spikes.into_inner(),
         quarantined,
     };
-    Ok((ds, summary, report))
+    Ok((ds, summary))
 }
 
 #[cfg(test)]
@@ -459,31 +456,29 @@ mod tests {
     fn none_profile_matches_clean_run_design() {
         let configs = servers(3);
         let clean = run_design(&configs, 5, 3.0, 0.5).unwrap();
-        let (faulty, summary, report) =
+        let (faulty, summary) =
             run_design_faulty(&configs, 5, 3.0, 0.5, FaultProfile::none(), 2).unwrap();
         assert_eq!(clean, faulty);
         assert!(summary.is_clean());
         assert!(summary.quarantined.is_empty());
-        assert_eq!(report.retries, 0);
     }
 
     #[test]
     fn certain_dropout_quarantines_every_row() {
         let configs = servers(2);
         let profile: FaultProfile = "dropout=1.0".parse().unwrap();
-        let (ds, summary, report) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 2).unwrap();
+        let (ds, summary) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 2).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.quarantined, vec![0, 1]);
         // Every attempt (initial + 2 retries) on both rows dropped.
         assert_eq!(summary.dropouts, 6);
-        assert_eq!(report.retries, 4);
     }
 
     #[test]
     fn certain_stall_is_counted_separately() {
         let configs = servers(1);
         let profile: FaultProfile = "stall=1.0".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 0).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.stalls, 1);
         assert_eq!(summary.dropouts, 0);
@@ -496,10 +491,9 @@ mod tests {
     fn retries_recover_intermittent_dropouts() {
         let configs = servers(4);
         let profile: FaultProfile = "dropout=0.5".parse().unwrap();
-        let (ds, summary, report) = run_design_faulty(&configs, 42, 3.0, 0.5, profile, 10).unwrap();
+        let (ds, summary) = run_design_faulty(&configs, 42, 3.0, 0.5, profile, 10).unwrap();
         assert_eq!(ds.len(), 4, "quarantined: {:?}", summary.quarantined);
         assert!(summary.dropouts > 0);
-        assert_eq!(report.retries, summary.dropouts);
         // Recovered rows carry clean measurements (no degradation faults).
         let clean = run_design(&configs, 42, 3.0, 0.5).unwrap();
         assert_eq!(ds, clean);
@@ -509,7 +503,7 @@ mod tests {
     fn truncation_degrades_but_keeps_rows() {
         let configs = servers(2);
         let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 9, 4.0, 1.0, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty(&configs, 9, 4.0, 1.0, profile, 0).unwrap();
         assert_eq!(ds.len(), 2);
         assert_eq!(summary.truncations, 2);
         let clean = run_design(&configs, 9, 4.0, 1.0).unwrap();
@@ -520,7 +514,7 @@ mod tests {
     fn spikes_only_inflate_indicators() {
         let configs = servers(2);
         let profile: FaultProfile = "spike=1.0,spike_scale=2.0".parse().unwrap();
-        let (ds, summary, _) = run_design_faulty(&configs, 9, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty(&configs, 9, 3.0, 0.5, profile, 0).unwrap();
         let clean = run_design(&configs, 9, 3.0, 0.5).unwrap();
         assert_eq!(summary.spikes, 2 * OUTPUT_NAMES.len());
         let mut strictly_larger = 0;

@@ -3,7 +3,6 @@
 //! configuration design.
 
 use wlc_data::{Dataset, Sample};
-use wlc_exec::RunReport;
 use wlc_math::rng::Seed;
 
 use crate::config::{ArrivalProcess, DbModel, HardwareModel, ServerConfig, WorkloadSpec};
@@ -235,24 +234,8 @@ pub fn run_design_jobs(
     warmup_secs: f64,
     jobs: usize,
 ) -> Result<Dataset, SimError> {
-    run_design_timed(configs, base_seed, duration_secs, warmup_secs, jobs).map(|(ds, _)| ds)
-}
-
-/// [`run_design_jobs`] that also returns the pool's [`RunReport`]
-/// (wall time, per-configuration timings, speedup over serial).
-///
-/// # Errors
-///
-/// As for [`run_design`].
-pub fn run_design_timed(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    jobs: usize,
-) -> Result<(Dataset, RunReport), SimError> {
     let root = Seed::new(base_seed);
-    let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, configs.len(), |i| {
+    let rows = wlc_exec::try_map_indexed(jobs, configs.len(), |i| {
         Simulation::new(configs[i])
             .seed(root.derive(i as u64).value())
             .duration_secs(duration_secs)
@@ -260,14 +243,7 @@ pub fn run_design_timed(
             .run()
             .map(|m| m.indicators())
     })?;
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-    )?;
-    for (config, y) in configs.iter().zip(rows) {
-        ds.push(Sample::new(config.as_vector(), y))?;
-    }
-    Ok((ds, report))
+    design_dataset(configs, rows)
 }
 
 /// Like [`run_design`], but measures each configuration `replications`
@@ -307,7 +283,7 @@ pub fn run_design_replicated(
     warmup_secs: f64,
     replications: u32,
 ) -> Result<Dataset, SimError> {
-    run_design_replicated_timed(
+    run_design_replicated_jobs(
         configs,
         base_seed,
         duration_secs,
@@ -315,23 +291,22 @@ pub fn run_design_replicated(
         replications,
         wlc_exec::default_jobs(),
     )
-    .map(|(ds, _)| ds)
 }
 
-/// [`run_design_replicated`] with an explicit worker count, returning the
-/// pool's [`RunReport`] alongside the dataset.
+/// [`run_design_replicated`] with an explicit worker count (`jobs <= 1`
+/// runs sequentially). Output is bit-identical for every `jobs` value.
 ///
 /// # Errors
 ///
 /// As for [`run_design_replicated`].
-pub fn run_design_replicated_timed(
+pub fn run_design_replicated_jobs(
     configs: &[ServerConfig],
     base_seed: u64,
     duration_secs: f64,
     warmup_secs: f64,
     replications: u32,
     jobs: usize,
-) -> Result<(Dataset, RunReport), SimError> {
+) -> Result<Dataset, SimError> {
     if replications == 0 {
         return Err(SimError::InvalidConfig {
             name: "replications",
@@ -357,7 +332,12 @@ pub fn run_design_replicated_timed(
         }
         Ok(mean)
     };
-    let (rows, report) = wlc_exec::try_map_indexed_timed(jobs, configs.len(), task)?;
+    let rows = wlc_exec::try_map_indexed(jobs, configs.len(), task)?;
+    design_dataset(configs, rows)
+}
+
+/// Pairs each configuration with its indicator row, in design order.
+fn design_dataset(configs: &[ServerConfig], rows: Vec<Vec<f64>>) -> Result<Dataset, SimError> {
     let mut ds = Dataset::new(
         INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
         OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
@@ -365,7 +345,7 @@ pub fn run_design_replicated_timed(
     for (config, y) in configs.iter().zip(rows) {
         ds.push(Sample::new(config.as_vector(), y))?;
     }
-    Ok((ds, report))
+    Ok(ds)
 }
 
 #[cfg(test)]

@@ -2,9 +2,7 @@
 //! bit-for-bit identical for any worker count, because every run's seed
 //! is derived from its design index, never from scheduling order.
 
-use wlc_sim::{
-    run_design_jobs, run_design_replicated_timed, run_design_timed, ServerConfig, OUTPUT_NAMES,
-};
+use wlc_sim::{run_design_jobs, run_design_replicated_jobs, ServerConfig, OUTPUT_NAMES};
 
 fn design(n: usize) -> Vec<ServerConfig> {
     (0..n)
@@ -33,23 +31,21 @@ fn run_design_is_bit_identical_across_job_counts() {
 #[test]
 fn run_design_replicated_is_bit_identical_across_job_counts() {
     let configs = design(6);
-    let (serial, _) = run_design_replicated_timed(&configs, 7, 2.0, 0.5, 3, 1).unwrap();
-    let (parallel, report) = run_design_replicated_timed(&configs, 7, 2.0, 0.5, 3, 4).unwrap();
+    let serial = run_design_replicated_jobs(&configs, 7, 2.0, 0.5, 3, 1).unwrap();
+    let parallel = run_design_replicated_jobs(&configs, 7, 2.0, 0.5, 3, 4).unwrap();
     assert_eq!(serial, parallel);
-    assert_eq!(report.jobs, 4.min(configs.len()));
-    assert_eq!(report.tasks.len(), configs.len());
+    assert_eq!(parallel.len(), configs.len());
 }
 
 #[test]
-fn timed_report_covers_every_configuration() {
+fn dataset_rows_follow_design_order() {
     let configs = design(5);
-    let (ds, report) = run_design_timed(&configs, 1, 2.0, 0.5, 2).unwrap();
+    let ds = run_design_jobs(&configs, 1, 2.0, 0.5, 2).unwrap();
     assert_eq!(ds.len(), 5);
     assert_eq!(ds.output_width(), OUTPUT_NAMES.len());
-    assert_eq!(report.tasks.len(), 5);
-    let indices: Vec<usize> = report.tasks.iter().map(|t| t.index).collect();
-    assert_eq!(indices, vec![0, 1, 2, 3, 4]);
-    assert!(report.wall >= std::time::Duration::ZERO);
+    for (sample, config) in ds.samples().iter().zip(&configs) {
+        assert_eq!(sample.x(), config.as_vector());
+    }
 }
 
 #[test]
@@ -57,7 +53,7 @@ fn failing_run_surfaces_error_not_hang() {
     // duration <= 0 makes every run fail; the parallel path must return
     // the error (the lowest-index one, same as sequential) promptly.
     let configs = design(6);
-    let serial = run_design_timed(&configs, 1, 0.0, 0.0, 1).unwrap_err();
-    let parallel = run_design_timed(&configs, 1, 0.0, 0.0, 4).unwrap_err();
+    let serial = run_design_jobs(&configs, 1, 0.0, 0.0, 1).unwrap_err();
+    let parallel = run_design_jobs(&configs, 1, 0.0, 0.0, 4).unwrap_err();
     assert_eq!(format!("{serial}"), format!("{parallel}"));
 }
