@@ -36,7 +36,7 @@ if [ "${1:-}" != "quick" ]; then
         --out target/lint-report.json --budget BENCH_lint.json
 
     echo "==> bench regression guard (speedup ratios vs BENCH_nn.json)"
-    # Ratios (batched vs legacy arm, interleaved same-run) are machine-
+    # Ratios (batched vs oracle arm, interleaved same-run) are machine-
     # independent; absolute throughput is not compared. Writes the fresh
     # measurement to BENCH_nn.new.json for inspection.
     ./target/release/wlc bench --quick --check BENCH_nn.json

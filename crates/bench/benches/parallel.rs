@@ -1,8 +1,9 @@
 //! Worker-pool speedup benchmark: the same ≥64-point design sweep, the
 //! same cross validation and the same surface sweep, serially and on the
-//! pool. On a ≥4-core machine the sweep is expected to finish >2× faster
-//! with the default worker count; determinism tests elsewhere guarantee
-//! the outputs are bit-identical either way.
+//! pool (the surface on a `BandEngine` team). On a ≥4-core machine the
+//! sweep is expected to finish >2× faster with the default worker count;
+//! determinism tests elsewhere guarantee the outputs are bit-identical
+//! either way.
 //!
 //! Set `WLC_BENCH_JOBS` to override the parallel worker count.
 
@@ -10,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use wlc_bench::paper_design;
 use wlc_model::{CrossValidator, ResponseSurface, WorkloadModelBuilder};
+use wlc_nn::BandEngine;
 use wlc_sim::run_design_jobs;
 
 fn parallel_jobs() -> usize {
@@ -79,8 +81,12 @@ fn bench_surface(jobs: usize) {
     let axis: Vec<f64> = (0..65).map(|i| 4.0 + i as f64 * 0.25).collect();
     let surface = ResponseSurface::new(vec![560.0, 10.0, 16.0, 10.0], 1, axis.clone(), 3, axis, 1)
         .expect("valid surface");
-    let (serial_grid, serial) = timed(|| surface.evaluate_jobs(&model, 1).unwrap());
-    let (parallel_grid, parallel) = timed(|| surface.evaluate_jobs(&model, jobs).unwrap());
+    let sweep = |jobs: usize| {
+        let mut engine = BandEngine::new(jobs);
+        surface.evaluate_banded(&model, &mut engine).unwrap()
+    };
+    let (serial_grid, serial) = timed(|| sweep(1));
+    let (parallel_grid, parallel) = timed(|| sweep(jobs));
     assert_eq!(
         serial_grid, parallel_grid,
         "parallel sweep changed the grid"

@@ -6,6 +6,9 @@
 //! held-out error and training cost, reproducing the qualitative
 //! trade-off: too few nodes underfit, more nodes cost training time with
 //! diminishing returns, far too many start overfitting the sample noise.
+//!
+//! Stdout is a pure function of the seed: it counts training cost in
+//! epochs. Each width's wall time goes to stderr.
 
 use wlc_bench::{paper_dataset, paper_model_builder};
 use wlc_data::metrics::ErrorReport;
@@ -29,7 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .no_hidden_layers()
             .hidden_layer(width)
             .train(&train)?;
-        let elapsed = start.elapsed();
+        eprintln!(
+            "{width} hidden nodes trained in {:.2} s",
+            start.elapsed().as_secs_f64()
+        );
         let predicted = outcome.model.predict_batch(&vx)?;
         let report = ErrorReport::compare(val.output_names(), &vy, &predicted)?;
         let train_err = outcome.model.evaluate(&train)?;
@@ -38,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.1} %", train_err.overall_error() * 100.0),
             format!("{:.1} %", report.overall_error() * 100.0),
             format!("{}", outcome.report.epochs_run),
-            format!("{:.2} s", elapsed.as_secs_f64()),
         ]);
     }
 
@@ -51,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "train error".into(),
                 "held-out error".into(),
                 "epochs".into(),
-                "wall time".into(),
             ],
             &rows,
         )

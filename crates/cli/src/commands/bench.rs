@@ -4,13 +4,13 @@
 //! Two benchmarks:
 //!
 //! - **train-epoch** — one full epoch (minibatch gradients + optimizer
-//!   steps + full-set evaluation) through (a) a faithful port of the
-//!   pre-workspace allocating per-sample path (the committed baseline)
-//!   and (b) the allocation-free GEMM/workspace path the trainer uses
-//!   now, with its row bands fanned out over a `--jobs`-sized
-//!   [`wlc_nn::BandEngine`] team (bitwise identical for any setting).
-//! - **forward-batch** — batched inference via the warm workspace vs the
-//!   allocating per-row forward of the baseline implementation.
+//!   steps + full-set evaluation) through (a) the naive per-sample
+//!   [`wlc_nn::oracle`] (the baseline) and (b) the allocation-free
+//!   GEMM/workspace path the trainer uses, with its row bands fanned out
+//!   over a `--jobs`-sized [`wlc_nn::BandEngine`] team (bitwise
+//!   identical for any setting).
+//! - **forward-batch** — batched inference via the warm workspace vs
+//!   per-row [`Mlp::forward`].
 //!
 //! Serving is measured end to end by e2ebench's `serve_single` and
 //! `serve_batch` workloads (`bash e2ebench/run.sh`), not here.
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use wlc_math::rng::Xoshiro256;
 use wlc_math::Matrix;
-use wlc_nn::{Activation, BandEngine, Loss, Mlp, MlpBuilder, NnError, Workspace, BAND_ROWS};
+use wlc_nn::{oracle, Activation, BandEngine, Loss, Mlp, MlpBuilder, Workspace, BAND_ROWS};
 use wlc_serve::Json;
 
 use crate::args::Flags;
@@ -62,151 +62,10 @@ linear-algebra/allocation hot path rather than `exp` calls, whose cost
 is identical in both arms and would only dilute the measured ratio.
 Pass --activation 'logistic(1)' to time the paper's configuration.
 
-The baseline arm is a faithful port of the pre-workspace per-sample
-implementation (allocating forward trace + per-sample accumulation), so
-the reported speedup measures exactly what the workspace/GEMM refactor
-bought on this machine.";
-
-/// Faithful port of the pre-workspace (allocating, per-sample) training
-/// path — the committed baseline the speedup is measured against. Kept
-/// byte-for-byte equivalent in *work performed*: every `Vec` the old
-/// implementation allocated per sample is allocated here too, and the
-/// per-sample linear algebra is a frozen copy of the pre-refactor flat
-/// scalar loops. The shared `DenseLayer` primitives now run the
-/// lane-order SIMD kernels; calling them from this arm would speed up
-/// the *baseline* and silently understate what the refactor bought, so
-/// the legacy arm never touches them.
-mod legacy {
-    use super::{Loss, Matrix, Mlp, NnError};
-    use wlc_nn::DenseLayer;
-
-    /// The pre-refactor per-sample pre-activation: one flat
-    /// single-accumulator dot product per neuron ([`Matrix::matvec`],
-    /// itself unchanged since the seed) plus bias.
-    fn pre_activation(layer: &DenseLayer, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut z = layer.weights().matvec(input)?;
-        for (zi, &bi) in z.iter_mut().zip(layer.biases()) {
-            *zi += bi;
-        }
-        Ok(z)
-    }
-
-    pub fn forward(mlp: &Mlp, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut current = input.to_vec();
-        for layer in mlp.layers() {
-            let mut z = pre_activation(layer, &current)?;
-            layer.activation().apply_slice(&mut z);
-            current = z;
-        }
-        Ok(current)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn forward_trace(mlp: &Mlp, input: &[f64]) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), NnError> {
-        let mut pre = Vec::with_capacity(mlp.layers().len());
-        let mut acts = Vec::with_capacity(mlp.layers().len() + 1);
-        acts.push(input.to_vec());
-        for layer in mlp.layers() {
-            let z = pre_activation(layer, acts.last().expect("non-empty"))?;
-            let mut a = z.clone();
-            layer.activation().apply_slice(&mut a);
-            pre.push(z);
-            acts.push(a);
-        }
-        Ok((pre, acts))
-    }
-
-    fn accumulate_sample_gradient(
-        mlp: &Mlp,
-        input: &[f64],
-        target: &[f64],
-        loss: Loss,
-        grad: &mut [f64],
-    ) -> Result<f64, NnError> {
-        let layers = mlp.layers();
-        let (pre, acts) = forward_trace(mlp, input)?;
-        let prediction = acts.last().expect("non-empty");
-        let loss_value = loss.value(prediction, target)?;
-
-        let dl_da = loss.gradient(prediction, target)?;
-        let last = layers.len() - 1;
-        let mut delta: Vec<f64> = dl_da
-            .iter()
-            .zip(pre[last].iter().zip(acts[last + 1].iter()))
-            .map(|(&g, (&z, &a))| g * layers[last].activation().derivative(z, a))
-            .collect();
-
-        let mut offsets = Vec::with_capacity(layers.len());
-        let mut off = 0;
-        for layer in layers {
-            offsets.push(off);
-            off += layer.param_count();
-        }
-
-        for l in (0..layers.len()).rev() {
-            let layer = &layers[l];
-            let a_prev = &acts[l];
-            let base = offsets[l];
-            let in_w = layer.inputs();
-            for (i, &d) in delta.iter().enumerate() {
-                let row_base = base + i * in_w;
-                for (j, &ap) in a_prev.iter().enumerate() {
-                    grad[row_base + j] += d * ap;
-                }
-            }
-            let bias_base = base + layer.outputs() * in_w;
-            for (i, &d) in delta.iter().enumerate() {
-                grad[bias_base + i] += d;
-            }
-
-            if l > 0 {
-                let prev_layer = &layers[l - 1];
-                let mut next_delta = vec![0.0; layer.inputs()];
-                for (i, &d) in delta.iter().enumerate() {
-                    let row = layer.weights().row(i);
-                    for (j, &w) in row.iter().enumerate() {
-                        next_delta[j] += w * d;
-                    }
-                }
-                for (j, nd) in next_delta.iter_mut().enumerate() {
-                    let z = pre[l - 1][j];
-                    let a = acts[l][j];
-                    *nd *= prev_layer.activation().derivative(z, a);
-                }
-                delta = next_delta;
-            }
-        }
-        Ok(loss_value)
-    }
-
-    pub fn batch_gradient(
-        mlp: &Mlp,
-        inputs: &Matrix,
-        targets: &Matrix,
-        loss: Loss,
-    ) -> Result<(f64, Vec<f64>), NnError> {
-        let mut grad = vec![0.0; mlp.param_count()];
-        let mut total_loss = 0.0;
-        for r in 0..inputs.rows() {
-            total_loss +=
-                accumulate_sample_gradient(mlp, inputs.row(r), targets.row(r), loss, &mut grad)?;
-        }
-        let scale = 1.0 / inputs.rows() as f64;
-        for g in &mut grad {
-            *g *= scale;
-        }
-        Ok((total_loss * scale, grad))
-    }
-
-    pub fn evaluate_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix, loss: Loss) -> Result<f64, NnError> {
-        let mut total = 0.0;
-        for r in 0..xs.rows() {
-            let pred = forward(mlp, xs.row(r))?;
-            total += loss.value(&pred, ys.row(r))?;
-        }
-        Ok(total / xs.rows() as f64)
-    }
-}
+The baseline arm is the naive per-sample oracle the bitwise tests check
+the batched path against (allocating forward trace + per-sample
+lane-order accumulation) and per-row `Mlp::forward`, so the reported
+speedup measures what the workspace/GEMM path buys on this machine.";
 
 /// Median and tail percentiles over timing repeats.
 #[derive(Debug, Clone, Copy)]
@@ -300,7 +159,7 @@ fn synthetic(inputs: usize, outputs: usize, samples: usize, seed: u64) -> (Matri
     (xs, ys)
 }
 
-fn legacy_epoch(setup: &BenchSetup, mlp: &mut Mlp, params: &mut [f64]) -> f64 {
+fn oracle_epoch(setup: &BenchSetup, mlp: &mut Mlp, params: &mut [f64]) -> f64 {
     let n = setup.xs.rows();
     let indices: Vec<usize> = (0..n).collect();
     for chunk in indices.chunks(setup.batch) {
@@ -311,13 +170,13 @@ fn legacy_epoch(setup: &BenchSetup, mlp: &mut Mlp, params: &mut [f64]) -> f64 {
             bx.row_mut(out_r).copy_from_slice(setup.xs.row(r));
             by.row_mut(out_r).copy_from_slice(setup.ys.row(r));
         }
-        let (_, grads) = legacy::batch_gradient(mlp, &bx, &by, Loss::MeanSquared).expect("shapes");
+        let (_, grads) = oracle::batch_gradient(mlp, &bx, &by, Loss::MeanSquared).expect("shapes");
         for (p, g) in params.iter_mut().zip(&grads) {
             *p -= setup.lr * g;
         }
     }
     mlp.set_params_flat(params).expect("param width");
-    legacy::evaluate_loss(mlp, &setup.xs, &setup.ys, Loss::MeanSquared).expect("shapes")
+    oracle::batch_loss(mlp, &setup.xs, &setup.ys, Loss::MeanSquared).expect("shapes")
 }
 
 struct BatchedScratch {
@@ -373,8 +232,8 @@ fn batched_epoch(
 fn bench_train_epoch(setup: &BenchSetup, repeats: usize, jobs: usize) -> (Summary, Summary, f64) {
     // Each arm trains its own clone from the same weights; per-epoch work
     // is shape-dependent only, so drifting parameters do not skew timing.
-    let mut legacy_mlp = setup.mlp.clone();
-    let mut legacy_params = legacy_mlp.params_flat();
+    let mut oracle_mlp = setup.mlp.clone();
+    let mut oracle_params = oracle_mlp.params_flat();
 
     let mut fast_mlp = setup.mlp.clone();
     let mut fast_params = fast_mlp.params_flat();
@@ -391,7 +250,7 @@ fn bench_train_epoch(setup: &BenchSetup, repeats: usize, jobs: usize) -> (Summar
         repeats,
         1.0,
         || {
-            legacy_epoch(setup, &mut legacy_mlp, &mut legacy_params);
+            oracle_epoch(setup, &mut oracle_mlp, &mut oracle_params);
         },
         || {
             batched_epoch(setup, &mut fast_mlp, &mut fast_params, &mut scratch);
@@ -412,7 +271,7 @@ fn bench_forward_batch(setup: &BenchSetup, repeats: usize, jobs: usize) -> (Summ
         rows,
         || {
             for r in 0..setup.xs.rows() {
-                let y = legacy::forward(&setup.mlp, setup.xs.row(r)).expect("widths");
+                let y = setup.mlp.forward(setup.xs.row(r)).expect("widths");
                 std::hint::black_box(&y);
             }
         },

@@ -80,19 +80,12 @@ pub fn run(raw: &[String]) -> CmdResult {
 
     eprintln!("simulating {samples} configurations on {jobs} worker(s)...");
     let started = Instant::now();
-    let dataset = if profile.is_none() {
-        run_design_replicated_jobs(
-            &configs,
-            seed.wrapping_add(1),
-            duration,
-            warmup,
-            replications,
-            jobs,
-        )?
-    } else {
-        if replications > 1 {
-            return Err("--fault-profile cannot be combined with --replications > 1".into());
-        }
+    if replications > 1 && !profile.is_none() {
+        return Err("--fault-profile cannot be combined with --replications > 1".into());
+    }
+    // One run per configuration always takes the faulty path, so a
+    // profile that fires no fault writes the clean campaign's rows.
+    let dataset = if replications == 1 {
         let (ds, faults) = run_design_faulty_jobs(
             &configs,
             seed.wrapping_add(1),
@@ -102,11 +95,22 @@ pub fn run(raw: &[String]) -> CmdResult {
             retries,
             jobs,
         )?;
-        eprintln!("fault injection: {faults}");
-        for q in &faults.quarantined {
-            eprintln!("  configuration {q} quarantined (all attempts failed)");
+        if !profile.is_none() {
+            eprintln!("fault injection: {faults}");
+            for q in &faults.quarantined {
+                eprintln!("  configuration {q} quarantined (all attempts failed)");
+            }
         }
         ds
+    } else {
+        run_design_replicated_jobs(
+            &configs,
+            seed.wrapping_add(1),
+            duration,
+            warmup,
+            replications,
+            jobs,
+        )?
     };
     eprintln!(
         "simulated on {jobs} worker(s) in {:.3}s",

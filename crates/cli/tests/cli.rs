@@ -255,6 +255,44 @@ fn collect_with_faults_quarantines_and_stays_deterministic() {
 }
 
 #[test]
+fn collect_seeds_a_clean_campaign_like_a_faulty_one() {
+    // A profile that fires no fault must write the clean campaign's
+    // rows: both paths seed run `i` the same way.
+    let dir = workspace("collect_seeds_a_clean_campaign_like_a_faulty_one");
+    let collect = |name: &str, profile: &[&str]| {
+        let path = dir.join(name);
+        let mut args = vec![
+            "collect",
+            "--samples",
+            "6",
+            "--seed",
+            "4",
+            "--duration",
+            "3",
+            "--warmup",
+            "1",
+            "--jobs",
+            "1",
+            "--out",
+            path.to_str().expect("utf8"),
+        ];
+        args.extend_from_slice(profile);
+        let out = wlc(&args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        (std::fs::read(&path).expect("csv"), stderr(&out))
+    };
+    let (clean, clean_log) = collect("clean.csv", &[]);
+    let (faulty, faulty_log) = collect("faulty.csv", &["--fault-profile", "spike=0.000001"]);
+    assert!(
+        faulty_log.contains("0 indicator spikes"),
+        "no fault may fire: {faulty_log}"
+    );
+    assert!(!clean_log.contains("fault injection"), "{clean_log}");
+    assert_eq!(clean, faulty, "same seeds, same rows");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn train_checkpoint_resume_matches_uninterrupted() {
     let dir = workspace("train_checkpoint_resume_matches_uninterrupted");
     let data = dir.join("resume-data.csv");

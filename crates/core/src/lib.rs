@@ -76,5 +76,5 @@ pub use model::{
     WorkloadModelBuilder,
 };
 pub use search::{HyperParameterSearch, SearchCandidate, SearchOutcome};
-pub use surface::{evaluate_all, evaluate_all_jobs, ResponseSurface, SurfaceGrid};
+pub use surface::{evaluate_all, ResponseSurface, SurfaceGrid};
 pub use tuning::{Recommendation, ScoringFunction, TuningAdvisor};

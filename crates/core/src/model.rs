@@ -400,6 +400,16 @@ impl PerformanceModel for WorkloadModel {
         self.output_scaler.inverse_row(&mut y)?;
         Ok(y)
     }
+
+    /// Predicts all rows in one batched forward pass
+    /// ([`WorkloadModel::predict_batch_engine`] on a one-member team).
+    /// Bitwise [`PerformanceModel::predict`] on each row, and a bad row
+    /// fails with `predict`'s error for the first such row.
+    fn predict_batch(&self, xs: &Matrix) -> Result<Matrix, ModelError> {
+        let mut scratch = PredictScratch::new();
+        self.predict_batch_engine(xs, &mut scratch, &mut BandEngine::new(1))?;
+        Ok(scratch.out)
+    }
 }
 
 /// A trained model together with its training report.
@@ -797,18 +807,20 @@ mod tests {
             .seed(3)
     }
 
+    /// Per-row [`PerformanceModel::predict`], stacked.
+    fn predict_rows(model: &WorkloadModel, xs: &Matrix) -> Vec<f64> {
+        (0..xs.rows())
+            .flat_map(|r| model.predict(xs.row(r)).unwrap())
+            .collect()
+    }
+
     #[test]
     fn predict_batch_engine_is_bitwise_for_any_jobs() {
         let ds = synthetic_dataset();
         let outcome = quick_builder().max_epochs(50).train(&ds).unwrap();
         // Enough rows for several bands, with a ragged final band.
         let xs = Matrix::from_fn(211, 2, |r, c| 1.0 + ((r * 2 + c) % 9) as f64 / 3.0);
-        let mut scratch = PredictScratch::new();
-        let reference = outcome
-            .model
-            .predict_batch_engine(&xs, &mut scratch, &mut BandEngine::new(1))
-            .unwrap()
-            .clone();
+        let per_row = predict_rows(&outcome.model, &xs);
         for jobs in [1, 2, 4, 7] {
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
             let mut scratch = PredictScratch::new();
@@ -816,7 +828,7 @@ mod tests {
                 .model
                 .predict_batch_engine(&xs, &mut scratch, &mut engine)
                 .unwrap();
-            assert_eq!(banded.as_slice(), reference.as_slice(), "jobs={jobs}");
+            assert_eq!(banded.as_slice(), per_row.as_slice(), "jobs={jobs}");
         }
     }
 
@@ -827,18 +839,24 @@ mod tests {
         let outcome = quick_builder().max_epochs(50).train(&ds).unwrap();
         let axis1: Vec<f64> = (0..12).map(|i| 1.0 + i as f64 * 0.2).collect();
         let axis2: Vec<f64> = (0..13).map(|i| 1.0 + i as f64 * 0.15).collect();
+        let model = &outcome.model;
+        let per_cell: Vec<f64> = axis1
+            .iter()
+            .flat_map(|&a| {
+                axis2
+                    .iter()
+                    .map(move |&b| model.predict(&[a, b]).unwrap()[1])
+            })
+            .collect();
         let surface = ResponseSurface::new(vec![0.0, 0.0], 0, axis1, 1, axis2, 1).unwrap();
-        let reference = surface.evaluate(&outcome.model).unwrap();
+        let batched = surface.evaluate(&outcome.model).unwrap();
+        assert_eq!(batched.z().as_slice(), per_cell.as_slice());
         for jobs in [1, 2, 4, 7] {
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
             let banded = surface
                 .evaluate_banded(&outcome.model, &mut engine)
                 .unwrap();
-            assert_eq!(
-                banded.z().as_slice(),
-                reference.z().as_slice(),
-                "jobs={jobs}"
-            );
+            assert_eq!(banded.z().as_slice(), per_cell.as_slice(), "jobs={jobs}");
         }
     }
 
@@ -891,8 +909,21 @@ mod tests {
         let outcome = quick_builder().max_epochs(50).train(&ds).unwrap();
         let (xs, _) = ds.to_matrices();
         let batch = outcome.model.predict_batch(&xs).unwrap();
-        let single = outcome.model.predict(xs.row(3)).unwrap();
-        assert_eq!(batch.row(3), single.as_slice());
+        assert_eq!(
+            batch.as_slice(),
+            predict_rows(&outcome.model, &xs).as_slice()
+        );
+        // A bad row fails with `predict`'s error for the first such row.
+        let mut bad = xs.clone();
+        bad.row_mut(5)[1] = f64::INFINITY;
+        bad.row_mut(9)[0] = f64::NAN;
+        assert!(matches!(
+            outcome.model.predict_batch(&bad),
+            Err(ModelError::NonFiniteInput {
+                index: 1,
+                stage: "raw"
+            })
+        ));
     }
 
     #[test]

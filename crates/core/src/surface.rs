@@ -104,62 +104,27 @@ impl ResponseSurface {
         self.output
     }
 
-    /// Evaluates the surface through a model, one grid row at a time.
-    ///
-    /// For a `Sync` model (every model in this crate is), prefer
-    /// [`evaluate_jobs`](Self::evaluate_jobs) which fans the rows out
-    /// over a worker pool; the result is identical.
+    /// Evaluates the surface through a model: every grid cell is one
+    /// row of a single [`PerformanceModel::predict_batch`] call, in
+    /// row-major order, so a failing cell reports the error of the first
+    /// failing cell in that order.
     ///
     /// # Errors
     ///
     /// - [`ModelError::WidthMismatch`] if the base configuration width or
     ///   output index do not match the model.
+    /// - Any error the model returns for a grid cell.
     pub fn evaluate(&self, model: &dyn PerformanceModel) -> Result<SurfaceGrid, ModelError> {
         self.check(model)?;
-        let mut z = Matrix::zeros(self.axis1_values.len(), self.axis2_values.len());
-        for (i, row) in self.rows(model).enumerate() {
-            for (j, v) in row?.into_iter().enumerate() {
-                z.set(i, j, v);
-            }
-        }
-        Ok(self.grid_from(z))
-    }
-
-    /// [`evaluate`](Self::evaluate) with the grid rows fanned out over
-    /// `jobs` workers (`jobs <= 1` runs sequentially). Each row depends
-    /// only on its axis value, so the grid is identical for any worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// As for [`evaluate`](Self::evaluate).
-    pub fn evaluate_jobs(
-        &self,
-        model: &(dyn PerformanceModel + Sync),
-        jobs: usize,
-    ) -> Result<SurfaceGrid, ModelError> {
-        self.check(model)?;
-        let rows = wlc_exec::try_map_indexed(jobs, self.axis1_values.len(), |i| {
-            self.row(model, self.axis1_values[i])
-        })?;
-        let mut z = Matrix::zeros(self.axis1_values.len(), self.axis2_values.len());
-        for (i, row) in rows.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
-                z.set(i, j, v);
-            }
-        }
-        Ok(self.grid_from(z))
+        let preds = model.predict_batch(&self.configs())?;
+        Ok(self.grid_of(&preds, self.output))
     }
 
     /// [`evaluate`](Self::evaluate) for a [`WorkloadModel`], with the
-    /// whole grid flattened into one configuration batch and predicted
-    /// through `engine`'s persistent band-pool team — the surface sweep
-    /// as row-band work instead of per-call scoped threads.
-    ///
-    /// Bitwise identical to [`evaluate`](Self::evaluate) for any team
-    /// size: each grid cell is one batch row, rows never interact, and
-    /// the engine's banded forward is bit-identical to the per-row
-    /// path.
+    /// grid's row bands fanned out over `engine`'s persistent band-pool
+    /// team. Bitwise identical to [`evaluate`](Self::evaluate) for any
+    /// team size: each grid cell is one batch row and rows never
+    /// interact.
     ///
     /// # Errors
     ///
@@ -170,26 +135,9 @@ impl ResponseSurface {
         engine: &mut BandEngine,
     ) -> Result<SurfaceGrid, ModelError> {
         self.check(model)?;
-        let n1 = self.axis1_values.len();
-        let n2 = self.axis2_values.len();
-        let mut configs = Matrix::zeros(n1 * n2, self.base.len());
-        for (i, &a) in self.axis1_values.iter().enumerate() {
-            for (j, &b) in self.axis2_values.iter().enumerate() {
-                let row = configs.row_mut(i * n2 + j);
-                row.copy_from_slice(&self.base);
-                row[self.axis1] = a;
-                row[self.axis2] = b;
-            }
-        }
         let mut scratch = PredictScratch::new();
-        let preds = model.predict_batch_engine(&configs, &mut scratch, engine)?;
-        let mut z = Matrix::zeros(n1, n2);
-        for i in 0..n1 {
-            for j in 0..n2 {
-                z.set(i, j, preds.row(i * n2 + j)[self.output]);
-            }
-        }
-        Ok(self.grid_from(z))
+        let preds = model.predict_batch_engine(&self.configs(), &mut scratch, engine)?;
+        Ok(self.grid_of(preds, self.output))
     }
 
     fn check(&self, model: &dyn PerformanceModel) -> Result<(), ModelError> {
@@ -209,38 +157,39 @@ impl ResponseSurface {
         Ok(())
     }
 
-    /// Predicts one grid row (fixed `axis1` value, all `axis2` values).
-    fn row(&self, model: &dyn PerformanceModel, a: f64) -> Result<Vec<f64>, ModelError> {
-        let mut config = self.base.clone();
-        config[self.axis1] = a;
-        self.axis2_values
-            .iter()
-            .map(|&b| {
-                config[self.axis2] = b;
-                Ok(model.predict(&config)?[self.output])
-            })
-            .collect()
+    /// Every grid cell as one configuration row, row-major: cell
+    /// `(i, j)` is row `i * axis2_values.len() + j`.
+    fn configs(&self) -> Matrix {
+        let n2 = self.axis2_values.len();
+        let mut configs = Matrix::zeros(self.axis1_values.len() * n2, self.base.len());
+        for (i, &a) in self.axis1_values.iter().enumerate() {
+            for (j, &b) in self.axis2_values.iter().enumerate() {
+                let row = configs.row_mut(i * n2 + j);
+                row.copy_from_slice(&self.base);
+                row[self.axis1] = a;
+                row[self.axis2] = b;
+            }
+        }
+        configs
     }
 
-    fn rows<'a>(
-        &'a self,
-        model: &'a dyn PerformanceModel,
-    ) -> impl Iterator<Item = Result<Vec<f64>, ModelError>> + 'a {
-        self.axis1_values.iter().map(move |&a| self.row(model, a))
-    }
-
-    fn grid_from(&self, z: Matrix) -> SurfaceGrid {
+    /// Output `output` of row-major grid predictions, as a grid.
+    fn grid_of(&self, preds: &Matrix, output: usize) -> SurfaceGrid {
+        let n2 = self.axis2_values.len();
         SurfaceGrid {
             axis1_values: self.axis1_values.clone(),
             axis2_values: self.axis2_values.clone(),
-            z,
+            z: Matrix::from_fn(self.axis1_values.len(), n2, |i, j| {
+                preds.row(i * n2 + j)[output]
+            }),
         }
     }
 }
 
 /// Evaluates surfaces for *every* output indicator of a model at once,
-/// predicting only once per grid cell — the efficient way to produce the
-/// full set of the paper's 3-D diagrams for one operating point.
+/// predicting the grid once in one [`PerformanceModel::predict_batch`]
+/// call — the efficient way to produce the full set of the paper's 3-D
+/// diagrams for one operating point.
 ///
 /// The `output` field of the spec is ignored; one [`SurfaceGrid`] per
 /// model output is returned, in output order.
@@ -263,77 +212,10 @@ pub fn evaluate_all(
             what: "base configuration",
         });
     }
-    let rows: Result<Vec<Vec<Vec<f64>>>, ModelError> = spec
-        .axis1_values
-        .iter()
-        .map(|&a| all_outputs_row(spec, model, a))
-        .collect();
-    assemble_all(spec, model.outputs(), rows?)
-}
-
-/// [`evaluate_all`] with the grid rows fanned out over `jobs` workers
-/// (`jobs <= 1` runs sequentially); identical grids for any worker count.
-///
-/// # Errors
-///
-/// As for [`ResponseSurface::evaluate`].
-pub fn evaluate_all_jobs(
-    spec: &ResponseSurface,
-    model: &(dyn PerformanceModel + Sync),
-    jobs: usize,
-) -> Result<Vec<SurfaceGrid>, ModelError> {
-    if spec.base.len() != model.inputs() {
-        return Err(ModelError::WidthMismatch {
-            expected: model.inputs(),
-            actual: spec.base.len(),
-            what: "base configuration",
-        });
-    }
-    let rows = wlc_exec::try_map_indexed(jobs, spec.axis1_values.len(), |i| {
-        all_outputs_row(spec, model, spec.axis1_values[i])
-    })?;
-    assemble_all(spec, model.outputs(), rows)
-}
-
-/// Predicts one grid row for every model output: `row[j][o]` is output
-/// `o` at `(a, axis2_values[j])`.
-fn all_outputs_row(
-    spec: &ResponseSurface,
-    model: &dyn PerformanceModel,
-    a: f64,
-) -> Result<Vec<Vec<f64>>, ModelError> {
-    let mut config = spec.base.clone();
-    config[spec.axis1] = a;
-    spec.axis2_values
-        .iter()
-        .map(|&b| {
-            config[spec.axis2] = b;
-            model.predict(&config)
-        })
-        .collect()
-}
-
-fn assemble_all(
-    spec: &ResponseSurface,
-    outputs: usize,
-    rows: Vec<Vec<Vec<f64>>>,
-) -> Result<Vec<SurfaceGrid>, ModelError> {
-    let n_rows = spec.axis1_values.len();
-    let n_cols = spec.axis2_values.len();
-    let mut grids: Vec<Matrix> = (0..outputs)
-        .map(|_| Matrix::zeros(n_rows, n_cols))
-        .collect();
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, y) in row.into_iter().enumerate() {
-            for (grid, &v) in grids.iter_mut().zip(y.iter()) {
-                grid.set(i, j, v);
-            }
-        }
-    }
-    grids
-        .into_iter()
-        .map(|z| SurfaceGrid::from_parts(spec.axis1_values.clone(), spec.axis2_values.clone(), z))
-        .collect()
+    let preds = model.predict_batch(&spec.configs())?;
+    Ok((0..model.outputs())
+        .map(|o| spec.grid_of(&preds, o))
+        .collect())
 }
 
 /// An evaluated response surface: `z[i][j]` is the predicted indicator at

@@ -1,14 +1,13 @@
 //! Determinism of parallel cross-validation and surface sweeps: reports
 //! and grids must be bit-for-bit identical for any worker count, and a
-//! panicking task must surface instead of hanging the pool.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! batched sweep must fail the way a per-cell sweep would.
 
 use wlc_data::{Dataset, Sample};
 use wlc_model::{
-    evaluate_all, evaluate_all_jobs, CrossValidator, ModelError, PerformanceModel, ResponseSurface,
+    evaluate_all, CrossValidator, ModelError, PerformanceModel, ResponseSurface, WorkloadModel,
     WorkloadModelBuilder,
 };
+use wlc_nn::BandEngine;
 
 fn dataset(n: usize) -> Dataset {
     let mut ds =
@@ -58,82 +57,80 @@ fn cross_validation_is_bit_identical_across_job_counts() {
     }
 }
 
-/// Deterministic non-linear toy model, paper-shaped (4 in, 2 out).
-struct Toy;
-impl PerformanceModel for Toy {
-    fn inputs(&self) -> usize {
-        4
-    }
-    fn outputs(&self) -> usize {
-        2
-    }
-    fn predict(&self, x: &[f64]) -> Result<Vec<f64>, ModelError> {
-        Ok(vec![
-            (x[1] - 9.0).powi(2) + (x[3] - 11.0).powi(2) + x[0] * 0.001,
-            x[1] * x[3] + x[2],
-        ])
-    }
+/// A quickly trained 2-input, 2-output network.
+fn trained() -> WorkloadModel {
+    builder().seed(3).train(&dataset(30)).unwrap().model
 }
 
-fn spec(output: usize) -> ResponseSurface {
-    let axis: Vec<f64> = (4..=20).map(|v| v as f64).collect();
-    ResponseSurface::new(
-        vec![560.0, 10.0, 16.0, 10.0],
-        1,
-        axis.clone(),
-        3,
-        axis,
-        output,
-    )
-    .unwrap()
+/// Both axes of [`grid`].
+fn grid_axis() -> Vec<f64> {
+    (0..17).map(|v| 1.0 + v as f64 * 0.375).collect()
+}
+
+/// 17 x 17 cells over both inputs: five 64-row bands, the last ragged.
+fn grid(output: usize) -> ResponseSurface {
+    ResponseSurface::new(vec![0.0, 0.0], 0, grid_axis(), 1, grid_axis(), output).unwrap()
+}
+
+/// Output `output` of per-cell `predict`, row-major.
+fn per_cell(model: &WorkloadModel, output: usize) -> Vec<f64> {
+    let axis = grid_axis();
+    axis.iter()
+        .flat_map(|&a| {
+            axis.iter()
+                .map(move |&b| model.predict(&[a, b]).unwrap()[output])
+        })
+        .collect()
 }
 
 #[test]
 fn surface_is_bit_identical_across_job_counts() {
-    let surface = spec(0);
-    let serial = surface.evaluate(&Toy).unwrap();
+    let model = trained();
+    let surface = grid(0);
+    let reference = per_cell(&model, 0);
+    assert_eq!(
+        surface.evaluate(&model).unwrap().z().as_slice(),
+        &reference[..]
+    );
     for jobs in [1, 3, 8] {
-        assert_eq!(
-            serial,
-            surface.evaluate_jobs(&Toy, jobs).unwrap(),
-            "jobs={jobs}"
-        );
+        let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
+        let banded = surface.evaluate_banded(&model, &mut engine).unwrap();
+        assert_eq!(banded.z().as_slice(), &reference[..], "jobs={jobs}");
     }
 }
 
 #[test]
 fn evaluate_all_is_bit_identical_across_job_counts() {
-    let surface = spec(0);
-    let serial = evaluate_all(&surface, &Toy).unwrap();
-    for jobs in [1, 4] {
-        let parallel = evaluate_all_jobs(&surface, &Toy, jobs).unwrap();
-        assert_eq!(serial, parallel, "jobs={jobs}");
+    let model = trained();
+    let all = evaluate_all(&grid(0), &model).unwrap();
+    assert_eq!(all.len(), 2);
+    for (output, surface) in all.iter().enumerate() {
+        let reference = per_cell(&model, output);
+        assert_eq!(surface.z().as_slice(), &reference[..], "output {output}");
+        for jobs in [1, 4] {
+            let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
+            let banded = grid(output).evaluate_banded(&model, &mut engine).unwrap();
+            assert_eq!(
+                banded.z().as_slice(),
+                &reference[..],
+                "output {output} jobs={jobs}"
+            );
+        }
     }
 }
 
-/// Model that panics on one specific grid cell.
-struct Grenade;
-impl PerformanceModel for Grenade {
-    fn inputs(&self) -> usize {
-        4
-    }
-    fn outputs(&self) -> usize {
-        2
-    }
-    fn predict(&self, x: &[f64]) -> Result<Vec<f64>, ModelError> {
-        assert!(!(x[1] == 12.0 && x[3] == 7.0), "boom");
-        Ok(vec![0.0, 0.0])
-    }
+/// Both axes of [`spec`]: queue sizes 4 to 20.
+fn queue_axis() -> Vec<f64> {
+    (4..=20).map(|v| v as f64).collect()
 }
 
-#[test]
-fn panic_in_worker_surfaces_instead_of_hanging() {
-    let surface = spec(1);
-    let result = catch_unwind(AssertUnwindSafe(|| surface.evaluate_jobs(&Grenade, 4)));
-    assert!(result.is_err(), "worker panic was swallowed");
+/// Paper-shaped sweep (4 in, 2 out) over the default and web queues.
+fn spec(output: usize) -> ResponseSurface {
+    let base = vec![560.0, 10.0, 16.0, 10.0];
+    ResponseSurface::new(base, 1, queue_axis(), 3, queue_axis(), output).unwrap()
 }
 
-/// Model that fails (with an error, not a panic) on one grid row.
+/// Model that fails on part of the grid, naming the failing cell.
 struct Flaky;
 impl PerformanceModel for Flaky {
     fn inputs(&self) -> usize {
@@ -143,11 +140,9 @@ impl PerformanceModel for Flaky {
         2
     }
     fn predict(&self, x: &[f64]) -> Result<Vec<f64>, ModelError> {
-        if x[1] >= 15.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "x1",
-                reason: "unsupported operating point",
-            });
+        if x[1] + x[3] >= 30.0 {
+            let cell = format!("unsupported cell ({}, {})", x[1], x[3]);
+            return Err(ModelError::Io(std::io::Error::other(cell)));
         }
         Ok(vec![x[1], x[3]])
     }
@@ -155,8 +150,18 @@ impl PerformanceModel for Flaky {
 
 #[test]
 fn prediction_error_matches_sequential() {
-    let surface = spec(0);
-    let serial = surface.evaluate(&Flaky).unwrap_err();
-    let parallel = surface.evaluate_jobs(&Flaky, 4).unwrap_err();
-    assert_eq!(format!("{serial}"), format!("{parallel}"));
+    // The batched sweep fails with the error of the first failing cell
+    // in row-major order — (10, 20), not (20, 10) or the last one.
+    let axis = queue_axis();
+    let sequential = axis
+        .iter()
+        .flat_map(|&a| axis.iter().map(move |&b| [560.0, a, 16.0, b]))
+        .find_map(|x| Flaky.predict(&x).err())
+        .unwrap()
+        .to_string();
+    assert!(sequential.contains("(10, 20)"), "{sequential}");
+    let batched = spec(0).evaluate(&Flaky).unwrap_err();
+    assert_eq!(batched.to_string(), sequential);
+    let all = evaluate_all(&spec(1), &Flaky).unwrap_err();
+    assert_eq!(all.to_string(), sequential);
 }

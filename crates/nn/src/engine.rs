@@ -296,6 +296,13 @@ mod tests {
     /// do not divide evenly by any tested team size.
     const ROWS: usize = 451;
 
+    /// Per-row [`Mlp::forward`], stacked.
+    fn forward_rows(mlp: &Mlp, xs: &Matrix) -> Vec<f64> {
+        (0..xs.rows())
+            .flat_map(|r| mlp.forward(xs.row(r)).unwrap())
+            .collect()
+    }
+
     #[test]
     fn pooled_gradient_is_bitwise_inline_for_any_jobs() {
         let mlp = mlp();
@@ -305,17 +312,9 @@ mod tests {
         for rows in [7, 103, ROWS] {
             let xs = batch(rows, 4, 1);
             let ys = batch(rows, 5, 2);
-            let mut ws_ref = Workspace::for_mlp(&mlp);
-            let loss_ref = mlp
-                .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
-                .unwrap();
-            // The gradient pass's mean loss is the loss pass's, bit for
-            // bit: the trainer records full-batch epochs from it.
-            let loss_eval = mlp
-                .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws_ref)
-                .unwrap();
-            assert_eq!(loss_ref.to_bits(), loss_eval.to_bits(), "rows={rows}");
-            for jobs in [2, 4, 7] {
+            let (oracle_loss, oracle_grad) =
+                crate::oracle::batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared).unwrap();
+            for jobs in [1, 2, 4, 7] {
                 // Threshold 2 forces the pool path.
                 let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
                 let mut ws = Workspace::for_mlp(&mlp);
@@ -324,16 +323,18 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     loss.to_bits(),
-                    loss_ref.to_bits(),
+                    oracle_loss.to_bits(),
                     "rows={rows} jobs={jobs}"
                 );
-                assert_eq!(ws.grad(), ws_ref.grad(), "rows={rows} jobs={jobs}");
+                assert_eq!(ws.grad(), oracle_grad.as_slice(), "rows={rows} jobs={jobs}");
+                // The gradient pass's mean loss is the loss pass's, bit
+                // for bit: the trainer records full-batch epochs from it.
                 let pooled_eval = engine
                     .batch_loss(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
                     .unwrap();
                 assert_eq!(
-                    loss.to_bits(),
                     pooled_eval.to_bits(),
+                    oracle_loss.to_bits(),
                     "rows={rows} jobs={jobs}"
                 );
             }
@@ -344,13 +345,12 @@ mod tests {
     fn pooled_forward_is_bitwise_inline_for_any_jobs() {
         let mlp = mlp();
         let xs = batch(ROWS, 4, 3);
-        let mut ws_ref = Workspace::for_mlp(&mlp);
-        let out_ref = mlp.forward_batch_with(&xs, &mut ws_ref).unwrap().clone();
-        for jobs in [2, 4, 7] {
+        let per_row = forward_rows(&mlp, &xs);
+        for jobs in [1, 2, 4, 7] {
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
             let mut ws = Workspace::for_mlp(&mlp);
             let out = engine.forward_batch(&mlp, &xs, &mut ws).unwrap();
-            assert_eq!(out.as_slice(), out_ref.as_slice(), "jobs={jobs}");
+            assert_eq!(out.as_slice(), per_row.as_slice(), "jobs={jobs}");
         }
     }
 
@@ -360,15 +360,13 @@ mod tests {
         let xs = batch(ROWS, 4, 4);
         let ys = batch(ROWS, 5, 5);
         let mut ws = Workspace::for_mlp(&mlp);
-        let loss_ref = mlp
-            .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        for jobs in [2, 4, 7] {
+        let per_row = crate::oracle::batch_loss(&mlp, &xs, &ys, Loss::MeanSquared).unwrap();
+        for jobs in [1, 2, 4, 7] {
             let mut engine = BandEngine::with_dispatch_threshold(jobs, 2);
             let loss = engine
                 .batch_loss(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
                 .unwrap();
-            assert_eq!(loss.to_bits(), loss_ref.to_bits(), "jobs={jobs}");
+            assert_eq!(loss.to_bits(), per_row.to_bits(), "jobs={jobs}");
         }
     }
 
@@ -379,10 +377,8 @@ mod tests {
         // 1 band < threshold 2: in-line path, still correct.
         let mut engine = BandEngine::new(4);
         let mut ws = Workspace::for_mlp(&mlp);
-        let mut ws_ref = Workspace::for_mlp(&mlp);
-        let out_ref = mlp.forward_batch_with(&xs, &mut ws_ref).unwrap().clone();
         let out = engine.forward_batch(&mlp, &xs, &mut ws).unwrap();
-        assert_eq!(out.as_slice(), out_ref.as_slice());
+        assert_eq!(out.as_slice(), forward_rows(&mlp, &xs).as_slice());
     }
 
     #[test]
@@ -396,15 +392,16 @@ mod tests {
             engine.forward_batch(&mlp, &bad, &mut ws),
             Err(NnError::ShapeMismatch { .. })
         ));
-        // And the engine still works afterwards.
+        // And the engine still works afterwards, call after call.
         let xs = batch(ROWS, 4, 8);
         let ys = batch(ROWS, 5, 9);
-        let a = engine
-            .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let b = engine
-            .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
+        let (oracle_loss, _) =
+            crate::oracle::batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared).unwrap();
+        for _ in 0..2 {
+            let loss = engine
+                .batch_gradient(&mlp, &xs, &ys, Loss::MeanSquared, &mut ws)
+                .unwrap();
+            assert_eq!(loss.to_bits(), oracle_loss.to_bits());
+        }
     }
 }

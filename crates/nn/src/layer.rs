@@ -181,19 +181,6 @@ impl DenseLayer {
         Ok(z)
     }
 
-    /// Writes `f(W·x + b)` into `out` without allocating; bit-identical
-    /// to [`DenseLayer::forward`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DenseLayer::pre_activation_into`].
-    #[wlc_hot]
-    pub fn forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), NnError> {
-        self.pre_activation_into(input, out)?;
-        self.activation.apply_slice(out);
-        Ok(())
-    }
-
     /// Copies the parameters (row-major weights, then biases) into `out`.
     pub(crate) fn write_params(&self, out: &mut Vec<f64>) {
         out.extend_from_slice(self.weights.as_slice());
@@ -318,12 +305,9 @@ mod tests {
             z.as_slice(),
             layer.pre_activation(&input).unwrap().as_slice()
         );
-        let mut a = [f64::NAN; 3];
-        layer.forward_into(&input, &mut a).unwrap();
-        assert_eq!(a.as_slice(), layer.forward(&input).unwrap().as_slice());
         // Wrong widths are rejected, not panicked on.
         assert!(layer.pre_activation_into(&input[..3], &mut z).is_err());
-        assert!(layer.forward_into(&input, &mut a[..2]).is_err());
+        assert!(layer.pre_activation_into(&input, &mut z[..2]).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! - [`Activation`] — the slope-parameterized logistic function of the
 //!   paper's Figure 2 plus the usual alternatives.
 //! - [`Mlp`] / [`MlpBuilder`] — dense feed-forward networks with
-//!   back-propagation ([`Mlp::batch_gradient`]).
+//!   back-propagation ([`Mlp::batch_gradient_with`]).
 //! - [`Loss`] — mean-squared error and friends.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
 //!   momentum, RMSProp and Adam.
@@ -20,7 +20,10 @@
 //! - [`gradcheck`] — finite-difference gradient verification.
 //! - [`Workspace`] — reusable scratch buffers making batched training
 //!   and inference allocation-free ([`Mlp::batch_gradient_with`],
-//!   [`Mlp::forward_batch_with`]), bit-identical to the per-sample path.
+//!   [`Mlp::forward_batch_with`]). This is the one gradient
+//!   implementation; [`Mlp::forward`] stays as the single-row path.
+//! - [`oracle`] — the naive per-sample reference, bit-identical to the
+//!   batched path, that only tests and `wlc bench` call.
 //! - [`BandEngine`] — the batched entry points with their row bands
 //!   fanned out over a persistent `wlc_exec::BandPool` worker team,
 //!   bit-identical for any worker count.
@@ -65,6 +68,7 @@ mod lognet;
 mod loss;
 mod mlp;
 pub mod optimizer;
+pub mod oracle;
 mod rbf;
 mod schedule;
 mod serialize;

@@ -123,20 +123,6 @@ impl LogarithmicNetwork {
         }
         Ok(out)
     }
-
-    /// Batch prediction; one row per input row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `xs.cols() != self.inputs()`.
-    pub fn predict_batch(&self, xs: &Matrix) -> Result<Matrix, NnError> {
-        let mut out = Matrix::zeros(xs.rows(), self.outputs());
-        for r in 0..xs.rows() {
-            let y = self.predict(xs.row(r))?;
-            out.row_mut(r).copy_from_slice(&y);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -213,16 +199,6 @@ mod tests {
             pred > actual * 0.4 && pred < actual * 2.5,
             "pred {pred} vs actual {actual}"
         );
-    }
-
-    #[test]
-    fn predict_batch_matches_predict() {
-        let net = trained_lognet();
-        let xs = Matrix::from_rows(&[&[2.0], &[3.0]]).unwrap();
-        let batch = net.predict_batch(&xs).unwrap();
-        for r in 0..2 {
-            assert_eq!(batch.row(r)[0], net.predict(xs.row(r)).unwrap()[0]);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
-use crate::{Activation, DenseLayer, Initializer, Loss, NnError, Workspace};
+use crate::{Activation, DenseLayer, Initializer, NnError};
 
 /// A multilayer perceptron: a stack of [`DenseLayer`]s.
 ///
@@ -94,47 +94,8 @@ impl Mlp {
             .try_fold(input.to_vec(), |acts, layer| layer.forward(&acts))
     }
 
-    /// Runs the forward pass for every row of `inputs`, returning one
-    /// prediction row per input row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `inputs.cols() != self.inputs()`.
-    pub fn forward_batch(&self, inputs: &Matrix) -> Result<Matrix, NnError> {
-        if inputs.rows() == 0 {
-            return Ok(Matrix::zeros(0, self.outputs()));
-        }
-        let mut ws = Workspace::for_mlp(self);
-        Ok(self.forward_batch_with(inputs, &mut ws)?.clone())
-    }
-
-    /// Average loss and flat parameter gradient over a batch, computed by
-    /// back-propagation.
-    ///
-    /// The gradient layout matches [`Mlp::params_flat`]: for each layer,
-    /// row-major weights followed by biases. The average loss is the
-    /// band-folded total divided by the row count — the same bits as
-    /// [`Mlp::batch_loss_with`] and [`Mlp::batch_gradient_with`] on the
-    /// same rows.
-    ///
-    /// # Errors
-    ///
-    /// - [`NnError::EmptyTrainingSet`] if `inputs` has no rows.
-    /// - [`NnError::ShapeMismatch`] if widths do not match the topology or
-    ///   `targets.rows() != inputs.rows()`.
-    pub fn batch_gradient(
-        &self,
-        inputs: &Matrix,
-        targets: &Matrix,
-        loss: Loss,
-    ) -> Result<(f64, Vec<f64>), NnError> {
-        let mut ws = Workspace::for_mlp(self);
-        let loss_value = self.batch_gradient_scalar_with(inputs, targets, loss, &mut ws)?;
-        Ok((loss_value, ws.take_grad()))
-    }
-
-    /// Shape validation shared by the gradient entry points; matches the
-    /// errors the per-sample path historically produced.
+    /// Shape validation shared by the gradient entry points (the batched
+    /// path, the band pool and the oracle).
     pub(crate) fn check_batch_shapes(
         &self,
         inputs: &Matrix,
@@ -390,6 +351,7 @@ impl MlpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Loss, Workspace};
 
     fn tiny_mlp() -> Mlp {
         MlpBuilder::new(2)
@@ -476,7 +438,8 @@ mod tests {
     fn forward_batch_matches_forward() {
         let mlp = tiny_mlp();
         let xs = Matrix::from_rows(&[&[0.1, 0.2], &[-0.5, 0.9]]).unwrap();
-        let batch = mlp.forward_batch(&xs).unwrap();
+        let mut ws = Workspace::for_mlp(&mlp);
+        let batch = mlp.forward_batch_with(&xs, &mut ws).unwrap();
         for r in 0..2 {
             let single = mlp.forward(xs.row(r)).unwrap();
             assert_eq!(batch.row(r), single.as_slice());
@@ -521,18 +484,20 @@ mod tests {
     #[test]
     fn batch_gradient_validates_shapes() {
         let mlp = tiny_mlp();
+        let mut ws = Workspace::for_mlp(&mlp);
         let xs = Matrix::zeros(2, 2);
         let bad_rows = Matrix::zeros(3, 2);
         let bad_cols = Matrix::zeros(2, 5);
         let empty = Matrix::zeros(0, 2);
+        let mse = Loss::MeanSquared;
         assert!(mlp
-            .batch_gradient(&xs, &bad_rows, Loss::MeanSquared)
+            .batch_gradient_with(&xs, &bad_rows, mse, &mut ws)
             .is_err());
         assert!(mlp
-            .batch_gradient(&xs, &bad_cols, Loss::MeanSquared)
+            .batch_gradient_with(&xs, &bad_cols, mse, &mut ws)
             .is_err());
         assert!(matches!(
-            mlp.batch_gradient(&empty, &empty, Loss::MeanSquared),
+            mlp.batch_gradient_with(&empty, &empty, mse, &mut ws),
             Err(NnError::EmptyTrainingSet)
         ));
     }
@@ -540,15 +505,17 @@ mod tests {
     #[test]
     fn gradient_descent_reduces_loss() {
         let mut mlp = tiny_mlp();
+        let mut ws = Workspace::for_mlp(&mlp);
         let xs = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
         let ys = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let (initial, _) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
+        let mse = Loss::MeanSquared;
+        let initial = mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
         for _ in 0..200 {
-            let (_, grad) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
-            let update: Vec<f64> = grad.iter().map(|g| -0.5 * g).collect();
+            mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
+            let update: Vec<f64> = ws.grad().iter().map(|g| -0.5 * g).collect();
             mlp.apply_update(&update).unwrap();
         }
-        let (after, _) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
+        let after = mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
         assert!(
             after < initial * 0.5,
             "loss did not drop: {initial} -> {after}"

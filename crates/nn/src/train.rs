@@ -803,29 +803,6 @@ impl Trainer {
     }
 }
 
-/// Mean loss of `mlp` over a dataset.
-///
-/// # Errors
-///
-/// Returns [`NnError::ShapeMismatch`] if widths do not match and
-/// [`NnError::EmptyTrainingSet`] for an empty dataset.
-pub(crate) fn evaluate_loss(
-    mlp: &Mlp,
-    xs: &Matrix,
-    ys: &Matrix,
-    loss: Loss,
-) -> Result<f64, NnError> {
-    if xs.rows() == 0 {
-        return Err(NnError::EmptyTrainingSet);
-    }
-    let mut total = 0.0;
-    for r in 0..xs.rows() {
-        let pred = mlp.forward(xs.row(r))?;
-        total += loss.value(&pred, ys.row(r))?;
-    }
-    Ok(total / xs.rows() as f64)
-}
-
 /// Copies the selected sample rows into reusable minibatch matrices —
 /// after the first (largest) chunk this never allocates.
 fn gather_into(xs: &Matrix, ys: &Matrix, idx: &[usize], bx: &mut Matrix, by: &mut Matrix) {
@@ -840,7 +817,7 @@ fn gather_into(xs: &Matrix, ys: &Matrix, idx: &[usize], bx: &mut Matrix, by: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, MlpBuilder};
+    use crate::{oracle, Activation, MlpBuilder};
 
     fn xor_data() -> (Matrix, Matrix) {
         let xs = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]).unwrap();
@@ -873,23 +850,6 @@ mod tests {
         (xs, ys)
     }
 
-    /// The two-pass oracle's loss pass: per-row `forward` +
-    /// `Loss::value`, folded per `BAND_ROWS` band like every batched
-    /// pass (below one band this is `evaluate_loss`).
-    fn oracle_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix) -> f64 {
-        let rows = xs.rows();
-        let mut total = 0.0;
-        for b0 in (0..rows).step_by(crate::BAND_ROWS) {
-            let mut band_total = 0.0;
-            for r in b0..(b0 + crate::BAND_ROWS).min(rows) {
-                let pred = mlp.forward(xs.row(r)).unwrap();
-                band_total += Loss::MeanSquared.value(&pred, ys.row(r)).unwrap();
-            }
-            total += band_total;
-        }
-        total / rows as f64
-    }
-
     /// What the two-pass oracle loop saw, epoch by epoch.
     struct OracleRun {
         /// Parameters before the first epoch, then after each finite one.
@@ -904,10 +864,10 @@ mod tests {
     type OracleCase = (OptimizerKind, usize, u64, f64, usize);
 
     /// The trainer's epoch loop written as two passes per epoch over the
-    /// per-sample oracles: every chunk steps on the scalar
-    /// `Mlp::batch_gradient`, then `oracle_loss` measures the epoch. The
-    /// rows are shuffled only when `batch < n`, as in the trainer. Stops
-    /// at the first diverged epoch.
+    /// per-sample oracle: every chunk steps on `oracle::batch_gradient`,
+    /// then `oracle::batch_loss` measures the epoch. The rows are shuffled
+    /// only when `batch < n`, as in the trainer. Stops at the first
+    /// diverged epoch.
     fn two_pass_oracle(mut mlp: Mlp, xs: &Matrix, ys: &Matrix, case: OracleCase) -> OracleRun {
         let (opt, batch, seed, lr, epochs) = case;
         let n = xs.rows();
@@ -933,7 +893,7 @@ mod tests {
                     bx.row_mut(out_r).copy_from_slice(xs.row(r));
                     by.row_mut(out_r).copy_from_slice(ys.row(r));
                 }
-                let (_, grads) = mlp.batch_gradient(&bx, &by, Loss::MeanSquared).unwrap();
+                let (_, grads) = oracle::batch_gradient(&mlp, &bx, &by, Loss::MeanSquared).unwrap();
                 let norm_sq = grads.iter().map(|g| g * g).sum::<f64>();
                 if !norm_sq.is_finite() || norm_sq > grad_limit {
                     run.diverged = true;
@@ -946,7 +906,7 @@ mod tests {
                 return run;
             }
             mlp.set_params_flat(&params).unwrap();
-            let loss = oracle_loss(&mlp, xs, ys);
+            let loss = oracle::batch_loss(&mlp, xs, ys, Loss::MeanSquared).unwrap();
             if !loss.is_finite() {
                 run.diverged = true;
                 return run;
@@ -963,32 +923,31 @@ mod tests {
 
     #[test]
     fn trained_weights_are_bitwise_for_any_jobs() {
+        // Full batch: each epoch's loss and the next step's gradient come
+        // from one gradient pass, on the band pool from jobs 2 up, and
+        // still match the two-pass oracle bit for bit.
         let (xs, ys) = band_data();
-        let train = |jobs: usize| {
+        let case = (OptimizerKind::Sgd, xs.rows(), 0, 0.05, 8);
+        let oracle = two_pass_oracle(xor_mlp(11), &xs, &ys, case);
+        assert!(!oracle.diverged);
+        for jobs in [1, 2, 4, 7] {
             let mut mlp = xor_mlp(11);
             let config = TrainConfig::new()
                 .max_epochs(8)
                 .learning_rate(0.05)
                 .jobs(jobs);
             let report = Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
-            (mlp.params_flat(), report.loss_history)
-        };
-        let (ref_params, ref_history) = train(1);
-        for jobs in [2, 4, 7] {
-            let (params, history) = train(jobs);
-            assert_eq!(params, ref_params, "params diverged at jobs={jobs}");
-            assert_eq!(history, ref_history, "history diverged at jobs={jobs}");
+            assert_eq!(
+                bits(&mlp.params_flat()),
+                bits(&oracle.params[8]),
+                "params at jobs={jobs}"
+            );
+            assert_eq!(
+                bits(&report.loss_history),
+                bits(&oracle.losses),
+                "history at jobs={jobs}"
+            );
         }
-
-        // Full batch on the band pool: each epoch's loss and the next
-        // step's gradient come from one pooled gradient pass, and still
-        // match the two-pass oracle bit for bit.
-        let (params, history) = train(2);
-        let case = (OptimizerKind::Sgd, xs.rows(), 0, 0.05, 8);
-        let oracle = two_pass_oracle(xor_mlp(11), &xs, &ys, case);
-        assert!(!oracle.diverged);
-        assert_eq!(bits(&params), bits(&oracle.params[8]));
-        assert_eq!(bits(&history), bits(&oracle.losses));
     }
 
     #[test]
@@ -1100,12 +1059,11 @@ mod tests {
 
     #[test]
     fn batched_training_is_bitwise_scalar_training() {
-        // The Trainer now runs the GEMM-batched workspace path, and a
+        // The Trainer runs the GEMM-batched workspace path, and a
         // full-batch epoch takes its loss from the gradient pass that
         // feeds the next step. Replicate its epoch loop as two passes
-        // over the legacy per-sample scalar gradient
-        // (`Mlp::batch_gradient`) and per-row evaluation, and require
-        // byte-identical parameters and loss history.
+        // over the per-sample oracle, and require byte-identical
+        // parameters and loss history.
         let (xs, ys) = xor_data();
         let n = xs.rows();
         for case in [
@@ -1211,7 +1169,7 @@ mod tests {
         assert_eq!(bits(&mlp.params_flat()), bits(last_finite));
         let mut probe = xor_mlp(9);
         probe.set_params_flat(last_finite).unwrap();
-        let final_loss = oracle_loss(&probe, &xs, &big_y);
+        let final_loss = oracle::batch_loss(&probe, &xs, &big_y, Loss::MeanSquared).unwrap();
         assert_eq!(report.final_train_loss.to_bits(), final_loss.to_bits());
     }
 
@@ -1427,12 +1385,15 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_loss_perfect_model_is_zero() {
+    fn batch_loss_of_perfect_model_is_zero() {
         let (xs, _) = xor_data();
         let mlp = xor_mlp(12);
-        let preds = mlp.forward_batch(&xs).unwrap();
-        let loss = evaluate_loss(&mlp, &xs, &preds, Loss::MeanSquared).unwrap();
-        assert!(loss.abs() < 1e-12);
+        let mut ws = Workspace::for_mlp(&mlp);
+        let preds = mlp.forward_batch_with(&xs, &mut ws).unwrap().clone();
+        let loss = mlp
+            .batch_loss_with(&xs, &preds, Loss::MeanSquared, &mut ws)
+            .unwrap();
+        assert_eq!(loss, 0.0);
     }
 
     #[test]

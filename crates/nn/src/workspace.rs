@@ -1,27 +1,19 @@
 //! Reusable scratch buffers for allocation-free training and inference.
 //!
-//! A [`Workspace`] owns every intermediate buffer the forward and
-//! backward passes need — batched activation/pre-activation/delta
-//! matrices, per-layer gradient matrices, a flat gradient vector and
-//! the scalar reference path's trace. Constructed once per network
-//! topology, it lets steady-state training run with **zero heap
-//! allocations per epoch**: buffers are grown on first use and
-//! thereafter only resized within their existing capacity.
+//! A [`Workspace`] owns every intermediate buffer the batched forward and
+//! backward passes need — activation/pre-activation/delta matrices,
+//! per-layer gradient matrices and a flat gradient vector. Constructed
+//! once per network topology, it lets steady-state training run with
+//! **zero heap allocations per epoch**: buffers are grown on first use
+//! and thereafter only resized within their existing capacity.
 //!
-//! Two gradient implementations share the workspace:
-//!
-//! - [`Mlp::batch_gradient_with`] — the batched hot path: the minibatch
-//!   forward/backward expressed as GEMMs ([`wlc_math::gemm`]) over the
-//!   batch matrix.
-//! - [`Mlp::batch_gradient_scalar_with`] — the per-sample reference
-//!   implementation (the pre-workspace algorithm, minus its per-sample
-//!   allocations).
-//!
-//! The two are **bit-identical**: every output element of the batched
-//! kernels receives its floating-point additions in the committed lane
-//! order ([`wlc_math::gemm`]), and the scalar loops are written to the
-//! same order (see `docs/performance.md` for the argument, and the
-//! tests below for the enforcement).
+//! There is one gradient implementation, [`Mlp::batch_gradient_with`]:
+//! the minibatch forward/backward expressed as GEMMs
+//! ([`wlc_math::gemm`]) over the batch matrix. Every output element of
+//! the kernels receives its floating-point additions in the committed
+//! lane order, so the results are **bit-identical** to the naive
+//! per-sample [`crate::oracle`] (see `docs/performance.md` for the
+//! argument, and the tests below for the enforcement).
 //!
 //! Every multi-row pass is **band-mined** over [`BAND_ROWS`]-row bands:
 //! rows `b * BAND_ROWS ..` form band `b`, per-band partial sums (weight
@@ -115,24 +107,11 @@ pub struct Workspace {
     /// row-contiguous (vectorizable) sweeps instead of column-strided
     /// scalar reads.
     bias_lanes: Vec<Vec<f64>>,
-    /// Scalar reference path: [`gemm::LANES`] per-band gradient
-    /// accumulators. Sample `q` of a band adds its gradient into buffer
-    /// `q % LANES`; the buffers are folded per band with
-    /// [`gemm::fold_lanes`] — the same order the TN kernel gives the
-    /// batched path.
-    lane_grads: Vec<Vec<f64>>,
     /// Flat gradient, laid out like [`Mlp::params_flat`].
     grad: Vec<f64>,
     /// Full-size prediction matrix returned by the strip-mined
     /// [`Mlp::forward_batch_with`].
     out: Matrix,
-    /// Scalar reference path: per-layer pre-activation trace.
-    trace_pre: Vec<Vec<f64>>,
-    /// Scalar reference path: activations (`trace_acts[0]` is the input).
-    trace_acts: Vec<Vec<f64>>,
-    /// Scalar reference path: current/next delta scratch (max width).
-    delta_a: Vec<f64>,
-    delta_b: Vec<f64>,
 }
 
 impl Workspace {
@@ -153,9 +132,6 @@ impl Workspace {
             .iter()
             .map(|l| Matrix::zeros(0, l.outputs()))
             .collect();
-        let mut trace_acts = Vec::with_capacity(mlp.layers().len() + 1);
-        trace_acts.push(vec![0.0; mlp.inputs()]);
-        trace_acts.extend(mlp.layers().iter().map(|l| vec![0.0; l.outputs()]));
         Workspace {
             pre: acts.clone(),
             deltas: acts.clone(),
@@ -176,7 +152,6 @@ impl Workspace {
                 .map(|l| Matrix::zeros(l.outputs(), l.inputs()))
                 .collect(),
             bias_lanes: (0..gemm::LANES).map(|_| vec![0.0; max_width]).collect(),
-            lane_grads: (0..gemm::LANES).map(|_| vec![0.0; param_count]).collect(),
             bgrads: mlp
                 .layers()
                 .iter()
@@ -189,14 +164,6 @@ impl Workspace {
                 .collect(),
             grad: vec![0.0; param_count],
             out: Matrix::zeros(0, mlp.outputs()),
-            trace_pre: mlp
-                .layers()
-                .iter()
-                .map(|l| vec![0.0; l.outputs()])
-                .collect(),
-            trace_acts,
-            delta_a: vec![0.0; max_width],
-            delta_b: vec![0.0; max_width],
             topology,
             param_count,
             offsets,
@@ -219,12 +186,6 @@ impl Workspace {
     /// Layer widths this workspace was sized for.
     pub fn topology(&self) -> &[usize] {
         &self.topology
-    }
-
-    /// Moves the flat gradient out, leaving an empty vector behind (used
-    /// by the compatibility API that returns an owned gradient).
-    pub(crate) fn take_grad(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.grad)
     }
 
     /// Whether this workspace was built for exactly `mlp`'s topology.
@@ -370,8 +331,8 @@ impl Mlp {
     /// folded into the totals in ascending band order, and within a band
     /// every reduction over sample rows uses the committed lane order
     /// ([`wlc_math::gemm`]). It is bit-identical to
-    /// [`Mlp::batch_gradient`] and performs no heap allocation once the
-    /// workspace has seen the band size.
+    /// [`crate::oracle::batch_gradient`] and performs no heap allocation
+    /// once the workspace has seen the band size.
     ///
     /// The returned mean loss is the band-folded loss total divided by
     /// the row count, so it has the same bits as [`Mlp::batch_loss_with`]
@@ -380,8 +341,10 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// As for [`Mlp::batch_gradient`], plus [`NnError::ShapeMismatch`]
-    /// for a workspace with a different topology.
+    /// - [`NnError::EmptyTrainingSet`] if `inputs` has no rows.
+    /// - [`NnError::ShapeMismatch`] if widths do not match the topology,
+    ///   `targets.rows() != inputs.rows()`, or the workspace has a
+    ///   different topology.
     #[wlc_hot]
     pub fn batch_gradient_with(
         &self,
@@ -480,7 +443,7 @@ impl Mlp {
             let layer = &self.layers()[l];
             // dW_l = delta_l^T * a_{l-1}: `k` in the TN kernel is the
             // band-local sample row, so lane `q % LANES` takes sample
-            // `q`'s product — exactly where the scalar reference puts it.
+            // `q`'s product — exactly where the oracle puts it.
             // Layer 0 reads its input band in place.
             if l == 0 {
                 gemm::matmul_tn_rows_into(&ws.deltas[0], inputs, b0, b1, &mut ws.wgrads_band[0])?;
@@ -516,7 +479,7 @@ impl Mlp {
             }
             if l > 0 {
                 // delta_{l-1} = (delta_l * W_l) ⊙ f'(z_{l-1}): `k` is
-                // the out-neuron index — the scalar reference splits the
+                // the out-neuron index — the oracle splits the
                 // same sum over the same lanes. The broadcast form reads
                 // W_l directly (its rows are indexed by `k`), so no
                 // transposed scratch is needed here.
@@ -533,64 +496,6 @@ impl Mlp {
             }
         }
         Ok(band_loss)
-    }
-
-    /// Per-sample reference implementation of the batch gradient — the
-    /// pre-workspace algorithm with its allocations replaced by workspace
-    /// scratch. Kept as the ground truth the batched GEMM path is tested
-    /// bit-identical against, and as the benchmark baseline.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mlp::batch_gradient_with`].
-    pub fn batch_gradient_scalar_with(
-        &self,
-        inputs: &Matrix,
-        targets: &Matrix,
-        loss: Loss,
-        ws: &mut Workspace,
-    ) -> Result<f64, NnError> {
-        self.check_batch_shapes(inputs, targets)?;
-        ws.check(self)?;
-        ws.grad.fill(0.0);
-        let rows = inputs.rows();
-        let mut total_loss = 0.0;
-        let mut b0 = 0;
-        // Same band geometry and reduction order as the batched path:
-        // sample `q` of a band accumulates into lane buffer `q % LANES`,
-        // each band's lanes are folded with `fold_lanes`, and band
-        // partials are added to the totals in ascending band order.
-        while b0 < rows {
-            let b1 = (b0 + BAND_ROWS).min(rows);
-            for lane in &mut ws.lane_grads {
-                lane.fill(0.0);
-            }
-            let mut band_loss = 0.0;
-            for (q, r) in (b0..b1).enumerate() {
-                band_loss += self.accumulate_sample(
-                    inputs.row(r),
-                    targets.row(r),
-                    loss,
-                    q % gemm::LANES,
-                    ws,
-                )?;
-            }
-            for (p, g) in ws.grad.iter_mut().enumerate() {
-                *g += gemm::fold_lanes([
-                    ws.lane_grads[0][p],
-                    ws.lane_grads[1][p],
-                    ws.lane_grads[2][p],
-                    ws.lane_grads[3][p],
-                ]);
-            }
-            total_loss += band_loss;
-            b0 = b1;
-        }
-        let scale = 1.0 / rows as f64;
-        for g in &mut ws.grad {
-            *g *= scale;
-        }
-        Ok(total_loss / rows as f64)
     }
 
     /// Refreshes the per-layer transposed weight scratch (`ws.wts`),
@@ -625,7 +530,7 @@ impl Mlp {
             // across a register tile of output columns, so one pass over
             // `k` fills a whole tile with only throughput-bound FMAs.
             // Each output element is still the lane-order dot product
-            // (`gemm::dot_lanes`) the per-sample path computes, bit for
+            // (`gemm::dot_lanes`) that `Mlp::forward` computes, bit for
             // bit — lane assignment is per-element, so the traversal
             // cannot change a bit. Layer 0 reads the input band in place
             // (`matmul_rows_into`) — no band copy.
@@ -657,100 +562,6 @@ impl Mlp {
         }
         Ok(())
     }
-
-    /// Back-propagates one sample through the workspace trace, adding its
-    /// gradient into `ws.lane_grads[lane]` (the scalar reference step;
-    /// `lane` is the sample's band-local index modulo [`gemm::LANES`]).
-    fn accumulate_sample(
-        &self,
-        input: &[f64],
-        target: &[f64],
-        loss: Loss,
-        lane: usize,
-        ws: &mut Workspace,
-    ) -> Result<f64, NnError> {
-        let len = self.layers().len();
-        // Forward trace: trace_acts[0] is the input, trace_acts[l + 1] is
-        // layer l's activation.
-        ws.trace_acts[0].copy_from_slice(input);
-        for (l, layer) in self.layers().iter().enumerate() {
-            layer.pre_activation_into(&ws.trace_acts[l], &mut ws.trace_pre[l])?;
-            ws.trace_acts[l + 1].copy_from_slice(&ws.trace_pre[l]);
-            layer.activation().apply_slice(&mut ws.trace_acts[l + 1]);
-        }
-
-        let loss_value;
-        let mut width = self.outputs();
-        {
-            let prediction = &ws.trace_acts[len];
-            loss_value = loss.value(prediction, target)?;
-            // delta for the output layer: dL/da ⊙ f'(z).
-            loss.gradient_into(prediction, target, &mut ws.delta_a[..width])?;
-        }
-        {
-            let act = self.layers()[len - 1].activation();
-            let pre_z = &ws.trace_pre[len - 1];
-            let a_out = &ws.trace_acts[len];
-            for ((d, &z), &a) in ws.delta_a[..width].iter_mut().zip(pre_z).zip(a_out) {
-                *d *= act.derivative(z, a);
-            }
-        }
-
-        // Walk backwards accumulating dW = delta ⊗ a_prev, db = delta.
-        // The current delta always lives in `delta_a`; the next one is
-        // built in `delta_b` and the buffers are swapped (no allocation).
-        for l in (0..len).rev() {
-            let layer = &self.layers()[l];
-            let base = ws.offsets[l];
-            let in_w = layer.inputs();
-            {
-                let delta = &ws.delta_a[..width];
-                let a_prev = &ws.trace_acts[l];
-                let grad = &mut ws.lane_grads[lane];
-                for (i, &d) in delta.iter().enumerate() {
-                    let row_base = base + i * in_w;
-                    for (j, &ap) in a_prev.iter().enumerate() {
-                        // Fused, like every kernel term (one rounding).
-                        grad[row_base + j] = d.mul_add(ap, grad[row_base + j]);
-                    }
-                }
-                let bias_base = base + layer.outputs() * in_w;
-                for (i, &d) in delta.iter().enumerate() {
-                    grad[bias_base + i] += d;
-                }
-            }
-            if l > 0 {
-                // delta_{l-1} = (W_l^T delta_l) ⊙ f'(z_{l-1}), each
-                // element summed over the out-neuron index in the
-                // committed lane order — matching the batched kernel's
-                // `matmul_into(delta_l, W_l, ..)`.
-                {
-                    let cur = &ws.delta_a[..width];
-                    let next = &mut ws.delta_b[..in_w];
-                    let w = layer.weights();
-                    for (j, nj) in next.iter_mut().enumerate() {
-                        let mut lanes = [0.0f64; gemm::LANES];
-                        for (i, &d) in cur.iter().enumerate() {
-                            lanes[i % gemm::LANES] = d.mul_add(w.row(i)[j], lanes[i % gemm::LANES]);
-                        }
-                        *nj = gemm::fold_lanes(lanes);
-                    }
-                }
-                {
-                    let act = self.layers()[l - 1].activation();
-                    let pre_prev = &ws.trace_pre[l - 1];
-                    let act_prev = &ws.trace_acts[l];
-                    for ((nd, &z), &a) in ws.delta_b[..in_w].iter_mut().zip(pre_prev).zip(act_prev)
-                    {
-                        *nd *= act.derivative(z, a);
-                    }
-                }
-                std::mem::swap(&mut ws.delta_a, &mut ws.delta_b);
-                width = in_w;
-            }
-        }
-        Ok(loss_value)
-    }
 }
 
 /// `delta ⊙= f'(z, a)` element-wise over whole batch matrices.
@@ -759,7 +570,7 @@ fn apply_derivative(delta: &mut Matrix, pre: &Matrix, acts: &Matrix, act: crate:
 }
 
 /// Flattens the per-layer gradient totals into the `params_flat`
-/// layout, scales them by `1/rows` exactly like the scalar path
+/// layout, scales them by `1/rows` exactly like the oracle
 /// (accumulate, then multiply), and returns the mean loss as
 /// `total_loss / rows` — the division [`Mlp::batch_loss_with`] and
 /// `BandEngine::batch_loss` use, so a gradient pass reports the same
@@ -950,8 +761,7 @@ mod tests {
                 ),
                 130,
             ),
-            // Larger than one whole-dataset strip (STRIP = 256), with a
-            // ragged final strip, to cover the strip-mined forward.
+            // Nine bands, the last one ragged (523 = 8 * 64 + 11).
             (mk(3, &[(6, Activation::tanh())], 2, 8), 523),
         ]
     }
@@ -986,35 +796,21 @@ mod tests {
             let xs = random_batch(rows, mlp.inputs(), &mut rng);
             let ys = random_batch(rows, mlp.outputs(), &mut rng);
             for loss in losses {
-                let mut ws_a = Workspace::for_mlp(&mlp);
-                let mut ws_b = Workspace::for_mlp(&mlp);
-                let la = mlp
-                    .batch_gradient_scalar_with(&xs, &ys, loss, &mut ws_a)
-                    .unwrap();
-                let lb = mlp.batch_gradient_with(&xs, &ys, loss, &mut ws_b).unwrap();
-                assert_eq!(la.to_bits(), lb.to_bits(), "{loss} loss value");
-                assert_eq!(ws_a.grad(), ws_b.grad(), "{loss} gradient");
-                // One rounding rule for the mean loss: both gradient
-                // paths return the loss pass's `total / rows`.
-                let lc = mlp.batch_loss_with(&xs, &ys, loss, &mut ws_b).unwrap();
-                assert_eq!(la.to_bits(), lc.to_bits(), "{loss} loss vs loss pass");
+                let (oracle_loss, oracle_grad) =
+                    crate::oracle::batch_gradient(&mlp, &xs, &ys, loss).unwrap();
+                let mut ws = Workspace::for_mlp(&mlp);
+                let batched = mlp.batch_gradient_with(&xs, &ys, loss, &mut ws).unwrap();
+                assert_eq!(
+                    batched.to_bits(),
+                    oracle_loss.to_bits(),
+                    "{loss} loss value"
+                );
+                assert_eq!(ws.grad(), oracle_grad.as_slice(), "{loss} gradient");
+                // One rounding rule for the mean loss: the gradient pass
+                // returns the loss pass's `total / rows`.
+                let pass = mlp.batch_loss_with(&xs, &ys, loss, &mut ws).unwrap();
+                assert_eq!(pass.to_bits(), oracle_loss.to_bits(), "{loss} loss pass");
             }
-        }
-    }
-
-    #[test]
-    fn compat_batch_gradient_matches_workspace_paths() {
-        let mut rng = Xoshiro256::seed_from(24);
-        for (mlp, rows) in cases() {
-            let xs = random_batch(rows, mlp.inputs(), &mut rng);
-            let ys = random_batch(rows, mlp.outputs(), &mut rng);
-            let (l0, g0) = mlp.batch_gradient(&xs, &ys, Loss::MeanSquared).unwrap();
-            let mut ws = Workspace::for_mlp(&mlp);
-            let l1 = mlp
-                .batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
-                .unwrap();
-            assert_eq!(l0.to_bits(), l1.to_bits());
-            assert_eq!(g0.as_slice(), ws.grad());
         }
     }
 
@@ -1028,23 +824,8 @@ mod tests {
             let batched = mlp
                 .batch_loss_with(&xs, &ys, Loss::MeanSquared, &mut ws)
                 .unwrap();
-            // Per-row values are bitwise `forward` + `Loss::value`; the
-            // total folds per-band partials in ascending band order (the
-            // committed reduction geometry).
-            let mut total = 0.0;
-            let mut b0 = 0;
-            while b0 < rows {
-                let b1 = (b0 + BAND_ROWS).min(rows);
-                let mut band_total = 0.0;
-                for r in b0..b1 {
-                    let pred = mlp.forward(xs.row(r)).unwrap();
-                    band_total += Loss::MeanSquared.value(&pred, ys.row(r)).unwrap();
-                }
-                total += band_total;
-                b0 = b1;
-            }
-            let scalar = total / rows as f64;
-            assert_eq!(batched.to_bits(), scalar.to_bits());
+            let per_row = crate::oracle::batch_loss(&mlp, &xs, &ys, Loss::MeanSquared).unwrap();
+            assert_eq!(batched.to_bits(), per_row.to_bits());
         }
     }
 
@@ -1081,26 +862,14 @@ mod tests {
         let small_y = random_batch(3, mlp.outputs(), &mut rng);
 
         let mut ws = Workspace::for_mlp(&mlp);
-        let mut fresh = Workspace::for_mlp(&mlp);
-        mlp.batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let reused = mlp
-            .batch_gradient_with(&small, &small_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let clean = mlp
-            .batch_gradient_with(&small, &small_y, Loss::MeanSquared, &mut fresh)
-            .unwrap();
-        assert_eq!(reused.to_bits(), clean.to_bits());
-        assert_eq!(ws.grad(), fresh.grad());
-        // And growing back to the large batch still matches a fresh run.
-        let mut fresh2 = Workspace::for_mlp(&mlp);
-        let regrown = mlp
-            .batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut ws)
-            .unwrap();
-        let clean2 = mlp
-            .batch_gradient_with(&big, &big_y, Loss::MeanSquared, &mut fresh2)
-            .unwrap();
-        assert_eq!(regrown.to_bits(), clean2.to_bits());
-        assert_eq!(ws.grad(), fresh2.grad());
+        for (xs, ys) in [(&big, &big_y), (&small, &small_y), (&big, &big_y)] {
+            let loss = mlp
+                .batch_gradient_with(xs, ys, Loss::MeanSquared, &mut ws)
+                .unwrap();
+            let (oracle_loss, oracle_grad) =
+                crate::oracle::batch_gradient(&mlp, xs, ys, Loss::MeanSquared).unwrap();
+            assert_eq!(loss.to_bits(), oracle_loss.to_bits(), "{} rows", xs.rows());
+            assert_eq!(ws.grad(), oracle_grad.as_slice(), "{} rows", xs.rows());
+        }
     }
 }

@@ -28,13 +28,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use wlc_data::{Dataset, Sample};
+use wlc_data::Dataset;
 use wlc_math::distributions::Distribution;
 use wlc_math::rng::{Seed, Xoshiro256};
 
 use crate::config::{ServerConfig, WorkloadSpec};
-use crate::fault::{standard_normal, FaultKind, FaultProfile, FaultSummary, FAULT_STREAM};
-use crate::runner::{Simulation, INPUT_NAMES, OUTPUT_NAMES};
+use crate::fault::{run_campaign, Campaign, FaultProfile, FaultSummary};
+use crate::runner::Simulation;
 use crate::transaction::{DomainQueue, StageDemands, TransactionClass, TransactionKind};
 use crate::SimError;
 
@@ -354,86 +354,32 @@ pub fn stream_window(
     start_tick: u64,
     ticks: usize,
 ) -> Result<(Dataset, FaultSummary), SimError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     cfg.faults.validate()?;
     cfg.drift.validate()?;
-    let root = Seed::new(cfg.base_seed);
-    let fault_root = root.derive(FAULT_STREAM);
-    let config_root = root.derive(CONFIG_STREAM);
-    let dropouts = AtomicUsize::new(0);
-    let stalls = AtomicUsize::new(0);
-    let truncations = AtomicUsize::new(0);
-    let spikes = AtomicUsize::new(0);
-
-    // One accepted sample: configuration inputs and indicator outputs.
-    type SampleRow = (Vec<f64>, Vec<f64>);
-    let task = |i: usize, attempt: usize| -> Result<Option<SampleRow>, SimError> {
-        let tick = start_tick + i as u64;
-        let mut faults =
-            Xoshiro256::seed_from(fault_root.derive(tick).derive(attempt as u64).value());
-        // Hard failures first: the tick never produces a measurement.
-        if faults.next_f64() < cfg.faults.sample_dropout {
-            dropouts.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::SampleDropout;
-            if attempt < cfg.max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None); // retries exhausted: quarantine the tick
-        }
-        if faults.next_f64() < cfg.faults.stall_prob {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            let kind = FaultKind::QueueStall;
-            if attempt < cfg.max_retries {
-                return Err(SimError::InjectedFault { index: i, kind });
-            }
-            return Ok(None);
-        }
-        // Degradations: the tick completes but the measurement suffers.
-        let mut duration = cfg.duration_secs;
-        if faults.next_f64() < cfg.faults.truncate_prob {
-            truncations.fetch_add(1, Ordering::Relaxed);
-            duration =
-                cfg.warmup_secs + (cfg.duration_secs - cfg.warmup_secs) * cfg.faults.truncate_frac;
-        }
-        let config = sample_config(config_root, tick)?;
-        let workload = cfg.drift.workload_at(tick)?;
-        let m = Simulation::new(config)
-            .workload(workload)
-            .seed(root.derive(tick).value())
-            .duration_secs(duration)
-            .warmup_secs(cfg.warmup_secs)
-            .run()?;
-        let mut y = m.indicators();
-        for v in &mut y {
-            if faults.next_f64() < cfg.faults.noise_spike_prob {
-                spikes.fetch_add(1, Ordering::Relaxed);
-                *v *= 1.0 + cfg.faults.noise_spike_scale * standard_normal(&mut faults).abs();
-            }
-        }
-        Ok(Some((config.as_vector(), y)))
+    let config_root = Seed::new(cfg.base_seed).derive(CONFIG_STREAM);
+    let campaign = Campaign {
+        base_seed: cfg.base_seed,
+        profile: cfg.faults,
+        duration_secs: cfg.duration_secs,
+        warmup_secs: cfg.warmup_secs,
+        max_retries: cfg.max_retries,
+        jobs: cfg.jobs,
     };
-    let rows = wlc_exec::try_map_indexed_retry(cfg.jobs, ticks, cfg.max_retries, task)?;
-
-    let mut ds = Dataset::new(
-        INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-        OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
-    )?;
-    let mut quarantined = Vec::new();
-    for (i, row) in rows.into_iter().enumerate() {
-        match row {
-            Some((x, y)) => ds.push(Sample::new(x, y))?,
-            None => quarantined.push(start_tick as usize + i),
-        }
-    }
-    let summary = FaultSummary {
-        dropouts: dropouts.into_inner(),
-        stalls: stalls.into_inner(),
-        truncations: truncations.into_inner(),
-        spikes: spikes.into_inner(),
-        quarantined,
-    };
-    Ok((ds, summary))
+    run_campaign(
+        &campaign,
+        ticks,
+        |i| start_tick + i as u64,
+        |i| {
+            let tick = start_tick + i as u64;
+            let config = sample_config(config_root, tick)?;
+            let workload = cfg.drift.workload_at(tick)?;
+            Ok((
+                config.as_vector(),
+                Simulation::new(config).workload(workload),
+            ))
+        },
+        |i| start_tick as usize + i,
+    )
 }
 
 /// Samples the tick's server configuration from the collect ranges.
@@ -454,6 +400,7 @@ fn sample_config(config_root: Seed, tick: u64) -> Result<ServerConfig, SimError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OUTPUT_NAMES;
 
     #[test]
     fn parse_profiles() {

@@ -316,9 +316,66 @@ pub fn run_design_faulty_jobs(
     max_retries: usize,
     jobs: usize,
 ) -> Result<(Dataset, FaultSummary), SimError> {
+    profile.validate()?;
+    let campaign = Campaign {
+        base_seed,
+        profile,
+        duration_secs,
+        warmup_secs,
+        max_retries,
+        jobs,
+    };
+    run_campaign(
+        &campaign,
+        configs.len(),
+        |i| i as u64,
+        |i| Ok((configs[i].as_vector(), Simulation::new(configs[i]))),
+        |i| i,
+    )
+}
+
+/// The settings a fault-injected campaign shares across its runs.
+pub(crate) struct Campaign {
+    pub base_seed: u64,
+    pub profile: FaultProfile,
+    pub duration_secs: f64,
+    pub warmup_secs: f64,
+    pub max_retries: usize,
+    pub jobs: usize,
+}
+
+/// Runs `n` simulations under `campaign.profile` with per-index retries:
+/// the one fault-draw sequence behind [`run_design_faulty_jobs`] and
+/// [`crate::stream_window`].
+///
+/// The caller supplies three things for index `i`: `key(i)`, which seeds
+/// both the fault draws (per attempt) and the simulation; `simulation(i)`,
+/// the sample's inputs and its simulation, whose seed and timing are set
+/// here; and `quarantine_id(i)`, recorded when every attempt fails. Each
+/// attempt draws dropout, then stall, then truncation, then one spike
+/// draw per indicator; the profile must already be validated.
+pub(crate) fn run_campaign<K, S, Q>(
+    campaign: &Campaign,
+    n: usize,
+    key: K,
+    simulation: S,
+    quarantine_id: Q,
+) -> Result<(Dataset, FaultSummary), SimError>
+where
+    K: Fn(usize) -> u64 + Sync,
+    S: Fn(usize) -> Result<(Vec<f64>, Simulation), SimError> + Sync,
+    Q: Fn(usize) -> usize,
+{
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    profile.validate()?;
+    let Campaign {
+        base_seed,
+        profile,
+        duration_secs,
+        warmup_secs,
+        max_retries,
+        jobs,
+    } = *campaign;
     let root = Seed::new(base_seed);
     let fault_root = root.derive(FAULT_STREAM);
     let dropouts = AtomicUsize::new(0);
@@ -326,9 +383,12 @@ pub fn run_design_faulty_jobs(
     let truncations = AtomicUsize::new(0);
     let spikes = AtomicUsize::new(0);
 
-    let task = |i: usize, attempt: usize| -> Result<Option<Vec<f64>>, SimError> {
+    // One accepted sample: inputs and indicator outputs.
+    type SampleRow = (Vec<f64>, Vec<f64>);
+    let task = |i: usize, attempt: usize| -> Result<Option<SampleRow>, SimError> {
+        let key = key(i);
         let mut faults =
-            Xoshiro256::seed_from(fault_root.derive(i as u64).derive(attempt as u64).value());
+            Xoshiro256::seed_from(fault_root.derive(key).derive(attempt as u64).value());
         // Hard failures first: the run never produces a measurement.
         if faults.next_f64() < profile.sample_dropout {
             dropouts.fetch_add(1, Ordering::Relaxed);
@@ -352,8 +412,9 @@ pub fn run_design_faulty_jobs(
             truncations.fetch_add(1, Ordering::Relaxed);
             duration = warmup_secs + (duration_secs - warmup_secs) * profile.truncate_frac;
         }
-        let m = Simulation::new(configs[i])
-            .seed(root.derive(i as u64).value())
+        let (x, sim) = simulation(i)?;
+        let m = sim
+            .seed(root.derive(key).value())
             .duration_secs(duration)
             .warmup_secs(warmup_secs)
             .run()?;
@@ -364,19 +425,19 @@ pub fn run_design_faulty_jobs(
                 *v *= 1.0 + profile.noise_spike_scale * standard_normal(&mut faults).abs();
             }
         }
-        Ok(Some(y))
+        Ok(Some((x, y)))
     };
-    let rows = wlc_exec::try_map_indexed_retry(jobs, configs.len(), max_retries, task)?;
+    let rows = wlc_exec::try_map_indexed_retry(jobs, n, max_retries, task)?;
 
     let mut ds = Dataset::new(
         INPUT_NAMES.iter().map(|s| s.to_string()).collect(),
         OUTPUT_NAMES.iter().map(|s| s.to_string()).collect(),
     )?;
     let mut quarantined = Vec::new();
-    for (i, (config, row)) in configs.iter().zip(rows).enumerate() {
+    for (i, row) in rows.into_iter().enumerate() {
         match row {
-            Some(y) => ds.push(Sample::new(config.as_vector(), y))?,
-            None => quarantined.push(i),
+            Some((x, y)) => ds.push(Sample::new(x, y))?,
+            None => quarantined.push(quarantine_id(i)),
         }
     }
     let summary = FaultSummary {
