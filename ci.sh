@@ -268,6 +268,20 @@ if [ "${1:-}" != "quick" ]; then
     grep -q "event=quarantine round=2 reason=watchdog" "$learn_dir/events.log"
     test -f "$learn_dir/quarantine/round-2.model"
     test -f "$learn_dir/quarantine/round-2.diagnosis"
+
+    echo "==> paper artifacts (every wlc-bench binary vs results/, byte-exact)"
+    # Each binary's stdout is a pure function of its seed (wall times go
+    # to stderr), so it must reproduce its committed results/ file byte
+    # for byte. Every file that differs is named before the step fails.
+    cargo build -q --release -p wlc-bench
+    stale=""
+    for src in crates/bench/src/bin/*.rs; do
+        name=$(basename "$src" .rs)
+        "./target/release/$name" > "$smoke_dir/$name.txt" 2>/dev/null \
+            && cmp -s "$smoke_dir/$name.txt" "results/$name.txt" \
+            || stale="$stale $name"
+    done
+    [ -z "$stale" ] || { echo "differs from results/:$stale"; exit 1; }
 fi
 
 echo "==> OK"

@@ -15,8 +15,10 @@
 //! Serving is measured end to end by e2ebench's `serve_single` and
 //! `serve_batch` workloads (`bash e2ebench/run.sh`), not here.
 //!
-//! Each metric reports the median with p10/p90 over `--repeats` repeats
-//! and is written to a JSON report (default `BENCH_nn.json`).
+//! The timed network, data and repeat counts are fixed (see [`USAGE`]),
+//! so every report measures the same work. Each metric reports the
+//! median with p10/p90 over the repeats and is written to a JSON report
+//! (`BENCH_nn.json`, or `BENCH_nn.new.json` under `--check`).
 //!
 //! Raw throughput depends on the machine, so the regression gate
 //! (`--check <committed.json>`) compares *in-run speedup ratios*
@@ -40,32 +42,34 @@ const USAGE: &str = "\
 wlc bench — time the train/predict hot path and track a baseline
 
 FLAGS:
-    --quick             fewer repeats (CI mode)
-    --out <path>        report file [default: BENCH_nn.json,
-                        or BENCH_nn.new.json with --check]
+    --quick             fewer samples and repeats (CI mode)
     --check <path>      verify speedups against a committed report;
                         exits non-zero on >25% ratio regression or a
                         train-epoch speedup below 3x
-    --repeats <usize>   timing repeats per metric    [default: 30 / 7 quick]
     --jobs <usize>      row-band threads in the batched arms; results
                         are bitwise identical for any setting
                         [default: 1]
-    --samples <usize>   training rows                [default: 1024 / 512 quick]
-    --batch <usize>     minibatch size               [default: 256]
-    --inputs <usize>    input width                  [default: 4]
-    --hidden <list>     hidden widths                [default: 16,12]
-    --outputs <usize>   output width                 [default: 5]
-    --activation <act>  hidden activation            [default: relu]
 
-The default hidden activation is `relu` so the timed work is the
+Both arms time a 4 -> 16,12 (relu) -> 5 network on 1024 synthetic
+rows in minibatches of 256, 30 repeats per metric (512 rows and 7
+repeats with --quick). The report goes to BENCH_nn.json, or to
+BENCH_nn.new.json with --check.
+
+The hidden activation is `relu` so the timed work is the
 linear-algebra/allocation hot path rather than `exp` calls, whose cost
 is identical in both arms and would only dilute the measured ratio.
-Pass --activation 'logistic(1)' to time the paper's configuration.
 
 The baseline arm is the naive per-sample oracle the bitwise tests check
 the batched path against (allocating forward trace + per-sample
 lane-order accumulation) and per-row `Mlp::forward`, so the reported
 speedup measures what the workspace/GEMM path buys on this machine.";
+
+// The timed network (relu hidden layers) and minibatch are fixed, so
+// every report measures the same work; `config` records them.
+const INPUTS: usize = 4;
+const HIDDEN: [usize; 2] = [16, 12];
+const OUTPUTS: usize = 5;
+const BATCH: usize = 256;
 
 /// Median and tail percentiles over timing repeats.
 #[derive(Debug, Clone, Copy)]
@@ -137,7 +141,6 @@ struct BenchSetup {
     xs: Matrix,
     ys: Matrix,
     mlp: Mlp,
-    batch: usize,
     lr: f64,
 }
 
@@ -162,7 +165,7 @@ fn synthetic(inputs: usize, outputs: usize, samples: usize, seed: u64) -> (Matri
 fn oracle_epoch(setup: &BenchSetup, mlp: &mut Mlp, params: &mut [f64]) -> f64 {
     let n = setup.xs.rows();
     let indices: Vec<usize> = (0..n).collect();
-    for chunk in indices.chunks(setup.batch) {
+    for chunk in indices.chunks(BATCH) {
         mlp.set_params_flat(params).expect("param width");
         let mut bx = Matrix::zeros(chunk.len(), setup.xs.cols());
         let mut by = Matrix::zeros(chunk.len(), setup.ys.cols());
@@ -194,7 +197,7 @@ fn batched_epoch(
 ) -> f64 {
     let n = setup.xs.rows();
     let indices: Vec<usize> = (0..n).collect();
-    for chunk in indices.chunks(setup.batch) {
+    for chunk in indices.chunks(BATCH) {
         mlp.set_params_flat(params).expect("param width");
         scratch.bx.resize_rows(chunk.len());
         scratch.by.resize_rows(chunk.len());
@@ -327,48 +330,34 @@ pub fn run(raw: &[String]) -> CmdResult {
     }
     let flags = Flags::parse(raw, &["quick"])?;
     let quick = flags.switch("quick");
-    let repeats: usize = flags.get_or("repeats", if quick { 7 } else { 30 })?;
+    let (samples, repeats) = if quick { (512, 7) } else { (1024, 30) };
     let jobs: usize = flags.get_or("jobs", 1usize)?.max(1);
-    let samples: usize = flags.get_or("samples", if quick { 512 } else { 1024 })?;
-    let batch: usize = flags.get_or("batch", 256)?;
-    let inputs: usize = flags.get_or("inputs", 4)?;
-    let outputs: usize = flags.get_or("outputs", 5)?;
-    let hidden = flags
-        .get_list::<usize>("hidden")?
-        .unwrap_or_else(|| vec![16, 12]);
-    let activation: Activation = flags.get_or("activation", Activation::relu())?;
     let check: Option<String> =
         flags
             .get_or("check", String::new())
             .map(|s| if s.is_empty() { None } else { Some(s) })?;
-    let default_out = if check.is_some() {
+    let out = if check.is_some() {
         "BENCH_nn.new.json"
     } else {
         "BENCH_nn.json"
     };
-    let out: String = flags.get_or("out", default_out.to_string())?;
-    if repeats == 0 || samples == 0 || batch == 0 {
-        return Err(Box::new(crate::args::ArgError(
-            "--repeats, --samples and --batch must be positive".into(),
-        )));
-    }
 
-    let (xs, ys) = synthetic(inputs, outputs, samples, 42);
-    let mut builder = MlpBuilder::new(inputs).seed(9);
-    for w in &hidden {
-        builder = builder.hidden(*w, activation);
+    let activation = Activation::relu();
+    let (xs, ys) = synthetic(INPUTS, OUTPUTS, samples, 42);
+    let mut builder = MlpBuilder::new(INPUTS).seed(9);
+    for w in HIDDEN {
+        builder = builder.hidden(w, activation);
     }
-    let mlp = builder.output(outputs, Activation::identity()).build()?;
+    let mlp = builder.output(OUTPUTS, Activation::identity()).build()?;
     let setup = BenchSetup {
         xs,
         ys,
         mlp,
-        batch,
         lr: 0.01,
     };
 
     eprintln!(
-        "benchmarking topology {:?}, {samples} samples, batch {batch}, {repeats} repeats, \
+        "benchmarking topology {:?}, {samples} samples, batch {BATCH}, {repeats} repeats, \
          {jobs} band thread(s){}",
         setup.mlp.topology(),
         if quick { " (quick)" } else { "" }
@@ -455,14 +444,11 @@ pub fn run(raw: &[String]) -> CmdResult {
         (
             "config",
             Json::obj([
-                ("inputs", Json::Num(inputs as f64)),
-                (
-                    "hidden",
-                    Json::nums(&hidden.iter().map(|&w| w as f64).collect::<Vec<_>>()),
-                ),
-                ("outputs", Json::Num(outputs as f64)),
+                ("inputs", Json::Num(INPUTS as f64)),
+                ("hidden", Json::nums(&HIDDEN.map(|w| w as f64))),
+                ("outputs", Json::Num(OUTPUTS as f64)),
                 ("samples", Json::Num(samples as f64)),
-                ("batch", Json::Num(batch as f64)),
+                ("batch", Json::Num(BATCH as f64)),
                 ("repeats", Json::Num(repeats as f64)),
                 ("activation", Json::Str(activation.to_string())),
                 ("lanes", Json::Num(wlc_math::gemm::LANES as f64)),
@@ -489,7 +475,7 @@ pub fn run(raw: &[String]) -> CmdResult {
         ),
     ]);
     // wlc-lint: allow(durable-write, reason = "bench report is a throwaway measurement artifact, not recovered state")
-    std::fs::write(&out, format!("{report}\n"))?;
+    std::fs::write(out, format!("{report}\n"))?;
     eprintln!("report written to {out}");
 
     if let Some(committed) = &committed {

@@ -591,6 +591,44 @@ fn serve_usage_and_exit_codes() {
 }
 
 #[test]
+fn bench_check_refuses_a_report_of_another_schema_or_thread_count() {
+    let dir = workspace("bench_check_refuses_a_report_of_another_schema_or_thread_count");
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nn.json");
+    let text = std::fs::read_to_string(committed).expect("committed report");
+    assert!(text.contains("\"schema\":2.0"), "{text}");
+    std::fs::write(
+        dir.join("old.json"),
+        text.replace("\"schema\":2.0", "\"schema\":1.0"),
+    )
+    .expect("write report");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--quick", "--check", "old.json"],
+            "old.json: committed report schema is 1, this binary writes schema 2",
+        ),
+        (
+            &["--quick", "--jobs", "2", "--check", committed],
+            "measured with threads=1 but this run uses --jobs 2",
+        ),
+    ];
+    for (args, want) in cases {
+        // Run in `dir`, where a report the run wrote would land.
+        let out = Command::new(env!("CARGO_BIN_EXE_wlc"))
+            .arg("bench")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains(want), "{}", stderr(&out));
+        // Refused before any timed arm ran or any report was written.
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        assert!(!dir.join("BENCH_nn.new.json").exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn full_pipeline_collect_train_predict_cv_surface() {
     let dir = workspace("full_pipeline_collect_train_predict_cv_surface");
     let data = dir.join("data.csv");

@@ -1,4 +1,3 @@
-use wlc_hot::wlc_hot;
 use wlc_math::rng::Xoshiro256;
 use wlc_math::Matrix;
 
@@ -136,20 +135,6 @@ impl DenseLayer {
     ///
     /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
     pub fn pre_activation(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut z = vec![0.0; self.outputs()];
-        self.pre_activation_into(input, &mut z)?;
-        Ok(z)
-    }
-
-    /// Writes the pre-activation `z = W·x + b` into `out` without
-    /// allocating; bit-identical to [`DenseLayer::pre_activation`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`
-    /// or `out.len() != self.outputs()`.
-    #[wlc_hot]
-    pub fn pre_activation_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), NnError> {
         if input.len() != self.inputs() {
             return Err(NnError::ShapeMismatch {
                 expected: self.inputs(),
@@ -157,17 +142,12 @@ impl DenseLayer {
                 what: "input width",
             });
         }
-        if out.len() != self.outputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.outputs(),
-                actual: out.len(),
-                what: "pre-activation buffer length",
-            });
-        }
-        for (r, (o, &bi)) in out.iter_mut().zip(self.biases.iter()).enumerate() {
-            *o = wlc_math::gemm::dot_lanes(self.weights.row(r), input) + bi;
-        }
-        Ok(())
+        Ok(self
+            .biases
+            .iter()
+            .enumerate()
+            .map(|(r, &bi)| wlc_math::gemm::dot_lanes(self.weights.row(r), input) + bi)
+            .collect())
     }
 
     /// Full forward pass `f(W·x + b)`.
@@ -294,20 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_are_bitwise_allocating_variants() {
+    fn pre_activation_rejects_wrong_widths() {
         let mut r = rng();
         let layer =
             DenseLayer::new(5, 3, Activation::tanh(), Initializer::default(), &mut r).unwrap();
         let input = [0.3, -0.8, 1.5, 0.0, -0.1];
-        let mut z = [f64::NAN; 3];
-        layer.pre_activation_into(&input, &mut z).unwrap();
-        assert_eq!(
-            z.as_slice(),
-            layer.pre_activation(&input).unwrap().as_slice()
-        );
+        assert_eq!(layer.pre_activation(&input).unwrap().len(), 3);
         // Wrong widths are rejected, not panicked on.
-        assert!(layer.pre_activation_into(&input[..3], &mut z).is_err());
-        assert!(layer.pre_activation_into(&input, &mut z[..2]).is_err());
+        assert!(layer.pre_activation(&input[..3]).is_err());
+        assert!(layer.pre_activation(&[0.0; 6]).is_err());
     }
 
     #[test]

@@ -83,37 +83,9 @@ impl Loss {
             .collect())
     }
 
-    /// Writes the gradient of the loss into `out` — the allocation-free
-    /// variant of [`Loss::gradient`], with bit-identical arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] for unequal lengths, empty
-    /// inputs, or an `out` buffer of the wrong length.
-    pub fn gradient_into(
-        &self,
-        predicted: &[f64],
-        target: &[f64],
-        out: &mut [f64],
-    ) -> Result<(), NnError> {
-        self.check(predicted, target)?;
-        if out.len() != predicted.len() {
-            return Err(NnError::ShapeMismatch {
-                expected: predicted.len(),
-                actual: out.len(),
-                what: "gradient buffer length",
-            });
-        }
-        let n = predicted.len() as f64;
-        for ((o, &p), &t) in out.iter_mut().zip(predicted).zip(target) {
-            *o = self.pointwise_grad(p - t) / n;
-        }
-        Ok(())
-    }
-
     /// Row-batched loss value + gradient over a band: adds up each row's
     /// [`Loss::value`] (rows ascending) against rows `t_r0..t_r0 + m` of
-    /// `target` while writing each row's [`Loss::gradient_into`] result
+    /// `target` while writing each row's [`Loss::gradient`] result
     /// into the matching row of `grad_out`. Bit-identical to the per-row
     /// calls — this exists so the batched training hot path pays the
     /// shape checks and the variant dispatch once per band instead of
@@ -336,27 +308,6 @@ mod tests {
         assert!(g[0] > 0.0);
         assert!(g[1] < 0.0);
         assert_eq!(g[2], 0.0);
-    }
-
-    #[test]
-    fn gradient_into_is_bitwise_gradient() {
-        let losses = [
-            Loss::MeanSquared,
-            Loss::MeanAbsolute,
-            Loss::huber(0.7).unwrap(),
-        ];
-        let predicted = [0.3, -1.2, 2.0];
-        let target = [0.0, 0.5, 1.8];
-        for l in losses {
-            let expect = l.gradient(&predicted, &target).unwrap();
-            let mut out = [f64::NAN; 3];
-            l.gradient_into(&predicted, &target, &mut out).unwrap();
-            assert_eq!(out.as_slice(), expect.as_slice(), "{l}");
-        }
-        let mut short = [0.0; 2];
-        assert!(Loss::MeanSquared
-            .gradient_into(&predicted, &target, &mut short)
-            .is_err());
     }
 
     #[test]

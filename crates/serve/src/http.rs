@@ -458,26 +458,6 @@ fn parse_head<'a>(
     Ok((first, headers))
 }
 
-/// Reads one request from a socket with the [`HEAD_DEADLINE`]; the server
-/// answers a breach with 408. Bytes past the request are dropped: a peer
-/// that reads more than one message uses a [`Connection`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
-    read_request_deadline(stream, HEAD_DEADLINE)
-}
-
-/// [`read_request`] with an explicit head deadline (tests shrink it).
-pub fn read_request_deadline(
-    stream: &mut TcpStream,
-    deadline: Duration,
-) -> Result<Request, ServeError> {
-    Connection::over(stream).read_request(deadline)
-}
-
-/// Reads one response from a socket (see [`Connection::read_response`]).
-pub fn read_response(stream: &mut TcpStream) -> Result<Response, ServeError> {
-    Connection::over(stream).read_response()
-}
-
 fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -621,7 +601,9 @@ mod tests {
     fn request_round_trip() {
         let (mut client, mut server) = pair();
         write_request(&mut client, "POST", "/predict", "{\"inputs\":[1.0]}").unwrap();
-        let req = read_request(&mut server).unwrap();
+        let req = Connection::over(&mut server)
+            .read_request(HEAD_DEADLINE)
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/predict");
         assert_eq!(req.body_str().unwrap(), "{\"inputs\":[1.0]}");
@@ -631,7 +613,7 @@ mod tests {
         );
 
         write_response(&mut server, 200, "{\"ok\":true}", 1, true).unwrap();
-        let resp = read_response(&mut client).unwrap();
+        let resp = Connection::over(&mut client).read_response().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body_str().unwrap(), "{\"ok\":true}");
     }
@@ -640,7 +622,7 @@ mod tests {
     fn shed_responses_carry_retry_after() {
         let (mut client, mut server) = pair();
         write_response(&mut server, 503, "{}", 1, false).unwrap();
-        let resp = read_response(&mut client).unwrap();
+        let resp = Connection::over(&mut client).read_response().unwrap();
         assert_eq!(resp.status, 503);
         assert_eq!(
             resp.headers.get("retry-after").map(String::as_str),
@@ -651,14 +633,14 @@ mod tests {
         // and never appear on other statuses.
         let (mut client, mut server) = pair();
         write_response(&mut server, 504, "{}", 3, false).unwrap();
-        let resp = read_response(&mut client).unwrap();
+        let resp = Connection::over(&mut client).read_response().unwrap();
         assert_eq!(
             resp.headers.get("retry-after").map(String::as_str),
             Some("3")
         );
         let (mut client, mut server) = pair();
         write_response(&mut server, 200, "{}", 3, false).unwrap();
-        let resp = read_response(&mut client).unwrap();
+        let resp = Connection::over(&mut client).read_response().unwrap();
         assert!(!resp.headers.contains_key("retry-after"));
     }
 
@@ -667,7 +649,7 @@ mod tests {
         for (keep_alive, header) in [(true, "keep-alive"), (false, "close")] {
             let (mut client, mut server) = pair();
             write_response(&mut server, 200, "{}", 1, keep_alive).unwrap();
-            let resp = read_response(&mut client).unwrap();
+            let resp = Connection::over(&mut client).read_response().unwrap();
             assert_eq!(
                 resp.headers.get("connection").map(String::as_str),
                 Some(header)
@@ -761,7 +743,9 @@ mod tests {
             }
             client
         });
-        let req = read_request(&mut server).unwrap();
+        let req = Connection::over(&mut server)
+            .read_request(HEAD_DEADLINE)
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/predict");
         assert_eq!(req.body_str().unwrap(), "{\"inputs\":[1.0]}");
@@ -782,7 +766,9 @@ mod tests {
             client.flush().unwrap();
             client
         });
-        let req = read_request(&mut server).unwrap();
+        let req = Connection::over(&mut server)
+            .read_request(HEAD_DEADLINE)
+            .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -801,7 +787,7 @@ mod tests {
             }
             server
         });
-        let resp = read_response(&mut client).unwrap();
+        let resp = Connection::over(&mut client).read_response().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body_str().unwrap(), "{\"ok\":true}");
         writer.join().unwrap();
@@ -813,7 +799,7 @@ mod tests {
         client.write_all(b"NONSENSE\r\n\r\n").unwrap();
         client.flush().unwrap();
         assert!(matches!(
-            read_request(&mut server),
+            Connection::over(&mut server).read_request(HEAD_DEADLINE),
             Err(ServeError::Protocol(_))
         ));
 
@@ -822,7 +808,7 @@ mod tests {
             .write_all(b"POST / HTTP/1.1\r\nContent-Length: zzz\r\n\r\n")
             .unwrap();
         assert!(matches!(
-            read_request(&mut server2),
+            Connection::over(&mut server2).read_request(HEAD_DEADLINE),
             Err(ServeError::Protocol(_))
         ));
     }
@@ -833,7 +819,7 @@ mod tests {
         let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
         client.write_all(head.as_bytes()).unwrap();
         assert!(matches!(
-            read_request(&mut server),
+            Connection::over(&mut server).read_request(HEAD_DEADLINE),
             Err(ServeError::BodyTooLarge { .. })
         ));
     }
@@ -853,7 +839,9 @@ mod tests {
             }
             client
         });
-        let req = read_request(&mut server).unwrap();
+        let req = Connection::over(&mut server)
+            .read_request(HEAD_DEADLINE)
+            .unwrap();
         assert_eq!(req.body.len(), MAX_BODY_BYTES);
         assert!(req.body.iter().all(|&b| b == b'x'));
         writer.join().unwrap();
@@ -868,7 +856,7 @@ mod tests {
         // declared length alone instead of waiting for body bytes.
         client.write_all(head.as_bytes()).unwrap();
         client.flush().unwrap();
-        match read_request(&mut server) {
+        match Connection::over(&mut server).read_request(HEAD_DEADLINE) {
             Err(ServeError::BodyTooLarge { length, limit }) => {
                 assert_eq!(length, over);
                 assert_eq!(limit, MAX_BODY_BYTES);
@@ -896,7 +884,7 @@ mod tests {
         });
         let deadline = Duration::from_millis(120);
         let started = std::time::Instant::now();
-        match read_request_deadline(&mut server, deadline) {
+        match Connection::over(&mut server).read_request(deadline) {
             Err(ServeError::HeaderTimeout { deadline_ms }) => {
                 assert_eq!(deadline_ms, 120);
             }
@@ -916,7 +904,9 @@ mod tests {
             client.flush().unwrap();
             client
         });
-        let req = read_request_deadline(&mut server, Duration::from_secs(5)).unwrap();
+        let req = Connection::over(&mut server)
+            .read_request(Duration::from_secs(5))
+            .unwrap();
         assert_eq!(req.path, "/healthz");
         writer.join().unwrap();
     }
@@ -929,7 +919,7 @@ mod tests {
             .unwrap();
         drop(client); // close before the promised 10 bytes arrive
         assert!(matches!(
-            read_request(&mut server),
+            Connection::over(&mut server).read_request(HEAD_DEADLINE),
             Err(ServeError::Protocol(_))
         ));
     }
