@@ -74,10 +74,12 @@ echo "==> crash-consistency sweep (every op-log prefix of a supervisor round)"
 cargo test -q -p wlc-learn --test crash_sweep
 
 if [ "${1:-}" != "quick" ]; then
-    echo "==> serving correctness smoke (e2ebench serve_batch, serve_single)"
-    # Every answer is checked bit for bit through a real `wlc serve`
-    # process and `ServeClient`. No timing is gated here.
-    for workload in serve_batch serve_single; do
+    echo "==> correctness smoke (e2ebench, every workload, 2 s each)"
+    # The serving workloads check every answer bit for bit through a real
+    # `wlc serve` process and `ServeClient`; the pipeline workloads
+    # require every repeated characterization or supervisor run to
+    # reproduce the first one's outputs exactly. No timing is gated here.
+    for workload in serve_batch serve_single characterize learn_rounds; do
         result=$(bash e2ebench/run.sh --workload "$workload" --seed 1 \
             --seconds 2 --trace 0 | tail -n 1)
         case "$result" in

@@ -3,10 +3,11 @@
 //!
 //! Every experiment follows the paper's pipeline:
 //!
-//! 1. design a set of workload configurations ([`paper_design`]),
-//! 2. run each through the 3-tier simulator ([`collect_dataset`]),
+//! 1. design a set of workload configurations and
+//! 2. run each through the 3-tier simulator (both in [`paper_dataset`]),
 //! 3. train/validate the MLP workload model ([`paper_model_builder`]),
-//! 4. analyze predictions (surfaces, cross validation, tuning).
+//! 4. analyze predictions (surfaces, cross validation, tuning;
+//!    [`run_figure_experiment`] for Figures 4/7/8).
 //!
 //! The binaries in `src/bin/` each regenerate one artifact of the paper
 //! (see DESIGN.md for the index); EXPERIMENTS.md records their output.
@@ -33,14 +34,14 @@ pub const MFG_RANGE: (f64, f64) = (10.0, 24.0);
 pub const WEB_RANGE: (f64, f64) = (5.0, 20.0);
 
 /// Simulated seconds per measurement run used by the experiments.
-pub const SIM_DURATION_SECS: f64 = 20.0;
+const SIM_DURATION_SECS: f64 = 20.0;
 /// Warmup seconds discarded before measuring.
-pub const SIM_WARMUP_SECS: f64 = 4.0;
+const SIM_WARMUP_SECS: f64 = 4.0;
 
 /// The fixed operating point of the paper's Figures 4/7/8:
 /// `(560, x, 16, y)` — injection 560 req/s, mfg queue 16 threads, with
 /// the default and web queues swept.
-pub const FIGURE_BASE: [f64; 4] = [560.0, 10.0, 16.0, 10.0];
+const FIGURE_BASE: [f64; 4] = [560.0, 10.0, 16.0, 10.0];
 
 /// Generates the paper-style experiment design: `n` configurations drawn
 /// by Latin-hypercube sampling over the ranges above, thread counts
@@ -49,7 +50,7 @@ pub const FIGURE_BASE: [f64; 4] = [560.0, 10.0, 16.0, 10.0];
 /// # Errors
 ///
 /// Returns [`ModelError::Data`] for `n == 0`.
-pub fn paper_design(n: usize, seed: u64) -> Result<Vec<ServerConfig>, ModelError> {
+fn paper_design(n: usize, seed: u64) -> Result<Vec<ServerConfig>, ModelError> {
     let ranges = [
         ParamRange::new(INJECTION_RANGE.0, INJECTION_RANGE.1)?,
         ParamRange::new(DEFAULT_RANGE.0, DEFAULT_RANGE.1)?,
@@ -75,7 +76,7 @@ pub fn paper_design(n: usize, seed: u64) -> Result<Vec<ServerConfig>, ModelError
 /// # Errors
 ///
 /// Propagates simulator failures.
-pub fn collect_dataset(configs: &[ServerConfig], seed: u64) -> Result<Dataset, SimError> {
+fn collect_dataset(configs: &[ServerConfig], seed: u64) -> Result<Dataset, SimError> {
     run_design(configs, seed, SIM_DURATION_SECS, SIM_WARMUP_SECS)
 }
 
@@ -108,7 +109,7 @@ pub fn paper_model_builder() -> WorkloadModelBuilder {
 /// `default` and `web` axes): 4..20 in steps of 2, matching the paper's
 /// 0..20 figure axes (below 4 threads the simulated system completes
 /// nothing at 560 req/s, so the surface carries no extra information).
-pub fn figure_axis() -> Vec<f64> {
+fn figure_axis() -> Vec<f64> {
     (2..=10).map(|i| (i * 2) as f64).collect()
 }
 
@@ -120,7 +121,7 @@ pub fn figure_axis() -> Vec<f64> {
 /// # Errors
 ///
 /// Returns [`ModelError::Sim`] if a configuration is rejected.
-pub fn figure_design() -> Result<Vec<ServerConfig>, ModelError> {
+fn figure_design() -> Result<Vec<ServerConfig>, ModelError> {
     let mut configs = Vec::new();
     for &rate in &[520.0, 560.0, 600.0] {
         for &d in &figure_axis() {
@@ -138,7 +139,7 @@ pub fn figure_design() -> Result<Vec<ServerConfig>, ModelError> {
 /// # Errors
 ///
 /// Propagates simulation and training failures.
-pub fn figure_model(seed: u64) -> Result<(Dataset, wlc_model::WorkloadModel), ModelError> {
+fn figure_model(seed: u64) -> Result<(Dataset, wlc_model::WorkloadModel), ModelError> {
     let configs = figure_design()?;
     // Longer runs than the Table 2 dataset: the figure surfaces resolve
     // ~10 % effects, so per-cell measurement noise must stay ~1 %.
@@ -159,7 +160,7 @@ pub fn figure_model(seed: u64) -> Result<(Dataset, wlc_model::WorkloadModel), Mo
 /// # Errors
 ///
 /// Propagates surface-evaluation failures.
-pub fn figure_surface(
+fn figure_surface(
     model: &dyn wlc_model::PerformanceModel,
     output: usize,
 ) -> Result<wlc_model::SurfaceGrid, ModelError> {

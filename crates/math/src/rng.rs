@@ -9,6 +9,9 @@
 //!
 //! - [`SplitMix64`] — tiny, fast; used to expand a seed into state.
 //! - [`Xoshiro256`] — xoshiro256++, the general-purpose generator.
+//!
+//! [`WeightedIndex`] validates a set of weights once for repeated
+//! weighted index draws from a [`Xoshiro256`].
 
 use std::fmt;
 
@@ -280,21 +283,56 @@ impl Xoshiro256 {
         idx
     }
 
-    /// Picks an index according to the given (unnormalized) weights.
+    /// Picks an index according to the given (unnormalized) weights: one
+    /// [`WeightedIndex::new`] and one [`WeightedIndex::pick`]. A caller
+    /// drawing many times from the same weights should build the
+    /// [`WeightedIndex`] once.
+    ///
+    /// # Errors
+    ///
+    /// As for [`WeightedIndex::new`].
+    pub fn pick_weighted(&mut self, weights: &[f64]) -> Result<usize, crate::MathError> {
+        Ok(WeightedIndex::new(weights)?.pick(self))
+    }
+}
+
+/// Weights validated once for repeated weighted index draws: non-empty,
+/// non-negative, finite, with a positive sum.
+///
+/// # Examples
+///
+/// ```
+/// use wlc_math::rng::{WeightedIndex, Xoshiro256};
+///
+/// let mix = WeightedIndex::new([0.0, 1.0, 3.0])?;
+/// let mut rng = Xoshiro256::seed_from(1);
+/// let i = mix.pick(&mut rng);
+/// assert!(i == 1 || i == 2);
+/// # Ok::<(), wlc_math::MathError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightedIndex<W> {
+    weights: W,
+    total: f64,
+}
+
+impl<W: AsRef<[f64]>> WeightedIndex<W> {
+    /// Validates `weights` and sums them in index order.
     ///
     /// # Errors
     ///
     /// Returns [`crate::MathError::InvalidParameter`] if `weights` is empty,
     /// contains a negative or non-finite value, or sums to zero.
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> Result<usize, crate::MathError> {
-        if weights.is_empty() {
+    pub fn new(weights: W) -> Result<Self, crate::MathError> {
+        let slice = weights.as_ref();
+        if slice.is_empty() {
             return Err(crate::MathError::InvalidParameter {
                 name: "weights",
                 reason: "must not be empty",
             });
         }
         let mut total = 0.0;
-        for &w in weights {
+        for &w in slice {
             if !(w.is_finite() && w >= 0.0) {
                 return Err(crate::MathError::InvalidParameter {
                     name: "weights",
@@ -309,14 +347,21 @@ impl Xoshiro256 {
                 reason: "must sum to a positive value",
             });
         }
-        let mut target = self.next_f64() * total;
+        Ok(WeightedIndex { weights, total })
+    }
+
+    /// Draws an index with probability proportional to its weight, from
+    /// exactly one [`Xoshiro256::next_f64`].
+    pub fn pick(&self, rng: &mut Xoshiro256) -> usize {
+        let weights = self.weights.as_ref();
+        let mut target = rng.next_f64() * self.total;
         for (i, &w) in weights.iter().enumerate() {
             target -= w;
             if target < 0.0 {
-                return Ok(i);
+                return i;
             }
         }
-        Ok(weights.len() - 1)
+        weights.len() - 1
     }
 }
 
@@ -467,6 +512,21 @@ mod tests {
         assert!(rng.pick_weighted(&[-1.0, 2.0]).is_err());
         assert!(rng.pick_weighted(&[0.0, 0.0]).is_err());
         assert!(rng.pick_weighted(&[f64::NAN]).is_err());
+        assert!(rng.pick_weighted(&[1.0, f64::INFINITY]).is_err());
+    }
+
+    #[test]
+    fn weighted_index_pick_draws_one_uniform() {
+        // A simulation's stream must not shift with how often its mix is
+        // validated: every pick consumes exactly one `next_f64`.
+        let mix = WeightedIndex::new([0.4, 0.0, 0.25, 0.35]).unwrap();
+        let mut rng = Xoshiro256::seed_from(18);
+        let mut reference = rng.clone();
+        for _ in 0..1_000 {
+            assert_ne!(mix.pick(&mut rng), 1, "a zero weight is never picked");
+            reference.next_f64();
+            assert_eq!(rng, reference);
+        }
     }
 
     #[test]

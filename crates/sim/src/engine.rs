@@ -2,14 +2,14 @@
 //! contention model and metric collection.
 
 use wlc_math::quantile::P2Quantile;
-use wlc_math::rng::{Seed, Xoshiro256};
+use wlc_math::rng::{Seed, WeightedIndex, Xoshiro256};
 use wlc_math::stats::OnlineStats;
 
 use crate::config::{ArrivalProcess, DbModel, HardwareModel, ServerConfig, WorkloadSpec};
 use crate::db::db_service_time;
 use crate::des::{EventQueue, SimTime};
 use crate::metrics::{Measurement, PoolUtilization};
-use crate::threadpool::{Pool, TxnId};
+use crate::threadpool::{Pool, Txn};
 use crate::transaction::{DomainQueue, TransactionKind};
 use crate::SimError;
 
@@ -31,22 +31,26 @@ impl QueueId {
     }
 }
 
+/// An event; a finished stage carries its transaction's fields flat, so
+/// an `Event` stays 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     /// The next driver arrival.
     Arrival,
     /// The bursty driver toggles between its normal and burst phases.
     PhaseSwitch,
-    /// A middle-tier stage finished for `txn` on `queue`.
-    PoolDone { queue: QueueId, txn: TxnId },
-    /// The database stage finished for `txn`.
-    DbDone { txn: TxnId },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TxnState {
-    kind: TransactionKind,
-    arrival: SimTime,
+    /// A middle-tier stage finished on `queue` for the transaction of
+    /// class `kind` that arrived at `arrival`.
+    PoolDone {
+        queue: QueueId,
+        kind: TransactionKind,
+        arrival: SimTime,
+    },
+    /// The database stage finished for that transaction.
+    DbDone {
+        kind: TransactionKind,
+        arrival: SimTime,
+    },
 }
 
 /// Complete runtime parameters of one simulation run.
@@ -69,15 +73,16 @@ pub(crate) struct Engine {
     rng: Xoshiro256,
     /// Middle-tier pools indexed by [`QueueId::index`].
     pools: [Pool; 3],
+    /// Busy threads across the three middle-tier pools.
+    middle_busy: u32,
     db: Pool,
-    txns: Vec<TxnState>,
     // Metrics.
     response_stats: [OnlineStats; 4],
     p95_stats: [P2Quantile; 4],
     injected: u64,
     completed: [u64; 4],
     effective: [u64; 4],
-    mix_probabilities: [f64; 4],
+    mix: WeightedIndex<[f64; 4]>,
     /// Constant service-time inflation from configured thread footprint.
     memory_factor: f64,
     /// Whether the bursty driver is currently in its burst phase.
@@ -104,7 +109,7 @@ impl Engine {
         ];
         let db = Pool::new(cfg.db.connections);
         let rng = Xoshiro256::from_seed(cfg.seed);
-        let mix_probabilities = cfg.workload.probabilities();
+        let mix = WeightedIndex::new(cfg.workload.probabilities())?;
         let memory_factor =
             1.0 + cfg.hardware.memory_overhead_per_thread * cfg.server.total_threads() as f64;
         let mut engine = Engine {
@@ -113,8 +118,8 @@ impl Engine {
             events: EventQueue::new(),
             rng,
             pools,
+            middle_busy: 0,
             db,
-            txns: Vec::new(),
             response_stats: [OnlineStats::new(); 4],
             p95_stats: [
                 P2Quantile::new(0.95).expect("valid quantile"),
@@ -125,7 +130,7 @@ impl Engine {
             injected: 0,
             completed: [0; 4],
             effective: [0; 4],
-            mix_probabilities,
+            mix,
             memory_factor,
             in_burst: false,
             current_rate: 0.0, // placeholder; set from the phase below
@@ -161,7 +166,7 @@ impl Engine {
     pub(crate) fn run(mut self) -> Result<Measurement, SimError> {
         // Prime the arrival stream (and the phase process if bursty).
         let first_gap = self.next_arrival_gap();
-        self.events.schedule(first_gap, Event::Arrival);
+        self.events.schedule_arrival(first_gap, Event::Arrival);
         if let ArrivalProcess::Bursty {
             mean_normal_secs, ..
         } = self.cfg.arrivals
@@ -183,8 +188,12 @@ impl Engine {
             match event {
                 Event::Arrival => self.handle_arrival(),
                 Event::PhaseSwitch => self.handle_phase_switch(),
-                Event::PoolDone { queue, txn } => self.handle_pool_done(queue, txn),
-                Event::DbDone { txn } => self.handle_db_done(txn),
+                Event::PoolDone {
+                    queue,
+                    kind,
+                    arrival,
+                } => self.handle_pool_done(queue, Txn { kind, arrival }),
+                Event::DbDone { kind, arrival } => self.handle_db_done(Txn { kind, arrival }),
             }
         }
         self.clock = end;
@@ -258,28 +267,23 @@ impl Engine {
         let gap = self.next_arrival_gap();
         let next = self.clock + gap;
         if next <= self.cfg.duration {
-            self.events.schedule(next, Event::Arrival);
+            self.events.schedule_arrival(next, Event::Arrival);
         }
 
         // Inject a new transaction of a mix-weighted random kind.
-        let kind_idx = self
-            .rng
-            .pick_weighted(&self.mix_probabilities)
-            .expect("mix validated at construction");
-        let kind = TransactionKind::ALL[kind_idx];
-        let txn = self.txns.len();
-        self.txns.push(TxnState {
-            kind,
+        let txn = Txn {
+            kind: TransactionKind::ALL[self.mix.pick(&mut self.rng)],
             arrival: self.clock,
-        });
+        };
         self.injected += 1;
         self.submit_to_pool(QueueId::Web, txn);
     }
 
     /// Sends `txn` to a middle-tier pool: starts service immediately if a
     /// thread is free, otherwise queues it.
-    fn submit_to_pool(&mut self, queue: QueueId, txn: TxnId) {
+    fn submit_to_pool(&mut self, queue: QueueId, txn: Txn) {
         if self.pools[queue.index()].try_acquire(self.clock) {
+            self.middle_busy += 1;
             self.start_pool_service(queue, txn);
         } else {
             self.pools[queue.index()].enqueue(txn);
@@ -289,16 +293,22 @@ impl Engine {
     /// Draws the stage demand, applies the contention model and schedules
     /// the completion event. The calling pool has already allocated a
     /// thread for `txn`.
-    fn start_pool_service(&mut self, queue: QueueId, txn: TxnId) {
-        let kind = self.txns[txn].kind;
-        let demands = *self.cfg.workload.class(kind).demands();
+    fn start_pool_service(&mut self, queue: QueueId, txn: Txn) {
+        let demands = *self.cfg.workload.class(txn.kind).demands();
         let base = match queue {
             QueueId::Web => demands.web.sample(&mut self.rng),
             QueueId::Mfg | QueueId::Default => demands.domain.sample(&mut self.rng),
         };
         let service = base * self.slowdown(queue);
         let done = self.clock + SimTime::from_secs(service);
-        self.events.schedule(done, Event::PoolDone { queue, txn });
+        self.events.schedule(
+            done,
+            Event::PoolDone {
+                queue,
+                kind: txn.kind,
+                arrival: txn.arrival,
+            },
+        );
     }
 
     /// The contention model (see [`HardwareModel`]): processor-sharing
@@ -308,7 +318,13 @@ impl Engine {
     /// "valleys": too few threads queue, too many thrash.
     fn slowdown(&self, queue: QueueId) -> f64 {
         let hw = &self.cfg.hardware;
-        let busy_total: f64 = self.pools.iter().map(|p| p.busy() as f64).sum();
+        debug_assert_eq!(
+            self.middle_busy,
+            self.pools.iter().map(Pool::busy).sum::<u32>()
+        );
+        // A sum of small integers is exact, so this is the f64 the
+        // pools' busy counts would sum to.
+        let busy_total = self.middle_busy as f64;
         let mut s = 1.0;
         if busy_total > hw.effective_cores {
             let over = busy_total - hw.effective_cores;
@@ -321,12 +337,11 @@ impl Engine {
         s.min(hw.max_slowdown)
     }
 
-    fn handle_pool_done(&mut self, queue: QueueId, txn: TxnId) {
+    fn handle_pool_done(&mut self, queue: QueueId, txn: Txn) {
         // Route the finished transaction onward.
         match queue {
             QueueId::Web => {
-                let kind = self.txns[txn].kind;
-                let domain = self.cfg.workload.class(kind).demands().domain_queue;
+                let domain = self.cfg.workload.class(txn.kind).demands().domain_queue;
                 let target = match domain {
                     DomainQueue::Mfg => QueueId::Mfg,
                     DomainQueue::Default => QueueId::Default,
@@ -344,12 +359,13 @@ impl Engine {
     /// Releases a thread on `queue`; if a transaction was waiting it takes
     /// the thread over and its service starts now.
     fn release_and_continue(&mut self, queue: QueueId) {
-        if let Some(next) = self.pools[queue.index()].release(self.clock) {
-            self.start_pool_service(queue, next);
+        match self.pools[queue.index()].release(self.clock) {
+            Some(next) => self.start_pool_service(queue, next),
+            None => self.middle_busy -= 1,
         }
     }
 
-    fn submit_to_db(&mut self, txn: TxnId) {
+    fn submit_to_db(&mut self, txn: Txn) {
         if self.db.try_acquire(self.clock) {
             self.start_db_service(txn);
         } else {
@@ -357,33 +373,37 @@ impl Engine {
         }
     }
 
-    fn start_db_service(&mut self, txn: TxnId) {
-        let kind = self.txns[txn].kind;
+    fn start_db_service(&mut self, txn: Txn) {
         let base = self
             .cfg
             .workload
-            .class(kind)
+            .class(txn.kind)
             .demands()
             .db
             .sample(&mut self.rng);
         let service = db_service_time(&self.cfg.db, base, self.db.busy());
         let done = self.clock + SimTime::from_secs(service);
-        self.events.schedule(done, Event::DbDone { txn });
+        self.events.schedule(
+            done,
+            Event::DbDone {
+                kind: txn.kind,
+                arrival: txn.arrival,
+            },
+        );
     }
 
-    fn handle_db_done(&mut self, txn: TxnId) {
+    fn handle_db_done(&mut self, txn: Txn) {
         if let Some(next) = self.db.release(self.clock) {
             self.start_db_service(next);
         }
         // Transaction complete.
-        let state = self.txns[txn];
         if self.clock > self.cfg.warmup {
-            let rt = (self.clock - state.arrival).as_secs();
-            let idx = state.kind.index();
+            let rt = (self.clock - txn.arrival).as_secs();
+            let idx = txn.kind.index();
             self.response_stats[idx].push(rt);
             self.p95_stats[idx].push(rt);
             self.completed[idx] += 1;
-            let constraint = self.cfg.workload.class(state.kind).constraint_secs();
+            let constraint = self.cfg.workload.class(txn.kind).constraint_secs();
             if rt <= constraint {
                 self.effective[idx] += 1;
             }
@@ -426,6 +446,13 @@ mod tests {
             .unwrap()
             .run()
             .unwrap()
+    }
+
+    #[test]
+    fn events_stay_sixteen_bytes() {
+        // A finished stage carries its transaction flat: a nested `Txn`
+        // would pad `Event` to 24 bytes and every queue entry with it.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]

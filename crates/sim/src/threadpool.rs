@@ -1,9 +1,15 @@
 use std::collections::VecDeque;
 
 use crate::des::SimTime;
+use crate::transaction::TransactionKind;
 
-/// Identifier of a transaction within the engine's arena.
-pub(crate) type TxnId = usize;
+/// A transaction in flight: its class routes it and draws its demands,
+/// its arrival time gives its response time when it completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Txn {
+    pub(crate) kind: TransactionKind,
+    pub(crate) arrival: SimTime,
+}
 
 /// A finite pool of servers (threads or DB connections) with a FIFO queue.
 ///
@@ -13,7 +19,7 @@ pub(crate) type TxnId = usize;
 pub(crate) struct Pool {
     servers: u32,
     busy: u32,
-    queue: VecDeque<TxnId>,
+    queue: VecDeque<Txn>,
     busy_area: f64,
     last_update: SimTime,
     peak_queue: usize,
@@ -35,7 +41,6 @@ impl Pool {
     }
 
     /// Number of servers.
-    #[allow(dead_code)] // diagnostic accessor, exercised by tests
     pub(crate) fn servers(&self) -> u32 {
         self.servers
     }
@@ -70,7 +75,7 @@ impl Pool {
     }
 
     /// Adds a transaction to the wait queue.
-    pub(crate) fn enqueue(&mut self, txn: TxnId) {
+    pub(crate) fn enqueue(&mut self, txn: Txn) {
         self.queue.push_back(txn);
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
@@ -82,7 +87,7 @@ impl Pool {
     /// # Panics
     ///
     /// Panics in debug builds if no server is busy.
-    pub(crate) fn release(&mut self, now: SimTime) -> Option<TxnId> {
+    pub(crate) fn release(&mut self, now: SimTime) -> Option<Txn> {
         debug_assert!(self.busy > 0, "release on an idle pool");
         self.advance(now);
         match self.queue.pop_front() {
@@ -126,6 +131,14 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A transaction told apart from the others by its arrival time.
+    fn txn(arrival: f64) -> Txn {
+        Txn {
+            kind: TransactionKind::Manufacturing,
+            arrival: t(arrival),
+        }
+    }
+
     #[test]
     fn acquire_until_full() {
         let mut p = Pool::new(2);
@@ -139,12 +152,12 @@ mod tests {
     fn release_hands_off_to_waiter() {
         let mut p = Pool::new(1);
         assert!(p.try_acquire(t(0.0)));
-        p.enqueue(7);
-        p.enqueue(8);
+        p.enqueue(txn(7.0));
+        p.enqueue(txn(8.0));
         // First release hands the server to txn 7 without freeing it.
-        assert_eq!(p.release(t(1.0)), Some(7));
+        assert_eq!(p.release(t(1.0)), Some(txn(7.0)));
         assert_eq!(p.busy(), 1);
-        assert_eq!(p.release(t(2.0)), Some(8));
+        assert_eq!(p.release(t(2.0)), Some(txn(8.0)));
         assert_eq!(p.busy(), 1);
         assert_eq!(p.release(t(3.0)), None);
         assert_eq!(p.busy(), 0);
@@ -154,12 +167,12 @@ mod tests {
     fn fifo_queue_order() {
         let mut p = Pool::new(1);
         assert!(p.try_acquire(t(0.0)));
-        for id in [10, 11, 12] {
-            p.enqueue(id);
+        for arrival in [10.0, 11.0, 12.0] {
+            p.enqueue(txn(arrival));
         }
-        assert_eq!(p.release(t(1.0)), Some(10));
-        assert_eq!(p.release(t(2.0)), Some(11));
-        assert_eq!(p.release(t(3.0)), Some(12));
+        assert_eq!(p.release(t(1.0)), Some(txn(10.0)));
+        assert_eq!(p.release(t(2.0)), Some(txn(11.0)));
+        assert_eq!(p.release(t(3.0)), Some(txn(12.0)));
     }
 
     #[test]
@@ -192,10 +205,10 @@ mod tests {
     fn peak_queue_tracked() {
         let mut p = Pool::new(1);
         assert!(p.try_acquire(t(0.0)));
-        p.enqueue(1);
-        p.enqueue(2);
+        p.enqueue(txn(1.0));
+        p.enqueue(txn(2.0));
         p.release(t(1.0));
-        p.enqueue(3);
+        p.enqueue(txn(3.0));
         assert_eq!(p.peak_queue(), 2);
         assert_eq!(p.queue_len(), 2);
     }
