@@ -12,12 +12,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, intra-doc links, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> wlc-lint (workspace static analysis, blocking)"
 cargo run -q -p wlc-lint -- --workspace
 
 echo "==> wlc-lint self-test (each seeded-bug fixture must fail)"
 for fixture in lock_cycle panic_serve instant_nn unmapped_variant alloc_hot \
-    durable_raw hot_chain spawn_hot taint_sink guard_gap; do
+    durable_raw hot_chain spawn_hot taint_sink guard_gap unreferenced_pub; do
     if cargo run -q -p wlc-lint -- --root "crates/lint/tests/fixtures/$fixture"; then
         echo "fixture $fixture was unexpectedly clean"
         exit 1

@@ -27,23 +27,40 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses flags from raw arguments. `known_switches` lists flags that
-    /// take no value.
+    /// Parses flags from raw arguments against a command's usage text,
+    /// the one list of its flags: every usage line that starts with
+    /// `--name` declares a flag, a value flag when `<...>` follows the
+    /// name and a switch otherwise.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] for positional arguments, missing values, or
-    /// duplicated flags.
-    pub fn parse(args: &[String], known_switches: &[&str]) -> Result<Self, ArgError> {
+    /// Returns [`ArgError`] for positional arguments, flags the usage
+    /// does not list, missing values, or duplicated flags.
+    pub fn parse(args: &[String], usage: &str) -> Result<Self, ArgError> {
+        let declared = |name: &str| {
+            usage.lines().find_map(|line| {
+                let mut words = line.split_whitespace();
+                (words.next()? == format!("--{name}"))
+                    .then(|| words.next().is_some_and(|w| w.starts_with('<')))
+            })
+        };
         let mut flags = Flags::default();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(err(format!("unexpected positional argument `{arg}`")));
             };
-            if known_switches.contains(&name) {
-                flags.switches.push(name.to_string());
-                continue;
+            match declared(name) {
+                None => {
+                    return Err(err(format!(
+                        "unknown flag `--{name}` (run with --help to list the flags)"
+                    )))
+                }
+                Some(false) => {
+                    flags.switches.push(name.to_string());
+                    continue;
+                }
+                Some(true) => {}
             }
             let value = it
                 .next()
@@ -158,9 +175,28 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Usage text in the commands' layout: one `--name` line per flag.
+    const USAGE: &str = "\
+wlc demo — a usage block
+
+FLAGS:
+    --rate <f64>       a value flag
+    --bursty           a switch
+    --a <n>            more value flags: --x, --y, --z
+    --x <n>
+    --y <n>
+    --z <n>
+    --hidden <list>
+    --span <lo:hi>
+    --n <n>
+    --r <lo:hi>
+    --l <list>
+
+Mentions of --ghost inside prose declare nothing.";
+
     #[test]
     fn parses_flags_and_switches() {
-        let f = Flags::parse(&args(&["--rate", "560", "--bursty"]), &["bursty"]).unwrap();
+        let f = Flags::parse(&args(&["--rate", "560", "--bursty"]), USAGE).unwrap();
         assert_eq!(f.get_required::<f64>("rate").unwrap(), 560.0);
         assert!(f.switch("bursty"));
         assert!(!f.switch("other"));
@@ -168,14 +204,26 @@ mod tests {
 
     #[test]
     fn rejects_positional_and_duplicates() {
-        assert!(Flags::parse(&args(&["oops"]), &[]).is_err());
-        assert!(Flags::parse(&args(&["--a", "1", "--a", "2"]), &[]).is_err());
-        assert!(Flags::parse(&args(&["--a"]), &[]).is_err());
+        assert!(Flags::parse(&args(&["oops"]), USAGE).is_err());
+        assert!(Flags::parse(&args(&["--a", "1", "--a", "2"]), USAGE).is_err());
+        assert!(Flags::parse(&args(&["--a"]), USAGE).is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_usage_does_not_list() {
+        for unknown in ["--duraton", "--ghost", "--help", "--FLAGS:"] {
+            let e = Flags::parse(&args(&["--rate", "1", unknown, "2"]), USAGE).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag `{unknown}`")), "{e}");
+        }
+        // A value flag still takes the next argument, whatever it looks like.
+        let f = Flags::parse(&args(&["--a", "--bursty"]), USAGE).unwrap();
+        assert_eq!(f.required("a").unwrap(), "--bursty");
+        assert!(!f.switch("bursty"));
     }
 
     #[test]
     fn defaults_and_required() {
-        let f = Flags::parse(&args(&["--x", "3"]), &[]).unwrap();
+        let f = Flags::parse(&args(&["--x", "3"]), USAGE).unwrap();
         assert_eq!(f.get_or("x", 1i32).unwrap(), 3);
         assert_eq!(f.get_or("y", 7i32).unwrap(), 7);
         assert!(f.required("z").is_err());
@@ -184,7 +232,7 @@ mod tests {
 
     #[test]
     fn lists_and_ranges() {
-        let f = Flags::parse(&args(&["--hidden", "16,12", "--span", "4:20"]), &[]).unwrap();
+        let f = Flags::parse(&args(&["--hidden", "16,12", "--span", "4:20"]), USAGE).unwrap();
         assert_eq!(f.get_list::<usize>("hidden").unwrap(), Some(vec![16, 12]));
         assert_eq!(f.get_range("span", (0.0, 1.0)).unwrap(), (4.0, 20.0));
         assert_eq!(f.get_range("missing", (0.0, 1.0)).unwrap(), (0.0, 1.0));
@@ -192,10 +240,10 @@ mod tests {
 
     #[test]
     fn bad_values_are_reported() {
-        let f = Flags::parse(&args(&["--n", "abc", "--r", "9:1"]), &[]).unwrap();
+        let f = Flags::parse(&args(&["--n", "abc", "--r", "9:1"]), USAGE).unwrap();
         assert!(f.get_required::<i32>("n").is_err());
         assert!(f.get_range("r", (0.0, 1.0)).is_err());
-        let g = Flags::parse(&args(&["--l", "1,x"]), &[]).unwrap();
+        let g = Flags::parse(&args(&["--l", "1,x"]), USAGE).unwrap();
         assert!(g.get_list::<i32>("l").is_err());
     }
 }

@@ -34,9 +34,7 @@ use wlc_math::Matrix;
 use wlc_nn::{oracle, Activation, BandEngine, Loss, Mlp, MlpBuilder, Workspace, BAND_ROWS};
 use wlc_serve::Json;
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, CmdResult};
 
 const USAGE: &str = "\
 wlc bench — time the train/predict hot path and track a baseline
@@ -325,10 +323,7 @@ fn validate_committed(committed: &Json, path: &str, jobs: usize) -> Result<(), S
 }
 
 pub fn run(raw: &[String]) -> CmdResult {
-    if raw.first().map(String::as_str) == Some("--help") {
-        return usage(USAGE);
-    }
-    let flags = Flags::parse(raw, &["quick"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let quick = flags.switch("quick");
     let (samples, repeats) = if quick { (512, 7) } else { (1024, 30) };
     let jobs: usize = flags.get_or("jobs", 1usize)?.max(1);

@@ -7,9 +7,7 @@ use wlc_data::design::{latin_hypercube, round_to_integers, ParamRange};
 use wlc_math::rng::Seed;
 use wlc_sim::{run_design_faulty_jobs, run_design_replicated_jobs, FaultProfile, ServerConfig};
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc collect — simulate a Latin-hypercube design, write a CSV dataset
@@ -40,7 +38,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &[])?;
+    let flags = parse_flags(raw, USAGE)?;
     let samples: usize = flags.get_required("samples")?;
     let out = flags.required("out")?.to_string();
     let seed: u64 = flags.get_or("seed", 0)?;

@@ -5,9 +5,7 @@ use std::time::Instant;
 
 use wlc_model::{CrossValidator, WorkloadModelBuilder};
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc cv — k-fold cross validation (paper Table 2 protocol)
@@ -37,7 +35,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["quarantine"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let dataset = super::train::load_validated(&flags, flags.required("data")?)?;
     eprintln!("loaded {dataset}");
 

@@ -5,9 +5,7 @@ use std::path::PathBuf;
 use wlc_learn::{LearnConfig, Supervisor};
 use wlc_sim::{DriftProfile, FaultProfile};
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc learn — continuous-learning supervisor: stream, retrain, shadow,
@@ -74,7 +72,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["quiet"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let state_dir: PathBuf = PathBuf::from(flags.required("state-dir")?);
 
     // Parsed by hand (not `get_or`) so a bad spec surfaces the typed

@@ -6,7 +6,7 @@ use wlc_serve::{ClientConfig, Json, ServeClient};
 
 use crate::args::Flags;
 
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc predict — predict performance indicators with a saved model
@@ -127,7 +127,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["status", "shutdown"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let server: String = flags.get_or("server", String::new())?;
     if !server.is_empty() {
         return server_mode(&flags, &server);

@@ -9,7 +9,7 @@ use wlc_serve::{ServeConfig, ServeError, Server};
 
 use crate::args::Flags;
 
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc serve — fault-tolerant prediction server (HTTP/1.1 + JSON)
@@ -128,7 +128,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["quiet"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let bundle = build_bundle(&flags)?;
 
     let config = ServeConfig {

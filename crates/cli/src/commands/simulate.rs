@@ -2,9 +2,7 @@
 
 use wlc_sim::{ArrivalProcess, ServerConfig, Simulation, TransactionKind};
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc simulate — run the 3-tier simulator for one configuration
@@ -23,7 +21,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &["bursty"])?;
+    let flags = parse_flags(raw, USAGE)?;
     let config = ServerConfig::builder()
         .injection_rate(flags.get_required("rate")?)
         .default_threads(flags.get_required("default")?)

@@ -8,9 +8,7 @@ use wlc_model::report::ascii_heatmap;
 use wlc_model::{ResponseSurface, WorkloadModel};
 use wlc_nn::BandEngine;
 
-use crate::args::Flags;
-
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc surface — evaluate + classify a response surface of a saved model
@@ -35,7 +33,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &[])?;
+    let flags = parse_flags(raw, USAGE)?;
     let model = WorkloadModel::load(flags.required("model")?)?;
     let base = flags
         .get_list::<f64>("base")?

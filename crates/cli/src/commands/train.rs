@@ -6,7 +6,7 @@ use wlc_nn::Checkpoint;
 
 use crate::args::Flags;
 
-use super::{usage, CmdResult};
+use super::{parse_flags, usage, CmdResult};
 
 const USAGE: &str = "\
 wlc train — train the MLP workload model on a CSV dataset
@@ -57,7 +57,7 @@ pub fn run(raw: &[String]) -> CmdResult {
     if raw.is_empty() {
         return usage(USAGE);
     }
-    let flags = Flags::parse(raw, &[])?;
+    let flags = parse_flags(raw, USAGE)?;
     let dataset = load_validated(&flags, flags.required("data")?)?;
     eprintln!("loaded {dataset}");
     let out = flags.required("out")?;

@@ -98,6 +98,151 @@ fn simulate_rejects_bad_flags() {
     assert!(stderr(&out).contains("cannot parse"));
 }
 
+/// Runs `args` and asserts the misspelt `flag` is refused before the
+/// command does any work: exit 2, the flag named on stderr, nothing on
+/// stdout.
+fn assert_refuses_misspelt_flag(args: &[&str], flag: &str) {
+    let out = wlc(args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(
+        err.contains(&format!("unknown flag `{flag}`")),
+        "{args:?}: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?}: {}", stdout(&out));
+}
+
+#[test]
+fn simulate_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &[
+            "simulate",
+            "--rate",
+            "100",
+            "--default",
+            "4",
+            "--mfg",
+            "4",
+            "--web",
+            "4",
+            "--duraton",
+            "2",
+            "--duration",
+            "1",
+            "--warmup",
+            "0.5",
+        ],
+        "--duraton",
+    );
+}
+
+#[test]
+fn collect_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &[
+            "collect",
+            "--samples",
+            "0",
+            "--out",
+            "unused.csv",
+            "--replication",
+            "3",
+        ],
+        "--replication",
+    );
+}
+
+#[test]
+fn train_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &[
+            "train",
+            "--data",
+            "/nonexistent/d.csv",
+            "--out",
+            "m.txt",
+            "--epoch",
+            "5",
+        ],
+        "--epoch",
+    );
+}
+
+#[test]
+fn predict_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &[
+            "predict",
+            "--model",
+            "/nonexistent/m.txt",
+            "--config",
+            "1,2,3,4",
+            "--stauts",
+        ],
+        "--stauts",
+    );
+}
+
+#[test]
+fn cv_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &["cv", "--data", "/nonexistent/d.csv", "--folds", "3"],
+        "--folds",
+    );
+}
+
+#[test]
+fn surface_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &[
+            "surface",
+            "--model",
+            "/nonexistent/m.txt",
+            "--base",
+            "1,2,3,4",
+            "--step",
+            "9",
+        ],
+        "--step",
+    );
+}
+
+#[test]
+fn serve_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(
+        &["serve", "--model", "/nonexistent/m.txt", "--worker", "2"],
+        "--worker",
+    );
+}
+
+#[test]
+fn learn_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(&["learn", "--round", "1"], "--round");
+}
+
+#[test]
+fn bench_refuses_a_misspelt_flag() {
+    assert_refuses_misspelt_flag(&["bench", "--jobs", "x", "--quik"], "--quik");
+}
+
+#[test]
+fn help_flag_prints_the_command_usage_like_no_flags() {
+    for command in [
+        "simulate", "collect", "train", "predict", "cv", "surface", "serve", "learn", "bench",
+    ] {
+        let help = wlc(&[command, "--help"]);
+        assert_eq!(help.status.code(), Some(2), "{command}: {}", stderr(&help));
+        assert!(help.stdout.is_empty(), "{command}");
+        assert!(
+            stderr(&help).contains(&format!("wlc {command} — ")),
+            "{command}"
+        );
+        if command != "bench" {
+            assert_eq!(stderr(&help), stderr(&wlc(&[command])), "{command}");
+        }
+    }
+}
+
 #[test]
 fn exit_codes_distinguish_failure_kinds() {
     // Bad usage: unknown command and missing flags are exit 2.

@@ -58,7 +58,6 @@
 pub mod baseline;
 pub mod classify;
 mod cv;
-mod ensemble;
 mod error;
 pub mod fallback;
 mod model;
@@ -69,7 +68,6 @@ mod surface;
 mod tuning;
 
 pub use cv::{CrossValidator, CvReport, CvTrial, QuarantinedFold};
-pub use ensemble::EnsembleModel;
 pub use error::ModelError;
 pub use model::{
     PerformanceModel, PredictScratch, ScalingKind, TrainedModel, WorkloadModel,

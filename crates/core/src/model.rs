@@ -512,6 +512,7 @@ impl WorkloadModelBuilder {
     }
 
     /// The configured hidden-layer widths.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/bench/src/lib.rs::builder_is_configured checks the paper topology through it")
     pub fn hidden_layers(&self) -> &[usize] {
         &self.hidden
     }
@@ -676,7 +677,7 @@ impl WorkloadModelBuilder {
     /// - [`ModelError::Nn`] for training failures (divergence, bad
     ///   hyper-parameters).
     pub fn train(&self, dataset: &Dataset) -> Result<TrainedModel, ModelError> {
-        self.train_impl(dataset, None, None)
+        self.train_impl(dataset, None)
     }
 
     /// Continues an interrupted training run from a [`Checkpoint`]
@@ -694,27 +695,12 @@ impl WorkloadModelBuilder {
         dataset: &Dataset,
         checkpoint: &Checkpoint,
     ) -> Result<TrainedModel, ModelError> {
-        self.train_impl(dataset, None, Some(checkpoint))
-    }
-
-    /// Trains on `train` while monitoring `validation` (reported in the
-    /// [`TrainReport`]; useful for overfitting studies).
-    ///
-    /// # Errors
-    ///
-    /// As for [`WorkloadModelBuilder::train`].
-    pub fn train_with_validation(
-        &self,
-        train: &Dataset,
-        validation: &Dataset,
-    ) -> Result<TrainedModel, ModelError> {
-        self.train_impl(train, Some(validation), None)
+        self.train_impl(dataset, Some(checkpoint))
     }
 
     fn train_impl(
         &self,
         dataset: &Dataset,
-        validation: Option<&Dataset>,
         resume: Option<&Checkpoint>,
     ) -> Result<TrainedModel, ModelError> {
         if dataset.is_empty() {
@@ -738,20 +724,9 @@ impl WorkloadModelBuilder {
             .build()?;
 
         let trainer = Trainer::new(self.train_config());
-        let report = match (validation, resume) {
-            (Some(val), resume) => {
-                let (vx, vy) = val.to_matrices();
-                let tvx = input_scaler.transform(&vx)?;
-                let tvy = output_scaler.transform(&vy)?;
-                match resume {
-                    Some(ck) => {
-                        trainer.resume_from_with_validation(&mut mlp, &tx, &ty, &tvx, &tvy, ck)?
-                    }
-                    None => trainer.fit_with_validation(&mut mlp, &tx, &ty, &tvx, &tvy)?,
-                }
-            }
-            (None, Some(ck)) => trainer.resume_from(&mut mlp, &tx, &ty, ck)?,
-            (None, None) => trainer.fit(&mut mlp, &tx, &ty)?,
+        let report = match resume {
+            Some(ck) => trainer.resume_from(&mut mlp, &tx, &ty, ck)?,
+            None => trainer.fit(&mut mlp, &tx, &ty)?,
         };
 
         Ok(TrainedModel {
@@ -1068,19 +1043,6 @@ mod tests {
             .unwrap();
         assert!(loose.report.epochs_run <= tight.report.epochs_run);
         assert!(loose.report.final_train_loss >= tight.report.final_train_loss);
-    }
-
-    #[test]
-    fn validation_monitoring_reports_history() {
-        let ds = synthetic_dataset();
-        let val = ds.subset(&[0, 9, 18, 27]).unwrap();
-        let outcome = quick_builder()
-            .max_epochs(50)
-            .no_termination_threshold()
-            .train_with_validation(&ds, &val)
-            .unwrap();
-        assert_eq!(outcome.report.val_history.len(), 50);
-        assert!(outcome.report.final_val_loss.is_some());
     }
 
     #[test]

@@ -138,11 +138,6 @@ pub fn ascii_heatmap(grid: &SurfaceGrid) -> String {
     out
 }
 
-/// Formats a fraction as a percent string with one decimal, e.g. `3.0 %`.
-pub fn percent(fraction: f64) -> String {
-    format!("{:.1} %", fraction * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,11 +182,5 @@ mod tests {
         let s = ascii_heatmap(&grid);
         assert!(s.contains('@'));
         assert!(s.contains("z:"));
-    }
-
-    #[test]
-    fn percent_format() {
-        assert_eq!(percent(0.031), "3.1 %");
-        assert_eq!(percent(1.0), "100.0 %");
     }
 }

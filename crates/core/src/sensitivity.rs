@@ -31,18 +31,8 @@ pub struct SensitivityReport {
 }
 
 impl SensitivityReport {
-    /// Indices of inputs whose first-order effect is below `threshold` —
-    /// the paper's *futile tuning knobs* (§5.1), space-wide.
-    pub fn futile_inputs(&self, threshold: f64) -> Vec<usize> {
-        self.first_order
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s < threshold)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Index of the most influential input.
+    // wlc-lint: allow(unreferenced-pub, reason = "tests/extensions.rs::sensitivity_finds_injection_rate_dominant_for_throughput reads the indices' verdict through it")
     pub fn dominant_input(&self) -> usize {
         self.first_order
             .iter()
@@ -204,7 +194,6 @@ mod tests {
         );
         assert!(report.first_order[2] < 0.03, "{report:?}");
         assert_eq!(report.dominant_input(), 0);
-        assert_eq!(report.futile_inputs(0.03), vec![2]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::{ModelError, PerformanceModel};
 ///
 /// let surface = ResponseSurface::new(vec![0.0, 0.0], 0, vec![0.0, 1.0], 1, vec![0.0, 1.0], 0)?;
 /// let grid = surface.evaluate(&Plane)?;
-/// assert_eq!(grid.value_at(1, 1), 3.0);
+/// assert_eq!(grid.z().get(1, 1), 3.0);
 /// # Ok::<(), wlc_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -268,15 +268,6 @@ impl SurfaceGrid {
         &self.z
     }
 
-    /// The value at grid cell `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn value_at(&self, i: usize, j: usize) -> f64 {
-        self.z.get(i, j)
-    }
-
     /// `(i, j, value)` of the smallest grid value.
     pub fn min_cell(&self) -> (usize, usize, f64) {
         self.extreme_cell(|a, b| a < b)
@@ -381,7 +372,7 @@ mod tests {
         // Output 1 = 0.001·560 + 16 = 16.56 everywhere (independent of axes).
         for i in 0..3 {
             for j in 0..3 {
-                assert!((grid.value_at(i, j) - 16.56).abs() < 1e-12);
+                assert!((grid.z().get(i, j) - 16.56).abs() < 1e-12);
             }
         }
     }
@@ -392,8 +383,8 @@ mod tests {
             ResponseSurface::new(vec![560.0, 0.0, 16.0, 0.0], 1, axis(2), 3, axis(2), 0).unwrap();
         let grid = s.evaluate(&Wide).unwrap();
         // Output 0 = x1 + x3.
-        assert_eq!(grid.value_at(1, 1), 2.0);
-        assert_eq!(grid.value_at(0, 1), 1.0);
+        assert_eq!(grid.z().get(1, 1), 2.0);
+        assert_eq!(grid.z().get(0, 1), 1.0);
     }
 
     #[test]

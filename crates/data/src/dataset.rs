@@ -42,11 +42,6 @@ impl Sample {
     pub fn y(&self) -> &[f64] {
         &self.y
     }
-
-    /// Consumes the sample, returning `(x, y)`.
-    pub fn into_parts(self) -> (Vec<f64>, Vec<f64>) {
-        (self.x, self.y)
-    }
 }
 
 /// A named collection of [`Sample`]s.
@@ -350,17 +345,6 @@ impl Dataset {
         std::fs::write(path, self.to_csv_string())?;
         Ok(())
     }
-
-    /// Reads a dataset from a CSV file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::Io`] on filesystem failure and
-    /// [`DataError::Csv`] on malformed content.
-    pub fn load_csv<P: AsRef<Path>>(path: P) -> Result<Dataset, DataError> {
-        let text = std::fs::read_to_string(path)?;
-        Dataset::from_csv_string(&text)
-    }
 }
 
 /// Parses a CSV header into `(input_names, output_names)`; outputs are the
@@ -445,6 +429,7 @@ impl<'a> IntoIterator for &'a Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ValidateMode;
 
     fn tiny() -> Dataset {
         let mut ds =
@@ -542,14 +527,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.csv");
         ds.save_csv(&path).unwrap();
-        let back = Dataset::load_csv(&path).unwrap();
+        let (back, _) = Dataset::load_csv_validated(&path, ValidateMode::Strict).unwrap();
         assert_eq!(back, ds);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = Dataset::load_csv("/nonexistent/definitely/missing.csv");
+        let err = Dataset::load_csv_validated(
+            "/nonexistent/definitely/missing.csv",
+            ValidateMode::Strict,
+        );
         assert!(matches!(err, Err(DataError::Io(_))));
     }
 
@@ -612,14 +600,6 @@ mod tests {
     fn column_summaries_empty_dataset() {
         let ds = Dataset::new(vec!["x".into()], vec!["y".into()]).unwrap();
         assert!(ds.column_summaries().is_empty());
-    }
-
-    #[test]
-    fn sample_into_parts() {
-        let s = Sample::new(vec![1.0], vec![2.0]);
-        let (x, y) = s.into_parts();
-        assert_eq!(x, vec![1.0]);
-        assert_eq!(y, vec![2.0]);
     }
 
     #[test]

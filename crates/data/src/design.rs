@@ -8,7 +8,6 @@
 //!
 //! - [`full_factorial`] — every combination of per-parameter levels (the
 //!   classical DOE grid).
-//! - [`random_design`] — uniform random points (a "rough mixture").
 //! - [`latin_hypercube`] — space-filling random design.
 
 use wlc_math::rng::{Seed, Xoshiro256};
@@ -134,32 +133,6 @@ pub fn full_factorial(levels: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DataError> {
     Ok(out)
 }
 
-/// Uniform random design: `n` points drawn independently per dimension.
-///
-/// # Errors
-///
-/// Returns [`DataError::Empty`] if `ranges` is empty and
-/// [`DataError::InvalidParameter`] if `n == 0`.
-pub fn random_design(
-    ranges: &[ParamRange],
-    n: usize,
-    seed: Seed,
-) -> Result<Vec<Vec<f64>>, DataError> {
-    if ranges.is_empty() {
-        return Err(DataError::Empty);
-    }
-    if n == 0 {
-        return Err(DataError::InvalidParameter {
-            name: "n",
-            reason: "must be at least 1",
-        });
-    }
-    let mut rng = Xoshiro256::from_seed(seed);
-    Ok((0..n)
-        .map(|_| ranges.iter().map(|r| r.lerp(rng.next_f64())).collect())
-        .collect())
-}
-
 /// Latin-hypercube design: `n` points such that each dimension's range is
 /// divided into `n` strata each containing exactly one point.
 ///
@@ -259,28 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn random_design_within_ranges() {
-        let ranges = [
-            ParamRange::new(0.0, 1.0).unwrap(),
-            ParamRange::new(100.0, 200.0).unwrap(),
-        ];
-        let pts = random_design(&ranges, 50, Seed::new(1)).unwrap();
-        assert_eq!(pts.len(), 50);
-        for p in &pts {
-            assert!((0.0..=1.0).contains(&p[0]));
-            assert!((100.0..=200.0).contains(&p[1]));
-        }
-    }
-
-    #[test]
-    fn random_design_deterministic() {
-        let ranges = [ParamRange::new(0.0, 1.0).unwrap()];
-        let a = random_design(&ranges, 5, Seed::new(2)).unwrap();
-        let b = random_design(&ranges, 5, Seed::new(2)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn latin_hypercube_stratification() {
         let n = 10;
         let ranges = [
@@ -303,8 +254,6 @@ mod tests {
     #[test]
     fn designs_reject_bad_input() {
         let ranges = [ParamRange::new(0.0, 1.0).unwrap()];
-        assert!(random_design(&[], 5, Seed::new(1)).is_err());
-        assert!(random_design(&ranges, 0, Seed::new(1)).is_err());
         assert!(latin_hypercube(&[], 5, Seed::new(1)).is_err());
         assert!(latin_hypercube(&ranges, 0, Seed::new(1)).is_err());
     }

@@ -102,25 +102,6 @@ pub fn rmse(actual: &[f64], predicted: &[f64]) -> Result<f64, DataError> {
     Ok(mse.sqrt())
 }
 
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// - [`DataError::LengthMismatch`] for unequal lengths.
-/// - [`DataError::Empty`] for empty inputs.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> Result<f64, DataError> {
-    check_lengths(actual, predicted, "mae")?;
-    if actual.is_empty() {
-        return Err(DataError::Empty);
-    }
-    Ok(actual
-        .iter()
-        .zip(predicted.iter())
-        .map(|(&a, &p)| (p - a).abs())
-        .sum::<f64>()
-        / actual.len() as f64)
-}
-
 /// Largest absolute error.
 ///
 /// # Errors
@@ -336,7 +317,6 @@ mod tests {
         let a = [0.0, 0.0];
         let p = [3.0, 4.0];
         assert!((rmse(&a, &p).unwrap() - (12.5_f64).sqrt()).abs() < 1e-12);
-        assert!((mae(&a, &p).unwrap() - 3.5).abs() < 1e-12);
         assert_eq!(max_abs_error(&a, &p).unwrap(), 4.0);
     }
 
@@ -350,7 +330,6 @@ mod tests {
     fn perfect_prediction_metrics() {
         let a = [5.0, 6.0];
         assert_eq!(rmse(&a, &a).unwrap(), 0.0);
-        assert_eq!(mae(&a, &a).unwrap(), 0.0);
         assert_eq!(max_abs_error(&a, &a).unwrap(), 0.0);
     }
 
@@ -359,7 +338,6 @@ mod tests {
         assert!(relative_errors(&[1.0], &[1.0, 2.0]).is_err());
         assert!(mape(&[0.0], &[1.0]).is_err()); // all actuals zero
         assert!(rmse(&[], &[]).is_err());
-        assert!(mae(&[], &[]).is_err());
         assert!(max_abs_error(&[], &[]).is_err());
         assert!(harmonic_mean_relative_error(&[0.0], &[1.0]).is_err());
     }
@@ -385,7 +363,7 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(3, 2);
         assert!(ErrorReport::compare(&["a".into(), "b".into()], &a, &b).is_err());
-        let sq = Matrix::filled(2, 2, 1.0);
+        let sq = Matrix::from_fn(2, 2, |_, _| 1.0);
         assert!(ErrorReport::compare(&["only_one".into()], &sq, &sq).is_err());
     }
 }

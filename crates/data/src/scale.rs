@@ -176,6 +176,7 @@ impl Scaler {
     /// # Errors
     ///
     /// Returns [`DataError::WidthMismatch`] if `data.cols() != self.cols()`.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/data/tests/proptests.rs::standard_scaler_roundtrips checks the scaler round trip through it")
     pub fn inverse_transform(&self, data: &Matrix) -> Result<Matrix, DataError> {
         let mut out = data.clone();
         for r in 0..out.rows() {

@@ -203,18 +203,6 @@ fn harmonic_error_bounded_by_arithmetic() {
 }
 
 #[test]
-fn rmse_at_least_mae() {
-    propcheck::run_cases(48, |g| {
-        let actual = g.vec_f64_len(-1e3, 1e3, 1, 10);
-        let predicted = g.vec_f64_len(-1e3, 1e3, 1, 10);
-        let n = actual.len().min(predicted.len());
-        let rmse = metrics::rmse(&actual[..n], &predicted[..n]).unwrap();
-        let mae = metrics::mae(&actual[..n], &predicted[..n]).unwrap();
-        assert!(rmse >= mae - 1e-9);
-    });
-}
-
-#[test]
 fn error_report_consistent_with_columnwise() {
     propcheck::run_cases(48, |g| {
         let ds = random_dataset(g);

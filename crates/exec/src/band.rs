@@ -10,7 +10,7 @@
 //! Parallelism never changes *what* is computed, only *where*:
 //!
 //! - **Static assignment.** Band `b` always runs on team member
-//!   `b % jobs` ([`band_worker`]), a pure function of the band index and
+//!   `b % jobs`, a pure function of the band index and
 //!   the worker count — never of timing, queue depth, or load. Worker 0
 //!   is the calling thread itself; a pool with `jobs = n` spawns `n - 1`
 //!   helpers.
@@ -38,13 +38,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::tracked::{TrackedCondvar, TrackedMutex};
-
-/// The static band→worker map: band `b` runs on team member
-/// `b % jobs`. Pure in `(band, jobs)` so schedules can be reasoned
-/// about (and reproduced) without running anything.
-pub fn band_worker(band: usize, jobs: usize) -> usize {
-    band % jobs.max(1)
-}
 
 /// Number of `band_rows`-sized bands covering `rows` rows (the last
 /// band may be ragged). Zero rows means zero bands.
@@ -186,7 +179,7 @@ impl BandPool {
     }
 
     /// Runs `task(b)` for every band `b in 0..n_bands` on the team,
-    /// band `b` on member [`band_worker`]`(b, effective_jobs)`, and
+    /// band `b` on member `b % effective_jobs`, and
     /// returns the results in band-index order.
     ///
     /// Takes `&mut self` so runs cannot overlap — the hand-off slots
@@ -284,18 +277,6 @@ impl Drop for BandPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn assignment_is_static_and_total() {
-        for jobs in [1, 2, 3, 7] {
-            for band in 0..40 {
-                let w = band_worker(band, jobs);
-                assert!(w < jobs);
-                assert_eq!(w, band % jobs);
-            }
-        }
-        assert_eq!(band_worker(5, 0), 0);
-    }
 
     #[test]
     fn band_count_covers_all_rows() {

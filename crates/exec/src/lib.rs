@@ -31,8 +31,8 @@
 //! # Examples
 //!
 //! ```
-//! let squares = wlc_exec::map_indexed(4, 10, |i| i * i);
-//! assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+//! let squares = wlc_exec::try_map_indexed(4, 10, |i| Ok::<_, ()>(i * i));
+//! assert_eq!(squares, Ok((0..10).map(|i| i * i).collect::<Vec<_>>()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,8 +43,8 @@ mod pool;
 mod service;
 mod tracked;
 
-pub use band::{band_count, band_worker, BandPool};
-pub use pool::{default_jobs, map_indexed, try_map_indexed, try_map_indexed_retry};
+pub use band::{band_count, BandPool};
+pub use pool::{default_jobs, try_map_indexed, try_map_indexed_retry};
 pub use service::{BoundedQueue, PushError, ServicePool};
 pub use tracked::{
     tracked_acquisitions, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedReadGuard,

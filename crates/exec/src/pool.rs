@@ -1,6 +1,5 @@
 //! The indexed worker pool.
 
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -13,25 +12,13 @@ pub fn default_jobs() -> usize {
 }
 
 /// Runs `f(0..n)` on up to `jobs` worker threads and returns the results
-/// in index order.
+/// in index order, or the error of the lowest-index failing task (the
+/// same error a sequential run would hit first), skipping tasks not yet
+/// claimed once a failure is seen.
 ///
 /// `jobs` is clamped to `1..=n`; with one worker (or one task) everything
 /// runs on the calling thread. A panicking task is re-raised here once
 /// the remaining in-flight tasks have finished.
-pub fn map_indexed<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_map_indexed(jobs, n, |i| Ok::<T, Infallible>(f(i))) {
-        Ok(values) => values,
-        Err(e) => match e {},
-    }
-}
-
-/// Fallible variant of [`map_indexed`]: returns the error of the
-/// lowest-index failing task (the same error a sequential run would hit
-/// first), skipping tasks not yet claimed once a failure is seen.
 ///
 /// # Errors
 ///
@@ -122,18 +109,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     #[test]
     fn results_in_index_order_any_job_count() {
         for jobs in [1, 2, 3, 8, 64] {
-            let got = map_indexed(jobs, 17, |i| i * 3);
+            let got = try_map_indexed(jobs, 17, |i| Ok::<_, Infallible>(i * 3)).unwrap();
             assert_eq!(got, (0..17).map(|i| i * 3).collect::<Vec<_>>(), "{jobs}");
         }
     }
 
     #[test]
     fn zero_tasks_is_empty() {
-        let got: Vec<usize> = map_indexed(4, 0, |i| i);
+        let got: Vec<usize> = try_map_indexed(4, 0, Ok::<_, Infallible>).unwrap();
         assert!(got.is_empty());
     }
 
@@ -162,11 +150,11 @@ mod tests {
     #[test]
     fn worker_panic_propagates_instead_of_hanging() {
         let outcome = std::panic::catch_unwind(|| {
-            map_indexed(4, 8, |i| {
+            try_map_indexed(4, 8, |i| {
                 if i == 5 {
                     panic!("worker exploded");
                 }
-                i
+                Ok::<_, Infallible>(i)
             })
         });
         assert!(outcome.is_err());

@@ -1,7 +1,7 @@
 //! Long-running service primitives: a bounded request queue with explicit
 //! load shedding, and a persistent worker pool that drains it.
 //!
-//! Unlike the batch fan-out in [`crate::map_indexed`], these primitives
+//! Unlike the batch fan-out in [`crate::try_map_indexed`], these primitives
 //! serve an *open* workload: producers push jobs as they arrive and a
 //! fixed set of workers consumes them until the queue is closed. The
 //! queue is strictly bounded — when it is full, [`BoundedQueue::push`]
@@ -157,6 +157,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Whether [`BoundedQueue::close`] has been called.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/exec/tests/contention.rs::bounded_queue_survives_close_while_push_race observes the close through it")
     pub fn is_closed(&self) -> bool {
         self.state.lock().closed
     }

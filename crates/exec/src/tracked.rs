@@ -122,6 +122,7 @@ mod order {
 /// Always 0 in release builds (the checker compiles away); in debug
 /// builds, tests use this to assert the detector was live while they
 /// exercised a contended path.
+// wlc-lint: allow(unreferenced-pub, reason = "the contention tests in crates/exec/tests/contention.rs and crates/serve/tests/contention.rs assert the detector was live")
 pub fn tracked_acquisitions() -> u64 {
     #[cfg(debug_assertions)]
     {

@@ -3,11 +3,11 @@
 //!
 //! Two halves:
 //!
-//! - A **failpoint registry** ([`FailPlan`] + [`Failpoints`]): named
-//!   sites (`learn.state.commit`, `nn.checkpoint.write`,
-//!   `serve.model.load`, ...) activated by a `(site, hit_count)`
-//!   schedule. A schedule can be pinned by hand or derived from a
-//!   single seed, so any failure sequence is reproducible.
+//! - A **fault schedule** ([`FailPlan`]): named failpoint sites
+//!   (`learn.state.commit`, `nn.checkpoint.write`, `serve.model.load`,
+//!   ...) activated by a `(site, hit_count)` schedule. A schedule can be
+//!   pinned by hand or derived from a single seed, so any failure
+//!   sequence is reproducible.
 //! - An [`Fs`] trait with a [`RealFs`] passthrough and a [`SimFs`]
 //!   that keeps volatile and durable views of every file, records an
 //!   operation log, and injects short writes, failed `sync_all`,
@@ -99,7 +99,8 @@ impl fmt::Display for FaultKind {
 }
 
 /// Returns true if `err` is an error injected by this substrate.
-pub fn is_injected(err: &io::Error) -> bool {
+#[cfg(test)]
+pub(crate) fn is_injected(err: &io::Error) -> bool {
     err.to_string().starts_with("injected ")
 }
 
@@ -122,6 +123,7 @@ impl FailPlan {
     }
 
     /// A plan with a single scheduled fault.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/serve/tests/server.rs::injected_read_fault_rejects_reload_as_retriable_503_and_a_retry_succeeds schedules its fault with it")
     pub fn single(site: &str, hit: u64, kind: FaultKind) -> Self {
         Self::none().also(site, hit, kind)
     }
@@ -136,6 +138,7 @@ impl FailPlan {
     /// entries spread over `sites`, each at a hit index below
     /// `max_hit`. The same `(seed, sites, faults, max_hit)` always
     /// yields the same plan.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/learn/tests/crash_sweep.rs derives its seeded fault schedule with it")
     pub fn seeded(seed: u64, sites: &[&str], faults: usize, max_hit: u64) -> Self {
         let mut plan = Self::none();
         if sites.is_empty() || max_hit == 0 {
@@ -174,63 +177,11 @@ impl FailPlan {
     }
 }
 
-/// A standalone failpoint registry: per-site hit counters consulted
-/// against a [`FailPlan`]. [`SimFs`] embeds one; code with non-fs
-/// failure sites can use it directly.
-#[derive(Debug, Default)]
-pub struct Failpoints {
-    inner: Mutex<FailpointState>,
-}
-
+/// Per-site hit counters consulted against a [`FailPlan`].
 #[derive(Debug, Default)]
 struct FailpointState {
     plan: FailPlan,
     hits: BTreeMap<String, u64>,
-}
-
-impl Failpoints {
-    /// A registry with no scheduled faults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A registry driven by `plan`.
-    pub fn with_plan(plan: FailPlan) -> Self {
-        Self {
-            inner: Mutex::new(FailpointState {
-                plan,
-                hits: BTreeMap::new(),
-            }),
-        }
-    }
-
-    /// Registers one hit of `site` and returns the scheduled fault for
-    /// this `(site, hit)` pair, if any.
-    pub fn hit(&self, site: &str) -> Option<FaultKind> {
-        let mut state = self.inner.lock().expect("failpoint registry poisoned");
-        let count = state.hits.entry(site.to_string()).or_insert(0);
-        let hit = *count;
-        *count += 1;
-        state.plan.at(site, hit)
-    }
-
-    /// Like [`Failpoints::hit`], but maps a scheduled fault straight
-    /// to its injected [`io::Error`].
-    pub fn check(&self, site: &str) -> io::Result<()> {
-        match self.hit(site) {
-            Some(kind) => Err(kind.error(site)),
-            None => Ok(()),
-        }
-    }
-
-    /// Snapshot of the per-site hit counters (for assertions).
-    pub fn hits(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .lock()
-            .expect("failpoint registry poisoned")
-            .hits
-            .clone()
-    }
 }
 
 /// Filesystem operations for durable state, each labelled with the
@@ -363,23 +314,6 @@ pub enum Op {
     Remove { path: PathBuf },
 }
 
-impl Op {
-    /// Short human label for sweep diagnostics.
-    pub fn describe(&self) -> String {
-        match self {
-            Op::Write { path, len } => format!("write {} ({len}B)", path.display()),
-            Op::Sync { path, .. } => format!("sync {}", path.display()),
-            Op::Rename { from, to, torn } => format!(
-                "rename{} {} -> {}",
-                if *torn { " (torn)" } else { "" },
-                from.display(),
-                to.display()
-            ),
-            Op::Remove { path } => format!("remove {}", path.display()),
-        }
-    }
-}
-
 /// An in-memory filesystem that models crash consistency.
 ///
 /// Every file has two byte states: **volatile** (what readers see now)
@@ -393,6 +327,7 @@ impl Op {
 /// All mutations are appended to an op log; [`SimFs::crash_at`]
 /// rebuilds the durable state after any prefix of that log.
 #[derive(Debug, Default)]
+// wlc-lint: allow(unreferenced-pub, reason = "the crash sweep (crates/learn/tests/crash_sweep.rs), crates/nn/tests/truncation.rs and crates/serve/tests/server.rs inject faults through it")
 pub struct SimFs {
     inner: Mutex<SimState>,
 }
@@ -464,6 +399,7 @@ impl SimFs {
     }
 
     /// A simulated filesystem driven by a fault schedule.
+    // wlc-lint: allow(unreferenced-pub, reason = "the crash sweep (crates/learn/tests/crash_sweep.rs) and crates/serve/tests/server.rs schedule their faults with it")
     pub fn with_plan(plan: FailPlan) -> Self {
         let sim = Self::new();
         sim.inner.lock().expect("simfs poisoned").failpoints.plan = plan;
@@ -475,6 +411,7 @@ impl SimFs {
     }
 
     /// Snapshot of the op log so far.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/learn/tests/crash_sweep.rs counts the prefixes to crash at with it")
     pub fn op_log(&self) -> Vec<OpRecord> {
         self.lock().log.clone()
     }
@@ -486,7 +423,8 @@ impl SimFs {
     }
 
     /// Snapshot of the volatile view readers currently see.
-    pub fn visible(&self) -> BTreeMap<PathBuf, Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn visible(&self) -> BTreeMap<PathBuf, Vec<u8>> {
         self.lock().volatile.clone()
     }
 
@@ -503,6 +441,7 @@ impl SimFs {
     /// # Panics
     ///
     /// Panics if `prefix` exceeds the op log length.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/learn/tests/crash_sweep.rs replays every op-log prefix through it")
     pub fn crash_at(&self, prefix: usize) -> SimFs {
         let state = self.lock();
         assert!(
@@ -858,16 +797,5 @@ mod tests {
         assert!(!site_retriable("learn.state.load"));
         assert!(site_retriable("serve.model.load"));
         assert!(!site_retriable("never.heard.of.it"));
-    }
-
-    #[test]
-    fn failpoints_registry_is_usable_standalone() {
-        let fp = Failpoints::with_plan(FailPlan::single("x.y", 2, FaultKind::Eio));
-        assert!(fp.check("x.y").is_ok());
-        assert!(fp.check("x.y").is_ok());
-        let err = fp.check("x.y").unwrap_err();
-        assert!(is_injected(&err));
-        assert!(fp.check("x.y").is_ok());
-        assert_eq!(fp.hits().get("x.y"), Some(&4));
     }
 }

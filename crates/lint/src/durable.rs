@@ -7,7 +7,7 @@
 //! `.sync_all()`, `fs::remove_file`) in non-test code is invisible to
 //! the simulated filesystem — the sweep cannot crash inside it, so any
 //! torn-state bug it harbors ships untested. Such calls are findings
-//! everywhere in the workspace; the [`wlc-fault`] passthrough
+//! everywhere in the workspace; the `wlc-fault` passthrough
 //! (`RealFs`) carries its own justifying annotations. Suppress a
 //! deliberate bypass with
 //! `// wlc-lint: allow(durable-write, reason = "...")`.

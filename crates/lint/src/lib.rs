@@ -29,6 +29,9 @@
 //!   (write/rename/sync_all/remove/create) outside the `wlc-fault`
 //!   substrate, so the crash-consistency sweep sees every durable
 //!   transition.
+//! - **unreferenced-pub** ([`unreferenced`]): a `pub` item whose name
+//!   no non-test code reads, in the workspace, `examples/` or
+//!   `e2ebench/src/`.
 //!
 //! The interprocedural rules share one infrastructure: [`items`] parses
 //! signatures, typed locals and call sites on top of the token model,
@@ -58,6 +61,7 @@ pub mod locks;
 pub mod model;
 pub mod panics;
 pub mod taint;
+pub mod unreferenced;
 
 /// Which analysis produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,6 +86,8 @@ pub enum Rule {
     GuardCoverage,
     /// Durable-state mutation bypassing the `wlc-fault` substrate.
     DurableWrite,
+    /// `pub` item that no non-test code reads.
+    UnreferencedPub,
     /// Malformed or unknown `wlc-lint:` annotation.
     Annotation,
 }
@@ -100,6 +106,7 @@ impl Rule {
             Rule::DeterminismTaint => "determinism-taint",
             Rule::GuardCoverage => "guard-coverage",
             Rule::DurableWrite => "durable-write",
+            Rule::UnreferencedPub => "unreferenced-pub",
             Rule::Annotation => "annotation",
         }
     }
@@ -117,6 +124,7 @@ impl Rule {
             "determinism-taint" => Some(Rule::DeterminismTaint),
             "guard-coverage" => Some(Rule::GuardCoverage),
             "durable-write" => Some(Rule::DurableWrite),
+            "unreferenced-pub" => Some(Rule::UnreferencedPub),
             "annotation" => Some(Rule::Annotation),
             _ => None,
         }
@@ -124,7 +132,7 @@ impl Rule {
 }
 
 /// Rules that may be suppressed with an `allow(...)` annotation.
-pub const SUPPRESSIBLE: [&str; 8] = [
+pub const SUPPRESSIBLE: [&str; 9] = [
     "panic",
     "index",
     "determinism",
@@ -133,6 +141,7 @@ pub const SUPPRESSIBLE: [&str; 8] = [
     "determinism-taint",
     "guard-coverage",
     "durable-write",
+    "unreferenced-pub",
 ];
 
 /// Rules whose taint may be declared clean with a `sanitize(...)`
@@ -186,7 +195,8 @@ pub struct SourceFile {
 }
 
 /// Builds a [`SourceFile`] from an in-memory string (used by tests).
-pub fn source_from_str(rel: &str, src: &str) -> SourceFile {
+#[cfg(test)]
+pub(crate) fn source_from_str(rel: &str, src: &str) -> SourceFile {
     let (tokens, comments) = lexer::lex(src);
     let model = model::build(&tokens, &comments);
     SourceFile {
@@ -234,13 +244,27 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
         }
     }
     collect_rs(&root.join("src"), &mut paths)?;
+    load_files(root, &paths)
+}
 
+/// Loads the files under [`unreferenced::READER_DIRS`]: code that reads
+/// workspace items but is analysed by no other rule.
+fn load_readers(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for dir in unreferenced::READER_DIRS {
+        collect_rs(&root.join(dir), &mut paths)?;
+    }
+    load_files(root, &paths)
+}
+
+/// Reads, lexes and models each of `paths`.
+fn load_files(root: &Path, paths: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     for path in paths {
-        let text = std::fs::read_to_string(&path)?;
+        let text = std::fs::read_to_string(path)?;
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(&path)
+            .unwrap_or(path)
             .components()
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
@@ -361,6 +385,10 @@ pub fn analyze(root: &Path, only: Option<Rule>) -> io::Result<Vec<Finding>> {
         for file in &files {
             findings.extend(durable::analyze(file));
         }
+    }
+
+    if run(Rule::UnreferencedPub) {
+        findings.extend(unreferenced::analyze(&files, &load_readers(root)?));
     }
 
     if let Some(rule) = only {

@@ -22,7 +22,8 @@ use wlc_lint::{analyze, Finding, Rule, SUPPRESSIBLE};
 const USAGE: &str = "\
 wlc-lint — workspace static analysis (lock order, panic-freedom,
 determinism + interprocedural determinism-taint, exit-code consistency,
-transitive hot-path purity, guard coverage, durable-write discipline)
+transitive hot-path purity, guard coverage, durable-write discipline,
+unreferenced pub items)
 
 USAGE:
     wlc-lint [--workspace | --root <PATH>] [--only <RULE>]
@@ -34,7 +35,8 @@ OPTIONS:
     --only <RULE>    Run a single rule: lock-order | panic | index |
                      determinism | consistency | alloc-in-hot-path |
                      blocking-in-hot-path | determinism-taint |
-                     guard-coverage | durable-write | annotation
+                     guard-coverage | durable-write |
+                     unreferenced-pub | annotation
     --format <FMT>   Output format: text (default) or json (a stable
                      array of {rule, file, line, message, chain,
                      suppressible} objects on stdout)

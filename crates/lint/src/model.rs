@@ -1,7 +1,8 @@
 //! A shallow structural model of one Rust source file, built from the
 //! token stream: functions (with impl-type context and body ranges),
-//! `#[cfg(test)]` / `#[test]` regions, struct fields holding locks,
-//! lock statics, enum variants, and `// wlc-lint:` annotations.
+//! `impl` blocks, `#[cfg(test)]` / `#[test]` regions, struct fields
+//! holding locks, lock statics, enum variants, and `// wlc-lint:`
+//! annotations.
 
 use crate::lexer::{Comment, TokKind, Token};
 
@@ -114,6 +115,8 @@ pub struct FileModel {
     pub functions: Vec<FuncDef>,
     /// Enum definitions.
     pub enums: Vec<EnumDef>,
+    /// `impl` items: the self type and the token range `[impl, close_brace]`.
+    pub impls: Vec<(String, (usize, usize))>,
     /// Token index ranges `[start, end]` that are test code.
     pub test_ranges: Vec<(usize, usize)>,
     /// Parsed `wlc-lint:` annotations.
@@ -333,6 +336,17 @@ pub fn build(tokens: &[Token], comments: &[Comment]) -> FileModel {
             TokKind::Ident if t.is_keyword("impl") => {
                 if let Ok(brace) = find_body_brace(tokens, i + 1) {
                     pending_impl = impl_self_type(tokens, i, brace);
+                    // An item, not `impl Trait` in a signature.
+                    let item = i == 0
+                        || tokens[i - 1].is_keyword("unsafe")
+                        || ['}', ';', '{', ']']
+                            .iter()
+                            .any(|&c| tokens[i - 1].is_punct(c));
+                    if let (true, Some(ty)) = (item, &pending_impl) {
+                        model
+                            .impls
+                            .push((ty.clone(), (i, matching_brace(tokens, brace))));
+                    }
                 }
                 if pending.is_cfg_test {
                     pending_test_block = true;
@@ -693,6 +707,24 @@ impl<T> fmt::Display for Q<T> {
         assert!(m.lock_fields[1].is_condvar());
         let quals: Vec<_> = m.functions.iter().map(|f| f.qual.clone()).collect();
         assert_eq!(quals, vec!["Q::push", "Q::pop", "Q::fmt"]);
+        let impls: Vec<_> = m.impls.iter().map(|(ty, _)| ty.as_str()).collect();
+        assert_eq!(impls, vec!["Q", "Q"]);
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_is_not_an_impl_block() {
+        let src = r#"
+fn evens(n: u32) -> impl Iterator<Item = u32> { (0..n).filter(|x| x % 2 == 0) }
+fn call(f: impl Fn(u32) -> u32) -> u32 { f(1) }
+#[derive(Debug)]
+impl Thing { fn get(&self) -> u32 { 1 } }
+"#;
+        let (tokens, comments) = lex(src);
+        let m = build(&tokens, &comments);
+        assert_eq!(m.impls.len(), 1, "{:?}", m.impls);
+        let (ty, (start, end)) = &m.impls[0];
+        assert_eq!(ty, "Thing");
+        assert!(tokens[*start].is_ident("impl") && tokens[*end].is_punct('}'));
     }
 
     #[test]

@@ -221,6 +221,29 @@ fn guard_gap_fixture_reports_the_bare_access_with_the_guarded_site() {
 }
 
 #[test]
+fn unreferenced_pub_fixture_reports_the_two_unread_items_and_nothing_else() {
+    // Seeded: a `pub fn` read only by a test module, a `crates/*/tests/`
+    // file, a doc example and a `pub use`, and a `pub struct` read only
+    // by its own `impl` blocks. Not findings: calls from another crate,
+    // from `examples/` and from `e2ebench/src/`, and a reasoned allow.
+    let findings = run(&fixture("unreferenced_pub"));
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    for f in &findings {
+        assert_eq!(f.rule, Rule::UnreferencedPub, "{f}");
+        assert_eq!(f.path, "crates/core/src/lib.rs");
+        assert!(f.line > 0);
+    }
+    assert!(
+        findings[0].message.contains("`pub fn orphan`"),
+        "{findings:?}"
+    );
+    assert!(
+        findings[1].message.contains("`pub struct Lonely`"),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn fixtures_fire_nothing_outside_their_seeded_rule() {
     // Each fixture is constructed to trip exactly one rule; incidental
     // findings from the other analyses would mean the fixture trees (or

@@ -33,13 +33,6 @@ pub enum Distribution {
         /// The constant value returned by every sample.
         value: f64,
     },
-    /// Uniform on `[low, high)`.
-    Uniform {
-        /// Inclusive lower bound.
-        low: f64,
-        /// Exclusive upper bound.
-        high: f64,
-    },
     /// Exponential with the given rate (mean `1/rate`).
     Exponential {
         /// Rate parameter λ.
@@ -55,30 +48,6 @@ pub enum Distribution {
         /// Rate of each stage.
         rate: f64,
     },
-    /// Log-normal parameterized by the underlying normal's `mu`/`sigma`.
-    LogNormal {
-        /// Mean of the underlying normal.
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
-    /// Normal truncated at zero (negative draws are clamped to 0).
-    TruncatedNormal {
-        /// Mean before truncation.
-        mean: f64,
-        /// Standard deviation before truncation.
-        std_dev: f64,
-    },
-    /// Bounded Pareto on `[low, high]` with tail index `alpha` — a
-    /// heavy-tailed service-time model for burstiness ablations.
-    BoundedPareto {
-        /// Scale (minimum value), > 0.
-        low: f64,
-        /// Upper truncation bound, > low.
-        high: f64,
-        /// Tail index, > 0 (smaller = heavier tail).
-        alpha: f64,
-    },
 }
 
 impl Distribution {
@@ -88,6 +57,7 @@ impl Distribution {
     ///
     /// Returns [`MathError::InvalidParameter`] if `value` is negative or
     /// not finite.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/sim/tests/golden.rs builds its zero and fixed demands with it")
     pub fn deterministic(value: f64) -> Result<Self, MathError> {
         if !(value.is_finite() && value >= 0.0) {
             return Err(MathError::InvalidParameter {
@@ -96,22 +66,6 @@ impl Distribution {
             });
         }
         Ok(Distribution::Deterministic { value })
-    }
-
-    /// Creates a uniform distribution on `[low, high)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidParameter`] unless `0 <= low <= high`
-    /// and both are finite.
-    pub fn uniform(low: f64, high: f64) -> Result<Self, MathError> {
-        if !(low.is_finite() && high.is_finite() && low >= 0.0 && low <= high) {
-            return Err(MathError::InvalidParameter {
-                name: "low/high",
-                reason: "must satisfy 0 <= low <= high and be finite",
-            });
-        }
-        Ok(Distribution::Uniform { low, high })
     }
 
     /// Creates an exponential distribution with the given rate.
@@ -167,65 +121,10 @@ impl Distribution {
         Self::erlang(k, k as f64 / mean)
     }
 
-    /// Creates a log-normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidParameter`] unless `sigma >= 0` and both
-    /// parameters are finite.
-    pub fn log_normal(mu: f64, sigma: f64) -> Result<Self, MathError> {
-        if !(mu.is_finite() && sigma.is_finite() && sigma >= 0.0) {
-            return Err(MathError::InvalidParameter {
-                name: "mu/sigma",
-                reason: "must be finite with sigma >= 0",
-            });
-        }
-        Ok(Distribution::LogNormal { mu, sigma })
-    }
-
-    /// Creates a normal distribution truncated at zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidParameter`] unless `std_dev >= 0` and
-    /// both parameters are finite.
-    pub fn truncated_normal(mean: f64, std_dev: f64) -> Result<Self, MathError> {
-        if !(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0) {
-            return Err(MathError::InvalidParameter {
-                name: "mean/std_dev",
-                reason: "must be finite with std_dev >= 0",
-            });
-        }
-        Ok(Distribution::TruncatedNormal { mean, std_dev })
-    }
-
-    /// Creates a bounded Pareto distribution on `[low, high]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidParameter`] unless `0 < low < high`
-    /// and `alpha > 0`.
-    pub fn bounded_pareto(low: f64, high: f64, alpha: f64) -> Result<Self, MathError> {
-        if !(low.is_finite() && high.is_finite() && low > 0.0 && low < high) {
-            return Err(MathError::InvalidParameter {
-                name: "low/high",
-                reason: "must satisfy 0 < low < high and be finite",
-            });
-        }
-        if !(alpha.is_finite() && alpha > 0.0) {
-            return Err(MathError::InvalidParameter {
-                name: "alpha",
-                reason: "must be positive and finite",
-            });
-        }
-        Ok(Distribution::BoundedPareto { low, high, alpha })
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         match *self {
             Distribution::Deterministic { value } => value,
-            Distribution::Uniform { low, high } => rng.next_range(low, high),
             Distribution::Exponential { rate } => rng
                 .next_exponential(rate)
                 .expect("rate validated at construction"),
@@ -238,47 +137,15 @@ impl Distribution {
                 }
                 total
             }
-            Distribution::LogNormal { mu, sigma } => (mu + sigma * rng.next_gaussian()).exp(),
-            Distribution::TruncatedNormal { mean, std_dev } => {
-                (mean + std_dev * rng.next_gaussian()).max(0.0)
-            }
-            Distribution::BoundedPareto { low, high, alpha } => {
-                // Inverse-CDF of the bounded Pareto.
-                let u = rng.next_f64();
-                let la = low.powf(alpha);
-                let ha = high.powf(alpha);
-                (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-            }
         }
     }
 
     /// The theoretical mean of the distribution.
-    ///
-    /// For [`Distribution::TruncatedNormal`] this is the mean *before*
-    /// truncation, which is a close approximation when `mean >> std_dev`.
     pub fn mean(&self) -> f64 {
         match *self {
             Distribution::Deterministic { value } => value,
-            Distribution::Uniform { low, high } => (low + high) / 2.0,
             Distribution::Exponential { rate } => 1.0 / rate,
             Distribution::Erlang { k, rate } => k as f64 / rate,
-            Distribution::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
-            Distribution::TruncatedNormal { mean, .. } => mean,
-            Distribution::BoundedPareto { low, high, alpha } => {
-                // Mean of the bounded Pareto (alpha != 1 branch handled
-                // via the general formula; alpha == 1 uses the log form).
-                if (alpha - 1.0).abs() < 1e-12 {
-                    let l = low;
-                    let h = high;
-                    (l * h) / (h - l) * (h / l).ln()
-                } else {
-                    let la = low.powf(alpha);
-                    let ha = high.powf(alpha);
-                    la / (1.0 - la / ha)
-                        * (alpha / (alpha - 1.0))
-                        * (1.0 / low.powf(alpha - 1.0) - 1.0 / high.powf(alpha - 1.0))
-                }
-            }
         }
     }
 
@@ -302,29 +169,12 @@ impl Distribution {
             Distribution::Deterministic { value } => Distribution::Deterministic {
                 value: value * factor,
             },
-            Distribution::Uniform { low, high } => Distribution::Uniform {
-                low: low * factor,
-                high: high * factor,
-            },
             Distribution::Exponential { rate } => Distribution::Exponential {
                 rate: rate / factor,
             },
             Distribution::Erlang { k, rate } => Distribution::Erlang {
                 k,
                 rate: rate / factor,
-            },
-            Distribution::LogNormal { mu, sigma } => Distribution::LogNormal {
-                mu: mu + factor.ln(),
-                sigma,
-            },
-            Distribution::TruncatedNormal { mean, std_dev } => Distribution::TruncatedNormal {
-                mean: mean * factor,
-                std_dev: std_dev * factor,
-            },
-            Distribution::BoundedPareto { low, high, alpha } => Distribution::BoundedPareto {
-                low: low * factor,
-                high: high * factor,
-                alpha,
             },
         })
     }
@@ -353,24 +203,6 @@ mod tests {
     fn deterministic_rejects_negative() {
         assert!(Distribution::deterministic(-1.0).is_err());
         assert!(Distribution::deterministic(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Distribution::uniform(1.0, 3.0).unwrap();
-        let mut rng = Xoshiro256::seed_from(2);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..3.0).contains(&x));
-        }
-        assert!((sample_mean(&d, 3, 100_000) - 2.0).abs() < 0.01);
-        assert_eq!(d.mean(), 2.0);
-    }
-
-    #[test]
-    fn uniform_rejects_bad_bounds() {
-        assert!(Distribution::uniform(3.0, 1.0).is_err());
-        assert!(Distribution::uniform(-1.0, 1.0).is_err());
     }
 
     #[test]
@@ -403,47 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_mean() {
-        let d = Distribution::log_normal(0.0, 0.5).unwrap();
-        let expected = (0.125_f64).exp();
-        assert!((d.mean() - expected).abs() < 1e-12);
-        assert!((sample_mean(&d, 6, 300_000) - expected).abs() < 0.01);
-    }
-
-    #[test]
-    fn log_normal_always_positive() {
-        let d = Distribution::log_normal(-2.0, 1.0).unwrap();
-        let mut rng = Xoshiro256::seed_from(7);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) > 0.0);
-        }
-    }
-
-    #[test]
-    fn truncated_normal_non_negative() {
-        let d = Distribution::truncated_normal(0.1, 1.0).unwrap();
-        let mut rng = Xoshiro256::seed_from(8);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn truncated_normal_mean_when_far_from_zero() {
-        let d = Distribution::truncated_normal(10.0, 0.5).unwrap();
-        assert!((sample_mean(&d, 9, 100_000) - 10.0).abs() < 0.02);
-    }
-
-    #[test]
     fn scaled_preserves_shape_scales_mean() {
         let cases = [
             Distribution::deterministic(2.0).unwrap(),
-            Distribution::uniform(1.0, 3.0).unwrap(),
             Distribution::exponential(4.0).unwrap(),
             Distribution::erlang(3, 6.0).unwrap(),
-            Distribution::log_normal(0.0, 0.3).unwrap(),
-            Distribution::truncated_normal(5.0, 0.2).unwrap(),
-            Distribution::bounded_pareto(1.0, 50.0, 2.0).unwrap(),
         ];
         for d in cases {
             let s = d.scaled(2.5).unwrap();
@@ -461,49 +257,6 @@ mod tests {
         let d = Distribution::exponential(1.0).unwrap();
         assert!(d.scaled(-1.0).is_err());
         assert!(d.scaled(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn bounded_pareto_within_bounds_and_heavy_tailed() {
-        let d = Distribution::bounded_pareto(1.0, 100.0, 1.5).unwrap();
-        let mut rng = Xoshiro256::seed_from(21);
-        let n = 200_000;
-        let mut above_10 = 0usize;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=100.0).contains(&x), "{x}");
-            if x > 10.0 {
-                above_10 += 1;
-            }
-            sum += x;
-        }
-        // Heavy tail: P(X > 10) for alpha=1.5 bounded at 100 is ~3 %.
-        let frac = above_10 as f64 / n as f64;
-        assert!(frac > 0.02 && frac < 0.05, "tail fraction {frac}");
-        // Sample mean matches the analytic mean.
-        let mean = sum / n as f64;
-        assert!(
-            (mean - d.mean()).abs() / d.mean() < 0.02,
-            "sample mean {mean} vs analytic {}",
-            d.mean()
-        );
-    }
-
-    #[test]
-    fn bounded_pareto_alpha_one_mean() {
-        let d = Distribution::bounded_pareto(1.0, std::f64::consts::E, 1.0).unwrap();
-        // Mean = l·h/(h−l)·ln(h/l) = e/(e−1) for l=1, h=e.
-        let expected = std::f64::consts::E / (std::f64::consts::E - 1.0);
-        assert!((d.mean() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounded_pareto_validates() {
-        assert!(Distribution::bounded_pareto(0.0, 10.0, 1.0).is_err());
-        assert!(Distribution::bounded_pareto(5.0, 5.0, 1.0).is_err());
-        assert!(Distribution::bounded_pareto(1.0, 10.0, 0.0).is_err());
-        assert!(Distribution::bounded_pareto(10.0, 1.0, 1.0).is_err());
     }
 
     #[test]

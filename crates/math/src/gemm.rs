@@ -353,89 +353,6 @@ fn matmul_rows_bias(
     Ok(())
 }
 
-/// `out = a * b^T`. `a` is `m x k`, `b` is `n x k`, `out` must be
-/// `m x n`.
-///
-/// Every output element is [`dot_lanes`] of two contiguous rows — the
-/// committed lane order realized as four interleaved register
-/// accumulators over `k`.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] if the inner dimensions
-/// disagree or `out` has the wrong shape.
-#[wlc_hot]
-pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), MathError> {
-    let (m, ka) = a.shape();
-    let (n, kb) = b.shape();
-    if ka != kb {
-        return Err(MathError::DimensionMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "matmul_nt_into",
-        });
-    }
-    if out.shape() != (m, n) {
-        return Err(MathError::DimensionMismatch {
-            left: (m, n),
-            right: out.shape(),
-            op: "matmul_nt_into out",
-        });
-    }
-    for r in 0..m {
-        let arow = a.row(r);
-        let orow = out.row_mut(r);
-        for (c, o) in orow.iter_mut().enumerate() {
-            *o = dot_lanes(arow, b.row(c));
-        }
-    }
-    Ok(())
-}
-
-/// `out = a[a_r0..a_r1] * b^T` — [`matmul_nt_into`] restricted to a row
-/// band of `a`, so band-mined callers can walk a large input matrix
-/// without copying each band. `out` must be `(a_r1 - a_r0) x n`.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] if the inner dimensions
-/// disagree, the row range is out of bounds, or `out` has the wrong
-/// shape.
-#[wlc_hot]
-pub fn matmul_nt_rows_into(
-    a: &Matrix,
-    a_r0: usize,
-    a_r1: usize,
-    b: &Matrix,
-    out: &mut Matrix,
-) -> Result<(), MathError> {
-    let (rows, ka) = a.shape();
-    let (n, kb) = b.shape();
-    if ka != kb || a_r0 > a_r1 || a_r1 > rows {
-        return Err(MathError::DimensionMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "matmul_nt_rows_into",
-        });
-    }
-    let m = a_r1 - a_r0;
-    if out.shape() != (m, n) {
-        return Err(MathError::DimensionMismatch {
-            left: (m, n),
-            right: out.shape(),
-            op: "matmul_nt_rows_into out",
-        });
-    }
-    for r in 0..m {
-        let arow = a.row(a_r0 + r);
-        let orow = out.row_mut(r);
-        for (c, o) in orow.iter_mut().enumerate() {
-            *o = dot_lanes(arow, b.row(c));
-        }
-    }
-    Ok(())
-}
-
 /// `out = a^T * b`. `a` is `k x m`, `b` is `k x n`, `out` must be
 /// `m x n`.
 ///
@@ -509,46 +426,6 @@ pub fn matmul_tn_rows_into(
     Ok(())
 }
 
-/// `y += alpha * x`, element-wise.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] if the lengths differ.
-#[wlc_hot]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) -> Result<(), MathError> {
-    if x.len() != y.len() {
-        return Err(MathError::DimensionMismatch {
-            left: (x.len(), 1),
-            right: (y.len(), 1),
-            op: "axpy",
-        });
-    }
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-    Ok(())
-}
-
-/// `out = alpha * x`, element-wise, into a caller-provided buffer.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] if the lengths differ.
-#[wlc_hot]
-pub fn scale_into(x: &[f64], alpha: f64, out: &mut [f64]) -> Result<(), MathError> {
-    if x.len() != out.len() {
-        return Err(MathError::DimensionMismatch {
-            left: (x.len(), 1),
-            right: (out.len(), 1),
-            op: "scale_into",
-        });
-    }
-    for (o, &xi) in out.iter_mut().zip(x) {
-        *o = alpha * xi;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,19 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_into_is_bitwise_lane_reference() {
-        let mut rng = Xoshiro256::seed_from(12);
-        for &(m, k, n) in &SHAPES {
-            let a = random_matrix(m, k, &mut rng);
-            let b = random_matrix(n, k, &mut rng);
-            let mut out = Matrix::zeros(m, n);
-            matmul_nt_into(&a, &b, &mut out).unwrap();
-            let expect = lane_reference(&a, &b.transpose());
-            assert_eq!(out.as_slice(), expect.as_slice(), "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     fn matmul_tn_into_is_bitwise_lane_reference() {
         let mut rng = Xoshiro256::seed_from(13);
         for &(m, k, n) in &SHAPES {
@@ -658,26 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn nt_matches_dot_lanes_per_row_bitwise() {
-        // The per-sample forward path computes each pre-activation with
-        // `dot_lanes`; every batched output row must be bit-identical to
-        // it.
-        let mut rng = Xoshiro256::seed_from(14);
-        let x = random_matrix(33, 17, &mut rng);
-        let w = random_matrix(9, 17, &mut rng);
-        let mut z = Matrix::zeros(33, 9);
-        matmul_nt_into(&x, &w, &mut z).unwrap();
-        for r in 0..x.rows() {
-            for c in 0..w.rows() {
-                assert_eq!(
-                    z.get(r, c).to_bits(),
-                    dot_lanes(x.row(r), w.row(c)).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lane_order_is_pinned_to_the_golden_sequence() {
         // Golden pin of the committed reduction order. The operand is
         // built so the value *depends* on the order: big and small terms
@@ -701,8 +545,6 @@ mod tests {
         matmul_into(&a, &b, &mut out).unwrap();
         assert_eq!(out.get(0, 0).to_bits(), expect.to_bits());
         matmul_tn_into(&a.transpose(), &b, &mut out).unwrap();
-        assert_eq!(out.get(0, 0).to_bits(), expect.to_bits());
-        matmul_nt_into(&a, &b.transpose(), &mut out).unwrap();
         assert_eq!(out.get(0, 0).to_bits(), expect.to_bits());
     }
 
@@ -734,24 +576,10 @@ mod tests {
         let b = Matrix::zeros(4, 2);
         let mut out = Matrix::zeros(2, 2);
         assert!(matmul_into(&a, &b, &mut out).is_err());
-        assert!(matmul_nt_into(&a, &b, &mut out).is_err());
         assert!(matmul_tn_into(&a, &b, &mut out).is_err());
         let b_ok = Matrix::zeros(3, 2);
         let mut wrong_out = Matrix::zeros(3, 2);
         assert!(matmul_into(&a, &b_ok, &mut wrong_out).is_err());
-    }
-
-    #[test]
-    fn axpy_and_scale_into() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y).unwrap();
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-        let mut out = [0.0; 3];
-        scale_into(&x, -1.0, &mut out).unwrap();
-        assert_eq!(out, [-1.0, -2.0, -3.0]);
-        assert!(axpy(1.0, &x, &mut [0.0; 2]).is_err());
-        assert!(scale_into(&x, 1.0, &mut [0.0; 2]).is_err());
     }
 
     #[test]
@@ -761,9 +589,6 @@ mod tests {
         let mut out = Matrix::filled(3, 3, f64::NAN);
         matmul_into(&a, &b, &mut out).unwrap();
         assert_eq!(out, b);
-        let mut out2 = Matrix::filled(3, 3, f64::NAN);
-        matmul_nt_into(&a, &b.transpose(), &mut out2).unwrap();
-        assert_eq!(out2, b);
         let mut out3 = Matrix::filled(3, 3, f64::NAN);
         matmul_tn_into(&a, &b, &mut out3).unwrap();
         assert_eq!(out3, b);

@@ -1,10 +1,8 @@
 //! Linear solvers and least-squares fitting.
 //!
-//! These routines back the linear baseline models ([`lstsq`], [`ridge`])
+//! These routines back the linear baseline models ([`ridge`])
 //! that the paper compares the neural-network approach against, plus the
 //! general-purpose solvers ([`solve`], [`cholesky`]) they are built on.
-
-pub use crate::matrix::dot;
 
 use crate::{MathError, Matrix};
 
@@ -174,34 +172,12 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MathError> {
     Ok(x)
 }
 
-/// Ordinary least squares: finds `w` minimizing `‖X w − y‖²`.
+/// Ridge regression: finds `w` minimizing `‖X w − y‖² + lambda ‖w‖²`;
+/// `lambda = 0` is ordinary least squares.
 ///
-/// Solves the normal equations `XᵀX w = Xᵀy` via Cholesky, falling back to
-/// Gaussian elimination with a tiny ridge when `XᵀX` is near-singular.
-///
-/// # Errors
-///
-/// - [`MathError::DimensionMismatch`] if `y.len() != x.rows()`.
-/// - [`MathError::Singular`] if the system cannot be solved even with the
-///   fallback regularization.
-///
-/// # Examples
-///
-/// ```
-/// use wlc_math::{Matrix, linalg::lstsq};
-///
-/// // y = 2 a + 3, encoded with a bias column of ones.
-/// let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 1.0], &[3.0, 1.0]]).unwrap();
-/// let w = lstsq(&x, &[5.0, 7.0, 9.0])?;
-/// assert!((w[0] - 2.0).abs() < 1e-9);
-/// assert!((w[1] - 3.0).abs() < 1e-9);
-/// # Ok::<(), wlc_math::MathError>(())
-/// ```
-pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<Vec<f64>, MathError> {
-    ridge(x, y, 0.0)
-}
-
-/// Ridge regression: finds `w` minimizing `‖X w − y‖² + lambda ‖w‖²`.
+/// Solves the normal equations `(XᵀX + lambda I) w = Xᵀy` via Cholesky,
+/// falling back to Gaussian elimination with a tiny ridge when the
+/// system is near-singular.
 ///
 /// # Errors
 ///
@@ -358,7 +334,7 @@ mod tests {
         ])
         .unwrap();
         let y = [3.0, 0.0, 2.0, 4.0];
-        let w = lstsq(&x, &y).unwrap();
+        let w = ridge(&x, &y, 0.0).unwrap();
         assert_close(&w, &[2.0, -1.0, 1.0], 1e-9);
     }
 
@@ -368,7 +344,7 @@ mod tests {
         // condition Xᵀ(y - Xw) = 0.
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 1.0], &[3.0, 1.0], &[4.0, 1.0]]).unwrap();
         let y = [1.0, 3.0, 2.0, 5.0];
-        let w = lstsq(&x, &y).unwrap();
+        let w = ridge(&x, &y, 0.0).unwrap();
         let pred = x.matvec(&w).unwrap();
         let resid: Vec<f64> = y.iter().zip(pred.iter()).map(|(a, p)| a - p).collect();
         let grad = x.transpose().matvec(&resid).unwrap();
@@ -395,7 +371,7 @@ mod tests {
     fn lstsq_dimension_mismatch() {
         let x = Matrix::zeros(3, 2);
         assert!(matches!(
-            lstsq(&x, &[1.0, 2.0]),
+            ridge(&x, &[1.0, 2.0], 0.0),
             Err(MathError::DimensionMismatch { .. })
         ));
     }
@@ -406,7 +382,7 @@ mod tests {
         // should still produce a finite solution with small residual.
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
         let y = [1.0, 2.0, 3.0];
-        let w = lstsq(&x, &y).unwrap();
+        let w = ridge(&x, &y, 0.0).unwrap();
         assert!(w.iter().all(|v| v.is_finite()));
         let pred = x.matvec(&w).unwrap();
         for (p, a) in pred.iter().zip(y.iter()) {

@@ -47,14 +47,8 @@ impl Matrix {
 
     /// Creates a `rows x cols` matrix filled with `value`.
     ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wlc_math::Matrix;
-    /// let m = Matrix::filled(2, 2, 7.5);
-    /// assert_eq!(m.get(0, 1), 7.5);
-    /// ```
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Matrix {
             rows,
             cols,
@@ -254,11 +248,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose.
     ///
     /// # Examples
@@ -372,15 +361,6 @@ impl Matrix {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] if shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, MathError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with<F: Fn(f64, f64) -> f64>(
         &self,
         other: &Matrix,
@@ -413,8 +393,8 @@ impl Matrix {
     ///
     /// ```
     /// use wlc_math::Matrix;
-    /// let m = Matrix::filled(2, 2, 2.0).map(|x| x * x);
-    /// assert_eq!(m.get(0, 0), 4.0);
+    /// let m = Matrix::from_rows(&[&[2.0, 3.0]]).unwrap().map(|x| x * x);
+    /// assert_eq!(m.row(0), &[4.0, 9.0]);
     /// ```
     pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
         Matrix {
@@ -434,14 +414,6 @@ impl Matrix {
     pub fn scale_in_place(&mut self, scalar: f64) {
         for x in &mut self.data {
             *x *= scalar;
-        }
-    }
-
-    /// Applies `f` to every element in place — the allocation-free
-    /// variant of [`Matrix::map`].
-    pub fn map_in_place<F: FnMut(f64) -> f64>(&mut self, mut f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -466,15 +438,6 @@ impl Matrix {
     /// Returns [`MathError::DimensionMismatch`] if shapes differ.
     pub fn sub_assign_matrix(&mut self, other: &Matrix) -> Result<(), MathError> {
         self.zip_assign(other, "sub_assign", |a, b| *a -= b)
-    }
-
-    /// Element-wise `self *= other` (Hadamard) in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] if shapes differ.
-    pub fn hadamard_assign(&mut self, other: &Matrix) -> Result<(), MathError> {
-        self.zip_assign(other, "hadamard_assign", |a, b| *a *= b)
     }
 
     fn zip_assign<F: Fn(&mut f64, f64)>(
@@ -504,19 +467,6 @@ impl Matrix {
     pub fn resize_rows(&mut self, rows: usize) {
         self.data.resize(rows * self.cols, 0.0);
         self.rows = rows;
-    }
-
-    /// Returns the Frobenius norm (square root of the sum of squares).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wlc_math::Matrix;
-    /// let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-    /// assert_eq!(m.frobenius_norm(), 5.0);
-    /// ```
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Returns `true` if all elements are finite.
@@ -608,23 +558,6 @@ impl SubAssign<&Matrix> for Matrix {
         self.sub_assign_matrix(rhs)
             .expect("matrix shapes must match for -=");
     }
-}
-
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use wlc_math::linalg::dot;
-/// assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-/// ```
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -723,7 +656,6 @@ mod tests {
         let b = Matrix::filled(2, 2, 2.0);
         assert_eq!(a.add_matrix(&b).unwrap(), Matrix::filled(2, 2, 5.0));
         assert_eq!(a.sub_matrix(&b).unwrap(), Matrix::filled(2, 2, 1.0));
-        assert_eq!(a.hadamard(&b).unwrap(), Matrix::filled(2, 2, 6.0));
     }
 
     #[test]
@@ -752,14 +684,6 @@ mod tests {
         let mut m = a.clone();
         m.sub_assign_matrix(&b).unwrap();
         assert_eq!(m, a.sub_matrix(&b).unwrap());
-
-        let mut m = a.clone();
-        m.hadamard_assign(&b).unwrap();
-        assert_eq!(m, a.hadamard(&b).unwrap());
-
-        let mut m = a.clone();
-        m.map_in_place(|x| x * x + 1.0);
-        assert_eq!(m, a.map(|x| x * x + 1.0));
     }
 
     #[test]
@@ -776,7 +700,6 @@ mod tests {
         let wrong = Matrix::zeros(2, 3);
         assert!(m.add_assign_matrix(&wrong).is_err());
         assert!(m.sub_assign_matrix(&wrong).is_err());
-        assert!(m.hadamard_assign(&wrong).is_err());
     }
 
     #[test]
@@ -803,12 +726,6 @@ mod tests {
         let a = Matrix::filled(2, 2, 4.0);
         assert_eq!(a.map(f64::sqrt), Matrix::filled(2, 2, 2.0));
         assert_eq!(a.scale(0.5), Matrix::filled(2, 2, 2.0));
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -849,17 +766,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
         Matrix::zeros(1, 1).get(0, 1);
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn into_vec_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(a.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

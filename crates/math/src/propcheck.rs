@@ -66,6 +66,7 @@ impl Gen {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/sim/tests/proptests.rs and the propcheck cases in serve's json.rs and server.rs draw from it")
     pub fn u32_in(&mut self, lo: u32, hi: u32) -> u32 {
         assert!(lo < hi, "u32_in: empty range {lo}..{hi}");
         lo + self.rng.next_below(u64::from(hi - lo)) as u32
@@ -76,6 +77,7 @@ impl Gen {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/math/tests/proptests.rs and the propcheck cases in serve's client.rs, json.rs and server.rs draw from it")
     pub fn u64_in(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "u64_in: empty range {lo}..{hi}");
         lo + self.rng.next_below(hi - lo)
@@ -97,6 +99,7 @@ impl Gen {
     /// # Panics
     ///
     /// Panics if the length range is empty.
+    // wlc-lint: allow(unreferenced-pub, reason = "the math, nn and data crates' tests/proptests.rs draw variable-length samples from it")
     pub fn vec_f64_len(&mut self, lo: f64, hi: f64, lo_len: usize, hi_len: usize) -> Vec<f64> {
         let len = self.usize_in(lo_len, hi_len);
         self.vec_f64(lo, hi, len)
@@ -122,6 +125,7 @@ impl Gen {
 /// # Panics
 ///
 /// Re-raises the first failing case's panic.
+// wlc-lint: allow(unreferenced-pub, reason = "every property test (crates/*/tests/proptests.rs and the propcheck cases in serve and sim) runs through it")
 pub fn run_cases<F>(cases: u64, mut property: F)
 where
     F: FnMut(&mut Gen),

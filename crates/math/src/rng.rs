@@ -220,21 +220,6 @@ impl Xoshiro256 {
         z0
     }
 
-    /// Returns a normal variate with the given mean and standard deviation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MathError::InvalidParameter`] if `std_dev < 0`.
-    pub fn next_normal(&mut self, mean: f64, std_dev: f64) -> Result<f64, crate::MathError> {
-        if std_dev < 0.0 {
-            return Err(crate::MathError::InvalidParameter {
-                name: "std_dev",
-                reason: "must be non-negative",
-            });
-        }
-        Ok(mean + std_dev * self.next_gaussian())
-    }
-
     /// Returns an exponential variate with the given rate (mean `1/rate`).
     ///
     /// # Errors
@@ -249,11 +234,6 @@ impl Xoshiro256 {
         }
         let u = 1.0 - self.next_f64(); // in (0, 1]
         Ok(-u.ln() / rate)
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
     }
 
     /// Shuffles a slice in place (Fisher-Yates).
@@ -446,13 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_rejects_negative_std() {
-        let mut rng = Xoshiro256::seed_from(8);
-        assert!(rng.next_normal(0.0, -1.0).is_err());
-        assert!(rng.next_normal(3.0, 0.0).unwrap() == 3.0);
-    }
-
-    #[test]
     fn next_below_is_in_range_and_covers() {
         let mut rng = Xoshiro256::seed_from(9);
         let mut seen = [false; 7];
@@ -543,16 +516,6 @@ mod tests {
         let s: Seed = 42u64.into();
         assert_eq!(s.to_string(), "42");
         assert_eq!(s.value(), 42);
-    }
-
-    #[test]
-    fn next_bool_extremes() {
-        let mut rng = Xoshiro256::seed_from(15);
-        assert!(!rng.next_bool(0.0));
-        assert!(rng.next_bool(1.0));
-        // Out-of-range probabilities are clamped rather than panicking.
-        assert!(rng.next_bool(2.0));
-        assert!(!rng.next_bool(-1.0));
     }
 
     #[test]

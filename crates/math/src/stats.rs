@@ -31,40 +31,10 @@ pub fn mean(values: &[f64]) -> Result<f64, MathError> {
 /// # Errors
 ///
 /// Returns [`MathError::EmptyInput`] for an empty slice.
+// wlc-lint: allow(unreferenced-pub, reason = "crates/math/tests/proptests.rs::online_stats_matches_batch checks OnlineStats against it")
 pub fn variance_population(values: &[f64]) -> Result<f64, MathError> {
     let m = mean(values)?;
     Ok(values.iter().map(|x| (x - m).powi(2)).sum::<f64>() / values.len() as f64)
-}
-
-/// Sample variance (divides by `n - 1`).
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] if fewer than two values are given.
-pub fn variance_sample(values: &[f64]) -> Result<f64, MathError> {
-    if values.len() < 2 {
-        return Err(MathError::EmptyInput);
-    }
-    let m = mean(values)?;
-    Ok(values.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for an empty slice.
-pub fn std_dev_population(values: &[f64]) -> Result<f64, MathError> {
-    Ok(variance_population(values)?.sqrt())
-}
-
-/// Sample standard deviation.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] if fewer than two values are given.
-pub fn std_dev_sample(values: &[f64]) -> Result<f64, MathError> {
-    Ok(variance_sample(values)?.sqrt())
 }
 
 /// Harmonic mean.
@@ -100,29 +70,6 @@ pub fn harmonic_mean(values: &[f64]) -> Result<f64, MathError> {
         recip_sum += 1.0 / v;
     }
     Ok(values.len() as f64 / recip_sum)
-}
-
-/// Geometric mean.
-///
-/// # Errors
-///
-/// Returns [`MathError::EmptyInput`] for an empty slice and
-/// [`MathError::InvalidParameter`] if any value is non-positive.
-pub fn geometric_mean(values: &[f64]) -> Result<f64, MathError> {
-    if values.is_empty() {
-        return Err(MathError::EmptyInput);
-    }
-    let mut log_sum = 0.0;
-    for &v in values {
-        if v <= 0.0 || !v.is_finite() {
-            return Err(MathError::InvalidParameter {
-                name: "values",
-                reason: "geometric mean requires positive finite values",
-            });
-        }
-        log_sum += v.ln();
-    }
-    Ok((log_sum / values.len() as f64).exp())
 }
 
 /// Median (average of the two middle elements for even lengths).
@@ -171,43 +118,6 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64, MathError> {
         let frac = rank - lo as f64;
         Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
-}
-
-/// Pearson correlation coefficient between two equal-length series.
-///
-/// # Errors
-///
-/// Returns [`MathError::DimensionMismatch`] for unequal lengths,
-/// [`MathError::EmptyInput`] for fewer than two points, and
-/// [`MathError::InvalidParameter`] if either series is constant.
-pub fn pearson_correlation(x: &[f64], y: &[f64]) -> Result<f64, MathError> {
-    if x.len() != y.len() {
-        return Err(MathError::DimensionMismatch {
-            left: (x.len(), 1),
-            right: (y.len(), 1),
-            op: "pearson_correlation",
-        });
-    }
-    if x.len() < 2 {
-        return Err(MathError::EmptyInput);
-    }
-    let mx = mean(x)?;
-    let my = mean(y)?;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&a, &b) in x.iter().zip(y.iter()) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx).powi(2);
-        syy += (b - my).powi(2);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(MathError::InvalidParameter {
-            name: "x/y",
-            reason: "correlation is undefined for constant series",
-        });
-    }
-    Ok(sxy / (sxx * syy).sqrt())
 }
 
 /// Coefficient of determination R² of predictions against actuals.
@@ -404,14 +314,6 @@ mod tests {
     fn variance_known() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance_population(&v).unwrap() - 4.0).abs() < EPS);
-        assert!((std_dev_population(&v).unwrap() - 2.0).abs() < EPS);
-        assert!((variance_sample(&v).unwrap() - 32.0 / 7.0).abs() < EPS);
-    }
-
-    #[test]
-    fn variance_sample_needs_two() {
-        assert!(variance_sample(&[1.0]).is_err());
-        assert!(std_dev_sample(&[1.0]).is_err());
     }
 
     #[test]
@@ -427,19 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_le_geometric_le_arithmetic() {
+    fn harmonic_le_arithmetic() {
         let v = [1.0, 3.0, 7.0, 9.0, 2.5];
         let h = harmonic_mean(&v).unwrap();
-        let g = geometric_mean(&v).unwrap();
         let a = mean(&v).unwrap();
-        assert!(h <= g + EPS);
-        assert!(g <= a + EPS);
-    }
-
-    #[test]
-    fn geometric_mean_known() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < EPS);
-        assert!(geometric_mean(&[0.0]).is_err());
+        assert!(h <= a + EPS);
     }
 
     #[test]
@@ -461,22 +355,6 @@ mod tests {
     fn percentile_interpolates() {
         let v = [0.0, 10.0];
         assert!((percentile(&v, 25.0).unwrap() - 2.5).abs() < EPS);
-    }
-
-    #[test]
-    fn correlation_perfect() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 4.0, 6.0];
-        assert!((pearson_correlation(&x, &y).unwrap() - 1.0).abs() < EPS);
-        let neg = [-2.0, -4.0, -6.0];
-        assert!((pearson_correlation(&x, &neg).unwrap() + 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn correlation_errors() {
-        assert!(pearson_correlation(&[1.0], &[1.0]).is_err());
-        assert!(pearson_correlation(&[1.0, 2.0], &[1.0]).is_err());
-        assert!(pearson_correlation(&[1.0, 1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]

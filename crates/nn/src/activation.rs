@@ -82,11 +82,6 @@ impl Activation {
         Activation::Relu
     }
 
-    /// Leaky ReLU with the conventional `alpha = 0.01`.
-    pub fn leaky_relu() -> Self {
-        Activation::LeakyRelu { alpha: 0.01 }
-    }
-
     /// Identity activation.
     pub fn identity() -> Self {
         Activation::Identity
@@ -244,25 +239,6 @@ impl Activation {
             }
         }
     }
-
-    /// The range `(min, max)` of the activation's output, using infinities
-    /// for unbounded sides.
-    pub fn output_range(&self) -> (f64, f64) {
-        match *self {
-            Activation::Logistic { .. } | Activation::HardLimiter => (0.0, 1.0),
-            Activation::Tanh => (-1.0, 1.0),
-            Activation::Relu | Activation::Softplus => (0.0, f64::INFINITY),
-            Activation::LeakyRelu { .. } | Activation::Identity => {
-                (f64::NEG_INFINITY, f64::INFINITY)
-            }
-        }
-    }
-
-    /// Returns `true` if the activation has a useful gradient everywhere it
-    /// is typically evaluated (i.e. it can be trained by back-propagation).
-    pub fn is_trainable(&self) -> bool {
-        !matches!(self, Activation::HardLimiter)
-    }
 }
 
 impl Default for Activation {
@@ -395,27 +371,6 @@ mod tests {
         assert_eq!(act.apply(0.5), 1.0);
         assert_eq!(act.apply(-0.5), 0.0);
         assert_eq!(act.derivative(1.0, 1.0), 0.0);
-        assert!(!act.is_trainable());
-    }
-
-    #[test]
-    fn output_ranges_contain_samples() {
-        let acts = [
-            Activation::logistic(),
-            Activation::Tanh,
-            Activation::Relu,
-            Activation::leaky_relu(),
-            Activation::Identity,
-            Activation::Softplus,
-            Activation::HardLimiter,
-        ];
-        for act in acts {
-            let (lo, hi) = act.output_range();
-            for &x in &[-5.0, -1.0, 0.0, 1.0, 5.0] {
-                let y = act.apply(x);
-                assert!(y >= lo - EPS && y <= hi + EPS, "{act} {x} -> {y}");
-            }
-        }
     }
 
     #[test]

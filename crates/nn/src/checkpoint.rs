@@ -1,8 +1,8 @@
 //! Training checkpoints.
 //!
 //! A [`Checkpoint`] captures the *complete* trainer state at an epoch
-//! boundary — network parameters, optimizer moments, loss histories,
-//! early-stopping bookkeeping and the recovery-attempt index — so a run
+//! boundary — network parameters, optimizer moments, the loss history
+//! and the recovery-attempt index — so a run
 //! killed mid-way can resume with [`crate::Trainer::resume_from`] and
 //! finish bit-identically to an uninterrupted run.
 //!
@@ -10,6 +10,12 @@
 //! `key value` lines followed by the [`Mlp::to_text`] body. Floats are
 //! printed with `{:?}` (shortest exact representation), so round-trips
 //! preserve every bit.
+//!
+//! Four header lines (`best_val`, `stall`, `best_params`,
+//! `val_history`) are kept from the format's validation-monitoring
+//! days: they are always written as `-`, `0`, `-` and `-`, and the
+//! reader accepts no other values, so every checkpoint written before
+//! and after their removal loads.
 
 use std::path::Path;
 
@@ -38,16 +44,8 @@ pub struct Checkpoint {
     pub(crate) opt_velocity: Vec<f64>,
     /// Optimizer second-moment buffer (empty if unused).
     pub(crate) opt_second: Vec<f64>,
-    /// Best validation loss seen (early stopping).
-    pub(crate) best_val: Option<f64>,
-    /// Epochs without validation improvement (early stopping).
-    pub(crate) stall: usize,
-    /// Parameters at the best validation loss (early stopping).
-    pub(crate) best_params: Option<Vec<f64>>,
     /// Per-epoch training losses so far.
     pub(crate) loss_history: Vec<f64>,
-    /// Per-epoch validation losses so far.
-    pub(crate) val_history: Vec<f64>,
     /// The network at the snapshot.
     pub(crate) mlp: Mlp,
 }
@@ -89,17 +87,9 @@ impl Checkpoint {
         out.push_str(&format!("opt_step {}\n", self.opt_step));
         out.push_str(&format!("opt_velocity {}\n", floats(&self.opt_velocity)));
         out.push_str(&format!("opt_second {}\n", floats(&self.opt_second)));
-        match self.best_val {
-            Some(v) => out.push_str(&format!("best_val {v:?}\n")),
-            None => out.push_str("best_val -\n"),
-        }
-        out.push_str(&format!("stall {}\n", self.stall));
-        match &self.best_params {
-            Some(p) => out.push_str(&format!("best_params {}\n", floats(p))),
-            None => out.push_str("best_params -\n"),
-        }
+        out.push_str("best_val -\nstall 0\nbest_params -\n");
         out.push_str(&format!("loss_history {}\n", floats(&self.loss_history)));
-        out.push_str(&format!("val_history {}\n", floats(&self.val_history)));
+        out.push_str("val_history -\n");
         out.push_str(&self.mlp.to_text());
         out
     }
@@ -111,7 +101,7 @@ impl Checkpoint {
     ///
     /// Returns [`NnError::Parse`] describing the offending line on any
     /// format violation (wrong magic, missing fields, corrupt floats,
-    /// corrupt network body).
+    /// a validation line other than `-` / `0`, corrupt network body).
     pub fn from_text(text: &str) -> Result<Checkpoint, NnError> {
         let mut lines = text.lines().enumerate();
         let (_, first) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
@@ -145,23 +135,23 @@ impl Checkpoint {
         let opt_velocity = parse_floats_opt(&raw, ln)?.unwrap_or_default();
         let (ln, raw) = field("opt_second")?;
         let opt_second = parse_floats_opt(&raw, ln)?.unwrap_or_default();
-        let (ln, raw) = field("best_val")?;
-        let best_val = if raw == "-" {
-            None
-        } else {
-            Some(
-                raw.parse::<f64>()
-                    .map_err(|_| parse_err(ln, "bad best_val"))?,
-            )
+        let mut unused = |name: &'static str, value: &str| -> Result<(), NnError> {
+            let (ln, raw) = field(name)?;
+            if raw == value {
+                Ok(())
+            } else {
+                Err(parse_err(ln, "validation state is not supported"))
+            }
         };
-        let (ln, raw) = field("stall")?;
-        let stall: usize = raw.parse().map_err(|_| parse_err(ln, "bad stall"))?;
-        let (ln, raw) = field("best_params")?;
-        let best_params = parse_floats_opt(&raw, ln)?;
+        unused("best_val", "-")?;
+        unused("stall", "0")?;
+        unused("best_params", "-")?;
         let (ln, raw) = field("loss_history")?;
         let loss_history = parse_floats_opt(&raw, ln)?.unwrap_or_default();
         let (ln, raw) = field("val_history")?;
-        let val_history = parse_floats_opt(&raw, ln)?.unwrap_or_default();
+        if raw != "-" {
+            return Err(parse_err(ln, "validation state is not supported"));
+        }
 
         // Preserve the document's own trailing-newline state so the
         // network parser's truncation guard still sees a torn final
@@ -175,11 +165,6 @@ impl Checkpoint {
         if loss_history.len() < epoch {
             return Err(parse_err(0, "loss history shorter than epoch count"));
         }
-        if let Some(p) = &best_params {
-            if p.len() != mlp.param_count() {
-                return Err(parse_err(0, "best_params length does not match network"));
-            }
-        }
         Ok(Checkpoint {
             epoch,
             attempt,
@@ -187,11 +172,7 @@ impl Checkpoint {
             opt_step,
             opt_velocity,
             opt_second,
-            best_val,
-            stall,
-            best_params,
             loss_history,
-            val_history,
             mlp,
         })
     }
@@ -286,11 +267,7 @@ mod tests {
             opt_step: 7,
             opt_velocity: vec![0.125; n],
             opt_second: Vec::new(),
-            best_val: Some(0.375),
-            stall: 2,
-            best_params: Some(mlp.params_flat()),
             loss_history: vec![1.0, 0.5, 0.25, 0.2, 0.19, 0.185, 0.18],
-            val_history: vec![1.1, 0.6, 0.3, 0.25, 0.26, 0.27, 0.28],
             mlp,
         }
     }
@@ -305,10 +282,7 @@ mod tests {
     #[test]
     fn roundtrip_without_optional_fields() {
         let mut ck = sample();
-        ck.best_val = None;
-        ck.best_params = None;
         ck.opt_velocity = Vec::new();
-        ck.val_history = Vec::new();
         let back = Checkpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(back, ck);
     }
@@ -324,6 +298,21 @@ mod tests {
         for keep in [1, 3, 8, 12] {
             let short: String = text.lines().take(keep).collect::<Vec<_>>().join("\n");
             assert!(Checkpoint::from_text(&short).is_err(), "kept {keep} lines");
+        }
+    }
+
+    #[test]
+    fn rejects_validation_state() {
+        let text = sample().to_text();
+        for (line, bad) in [
+            ("best_val -", "best_val 0.375"),
+            ("stall 0", "stall 2"),
+            ("best_params -", "best_params 0.5"),
+            ("val_history -", "val_history 1.1 0.6"),
+        ] {
+            assert!(text.contains(line), "{line}");
+            let err = Checkpoint::from_text(&text.replacen(line, bad, 1)).unwrap_err();
+            assert!(err.to_string().contains("validation state"), "{err}");
         }
     }
 

@@ -13,8 +13,8 @@
 //!
 //! - The band geometry is derived from the row count alone
 //!   ([`crate::BAND_ROWS`]); band `b` always covers the same rows.
-//! - Band `b` runs on team member [`wlc_exec::band_worker`]`(b, jobs)`
-//!   — a static assignment — and computes exactly the partials the
+//! - Band `b` runs on team member `b % jobs` — a static assignment —
+//!   and computes exactly the partials the
 //!   in-line loop computes ([`Mlp::batch_gradient_with`] et al.),
 //!   overwriting every scratch buffer it reads.
 //! - Partials come back to the calling thread and are folded in

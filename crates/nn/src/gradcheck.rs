@@ -23,6 +23,7 @@ pub struct GradCheckReport {
 
 impl GradCheckReport {
     /// Convenience predicate: both differences under `tol`.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/nn/tests/proptests.rs::backprop_matches_finite_differences judges each gradient check with it")
     pub fn passes(&self, tol: f64) -> bool {
         self.max_abs_diff < tol || self.max_rel_diff < tol
     }
@@ -174,7 +175,7 @@ mod tests {
             .build()
             .unwrap();
         let (xs, ys) = data(2, 1, 6);
-        let report = check(&mlp, &xs, &ys, Loss::huber(0.4).unwrap(), 1e-5).unwrap();
+        let report = check(&mlp, &xs, &ys, Loss::Huber { delta: 0.4 }, 1e-5).unwrap();
         assert!(report.passes(1e-5), "{report:?}");
     }
 

@@ -1,7 +1,5 @@
 use wlc_math::rng::Xoshiro256;
 
-use crate::NnError;
-
 /// Weight initialization scheme.
 ///
 /// The paper (§3.1) notes that weights and biases "are initialized with
@@ -39,22 +37,6 @@ pub enum Initializer {
 }
 
 impl Initializer {
-    /// Creates a uniform initializer on `[-limit, limit]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidHyperParameter`] if `limit` is negative or
-    /// not finite.
-    pub fn uniform(limit: f64) -> Result<Self, NnError> {
-        if !(limit.is_finite() && limit >= 0.0) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "limit",
-                reason: "must be non-negative and finite",
-            });
-        }
-        Ok(Initializer::Uniform { limit })
-    }
-
     /// Draws one weight for a layer with the given fan-in/fan-out.
     ///
     /// # Panics
@@ -95,18 +77,12 @@ mod tests {
 
     #[test]
     fn uniform_respects_limit() {
-        let init = Initializer::uniform(0.3).unwrap();
+        let init = Initializer::Uniform { limit: 0.3 };
         let mut rng = Xoshiro256::seed_from(1);
         for _ in 0..1000 {
             let w = init.sample(&mut rng, 5, 5);
             assert!(w.abs() <= 0.3);
         }
-    }
-
-    #[test]
-    fn uniform_rejects_bad_limit() {
-        assert!(Initializer::uniform(-0.1).is_err());
-        assert!(Initializer::uniform(f64::NAN).is_err());
     }
 
     #[test]

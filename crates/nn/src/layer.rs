@@ -175,16 +175,6 @@ impl DenseLayer {
         self.biases.copy_from_slice(&flat[w_len..w_len + b_len]);
         w_len + b_len
     }
-
-    /// Mutable access for the training loop.
-    pub(crate) fn weights_mut(&mut self) -> &mut Matrix {
-        &mut self.weights
-    }
-
-    /// Mutable bias access for the training loop.
-    pub(crate) fn biases_mut(&mut self) -> &mut [f64] {
-        &mut self.biases
-    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,9 @@
 //!   back-propagation ([`Mlp::batch_gradient_with`]).
 //! - [`Loss`] — mean-squared error and friends.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
-//!   momentum, RMSProp and Adam.
+//!   momentum and Adam.
 //! - [`Trainer`] — mini-batch training with the paper's *termination
-//!   threshold* (deliberate loose fitting, §3.3) and patience-based early
-//!   stopping.
+//!   threshold* (deliberate loose fitting, §3.3).
 //! - [`LogarithmicNetwork`] — the unbounded-approximation variant the
 //!   paper cites (ref \[23\]) when discussing the extrapolation limitation.
 //! - [`RbfNetwork`] — the radial-basis-function family §2.1 names as the

@@ -35,21 +35,6 @@ pub enum Loss {
 }
 
 impl Loss {
-    /// Creates a Huber loss.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidHyperParameter`] unless `delta > 0`.
-    pub fn huber(delta: f64) -> Result<Self, NnError> {
-        if !(delta.is_finite() && delta > 0.0) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "delta",
-                reason: "must be positive and finite",
-            });
-        }
-        Ok(Loss::Huber { delta })
-    }
-
     /// Loss value for a prediction/target pair (averaged over outputs).
     ///
     /// # Errors
@@ -269,7 +254,7 @@ mod tests {
 
     #[test]
     fn huber_transitions() {
-        let l = Loss::huber(1.0).unwrap();
+        let l = Loss::Huber { delta: 1.0 };
         // Inside delta: quadratic.
         assert!((l.value(&[0.5], &[0.0]).unwrap() - 0.125).abs() < 1e-12);
         // Outside delta: linear.
@@ -277,15 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn huber_rejects_bad_delta() {
-        assert!(Loss::huber(0.0).is_err());
-        assert!(Loss::huber(-1.0).is_err());
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)]
     fn gradients_match_numeric() {
-        let losses = [Loss::MeanSquared, Loss::huber(0.7).unwrap()];
+        let losses = [Loss::MeanSquared, Loss::Huber { delta: 0.7 }];
         let predicted = [0.3, -1.2, 2.0];
         let target = [0.0, 0.5, 1.8];
         for l in losses {
@@ -327,7 +306,7 @@ mod tests {
     #[test]
     fn display_tokens() {
         assert_eq!(Loss::MeanSquared.to_string(), "mse");
-        assert_eq!(Loss::huber(0.5).unwrap().to_string(), "huber(0.5)");
+        assert_eq!(Loss::Huber { delta: 0.5 }.to_string(), "huber(0.5)");
     }
 
     #[test]

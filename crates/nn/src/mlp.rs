@@ -216,39 +216,6 @@ impl Mlp {
         }
         Ok(())
     }
-
-    /// Applies `update[i]` additively to parameter `i` (gradient-descent
-    /// step helper used by the optimizers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if the update length is wrong.
-    pub fn apply_update(&mut self, update: &[f64]) -> Result<(), NnError> {
-        if update.len() != self.param_count() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.param_count(),
-                actual: update.len(),
-                what: "update length",
-            });
-        }
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let w_len = layer.outputs() * layer.inputs();
-            {
-                let w = layer.weights_mut().as_mut_slice();
-                for (wi, &u) in w.iter_mut().zip(&update[off..off + w_len]) {
-                    *wi += u;
-                }
-            }
-            off += w_len;
-            let b_len = layer.biases().len();
-            for (bi, &u) in layer.biases_mut().iter_mut().zip(&update[off..off + b_len]) {
-                *bi += u;
-            }
-            off += b_len;
-        }
-        Ok(())
-    }
 }
 
 /// Builder for [`Mlp`] networks.
@@ -351,7 +318,7 @@ impl MlpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Loss, Workspace};
+    use crate::{Loss, OptimizerKind, Workspace};
 
     fn tiny_mlp() -> Mlp {
         MlpBuilder::new(2)
@@ -512,27 +479,18 @@ mod tests {
         let initial = mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
         for _ in 0..200 {
             mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
-            let update: Vec<f64> = ws.grad().iter().map(|g| -0.5 * g).collect();
-            mlp.apply_update(&update).unwrap();
+            let mut params = mlp.params_flat();
+            OptimizerKind::Sgd
+                .into_optimizer()
+                .step(&mut params, ws.grad(), 0.5)
+                .unwrap();
+            mlp.set_params_flat(&params).unwrap();
         }
         let after = mlp.batch_gradient_with(&xs, &ys, mse, &mut ws).unwrap();
         assert!(
             after < initial * 0.5,
             "loss did not drop: {initial} -> {after}"
         );
-    }
-
-    #[test]
-    fn apply_update_shifts_params() {
-        let mut mlp = tiny_mlp();
-        let before = mlp.params_flat();
-        let update = vec![0.1; mlp.param_count()];
-        mlp.apply_update(&update).unwrap();
-        let after = mlp.params_flat();
-        for (b, a) in before.iter().zip(after.iter()) {
-            assert!((a - b - 0.1).abs() < 1e-12);
-        }
-        assert!(mlp.apply_update(&[0.0]).is_err());
     }
 
     #[test]

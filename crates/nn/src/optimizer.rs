@@ -1,7 +1,7 @@
 //! Parameter-update rules for gradient-based training.
 //!
 //! The paper trains with plain gradient-descent back-propagation (§2.2);
-//! that is [`OptimizerKind::Sgd`]. Momentum, RMSProp and Adam are provided
+//! that is [`OptimizerKind::Sgd`]. Momentum and Adam are provided
 //! for the ablation benchmarks that examine how much the training method
 //! matters for the workload-model use case.
 
@@ -35,14 +35,6 @@ pub enum OptimizerKind {
     Momentum {
         /// Momentum coefficient, typically 0.9.
         beta: f64,
-    },
-    /// RMSProp: per-parameter learning-rate scaling by a running RMS of
-    /// gradients.
-    RmsProp {
-        /// Decay rate of the running mean square, typically 0.9.
-        decay: f64,
-        /// Numerical-stability constant.
-        epsilon: f64,
     },
     /// Adam: momentum + RMS scaling with bias correction.
     Adam {
@@ -99,16 +91,6 @@ impl OptimizerKind {
         match *self {
             OptimizerKind::Sgd => Ok(()),
             OptimizerKind::Momentum { beta } => check_unit(beta, "beta"),
-            OptimizerKind::RmsProp { decay, epsilon } => {
-                check_unit(decay, "decay")?;
-                if !(epsilon.is_finite() && epsilon > 0.0) {
-                    return Err(NnError::InvalidHyperParameter {
-                        name: "epsilon",
-                        reason: "must be positive",
-                    });
-                }
-                Ok(())
-            }
             OptimizerKind::Adam {
                 beta1,
                 beta2,
@@ -156,13 +138,6 @@ impl Optimizer {
     /// Number of steps taken so far.
     pub fn step_count(&self) -> u64 {
         self.step_count
-    }
-
-    /// Resets all internal state (momentum, moments, step count).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-        self.second_moment.clear();
-        self.step_count = 0;
     }
 
     /// Snapshot of the internal state for checkpointing:
@@ -220,12 +195,6 @@ impl Optimizer {
                     *p -= lr * *v;
                 }
             }
-            OptimizerKind::RmsProp { decay, epsilon } => {
-                for ((p, &g), s) in params.iter_mut().zip(grads).zip(&mut self.second_moment) {
-                    *s = decay * *s + (1.0 - decay) * g * g;
-                    *p -= lr * g / (s.sqrt() + epsilon);
-                }
-            }
             OptimizerKind::Adam {
                 beta1,
                 beta2,
@@ -256,10 +225,7 @@ impl Optimizer {
             self.kind,
             OptimizerKind::Momentum { .. } | OptimizerKind::Adam { .. }
         );
-        let needs_second = matches!(
-            self.kind,
-            OptimizerKind::RmsProp { .. } | OptimizerKind::Adam { .. }
-        );
+        let needs_second = matches!(self.kind, OptimizerKind::Adam { .. });
         if needs_velocity {
             if self.velocity.is_empty() {
                 self.velocity = vec![0.0; len];
@@ -314,21 +280,6 @@ mod tests {
     fn all_kinds_minimize_quadratic() {
         assert!(run_quadratic(OptimizerKind::Sgd, 0.1, 100).abs() < 1e-6);
         assert!(run_quadratic(OptimizerKind::momentum(), 0.02, 200).abs() < 1e-4);
-        // RMSProp normalizes by gradient RMS, so near the optimum it acts
-        // like sign-descent and oscillates with amplitude ~lr: use a small
-        // rate and a tolerance of a few lr.
-        assert!(
-            run_quadratic(
-                OptimizerKind::RmsProp {
-                    decay: 0.9,
-                    epsilon: 1e-8
-                },
-                0.01,
-                2000
-            )
-            .abs()
-                < 0.05
-        );
         assert!(run_quadratic(OptimizerKind::adam(), 0.3, 500).abs() < 1e-2);
     }
 
@@ -368,8 +319,6 @@ mod tests {
         opt.step(&mut params, &[1.0, 1.0], 0.1).unwrap();
         let mut shorter = vec![0.0];
         assert!(opt.step(&mut shorter, &[1.0], 0.1).is_err());
-        opt.reset();
-        assert!(opt.step(&mut shorter, &[1.0], 0.1).is_ok());
     }
 
     #[test]
@@ -384,12 +333,6 @@ mod tests {
     #[test]
     fn invalid_hyper_parameters_rejected() {
         assert!(OptimizerKind::Momentum { beta: 1.5 }.validate().is_err());
-        assert!(OptimizerKind::RmsProp {
-            decay: 0.9,
-            epsilon: 0.0
-        }
-        .validate()
-        .is_err());
         assert!(OptimizerKind::Adam {
             beta1: -0.1,
             beta2: 0.999,
@@ -398,16 +341,6 @@ mod tests {
         .validate()
         .is_err());
         assert!(OptimizerKind::adam().validate().is_ok());
-    }
-
-    #[test]
-    fn reset_clears_step_count() {
-        let mut opt = OptimizerKind::momentum().into_optimizer();
-        let mut params = vec![1.0];
-        opt.step(&mut params, &[1.0], 0.1).unwrap();
-        assert_eq!(opt.step_count(), 1);
-        opt.reset();
-        assert_eq!(opt.step_count(), 0);
     }
 
     #[test]

@@ -351,8 +351,8 @@ mod tests {
     fn constant_data_handled() {
         // All samples identical: k-means degenerates but fit must not
         // panic or produce NaN.
-        let xs = Matrix::filled(6, 2, 3.0);
-        let ys = Matrix::filled(6, 1, 1.5);
+        let xs = Matrix::from_fn(6, 2, |_, _| 3.0);
+        let ys = Matrix::from_fn(6, 1, |_, _| 1.5);
         let rbf = RbfNetwork::fit(&xs, &ys, 2, 9).unwrap();
         let pred = rbf.predict(&[3.0, 3.0]).unwrap()[0];
         assert!((pred - 1.5).abs() < 1e-6, "{pred}");

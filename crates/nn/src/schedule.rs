@@ -7,10 +7,9 @@ use crate::NnError;
 /// ```
 /// use wlc_nn::LearningRateSchedule;
 ///
-/// let s = LearningRateSchedule::step_decay(0.1, 0.5, 10).unwrap();
+/// let s = LearningRateSchedule::exponential(0.1, 0.5).unwrap();
 /// assert_eq!(s.rate_at(0), 0.1);
-/// assert_eq!(s.rate_at(10), 0.05);
-/// assert_eq!(s.rate_at(20), 0.025);
+/// assert!(s.rate_at(10) < s.rate_at(9));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -19,15 +18,6 @@ pub enum LearningRateSchedule {
     Constant {
         /// The fixed learning rate.
         rate: f64,
-    },
-    /// Multiplies the rate by `factor` every `every` epochs.
-    StepDecay {
-        /// Initial rate.
-        initial: f64,
-        /// Multiplicative factor applied at each step boundary.
-        factor: f64,
-        /// Epoch interval between decays.
-        every: usize,
     },
     /// Smooth exponential decay `initial · exp(−decay · epoch)`.
     Exponential {
@@ -39,43 +29,6 @@ pub enum LearningRateSchedule {
 }
 
 impl LearningRateSchedule {
-    /// Creates a constant schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidHyperParameter`] unless `rate > 0`.
-    pub fn constant(rate: f64) -> Result<Self, NnError> {
-        Self::check_rate(rate)?;
-        Ok(LearningRateSchedule::Constant { rate })
-    }
-
-    /// Creates a step-decay schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidHyperParameter`] unless `initial > 0`,
-    /// `0 < factor <= 1` and `every >= 1`.
-    pub fn step_decay(initial: f64, factor: f64, every: usize) -> Result<Self, NnError> {
-        Self::check_rate(initial)?;
-        if !(factor.is_finite() && factor > 0.0 && factor <= 1.0) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "factor",
-                reason: "must be in (0, 1]",
-            });
-        }
-        if every == 0 {
-            return Err(NnError::InvalidHyperParameter {
-                name: "every",
-                reason: "must be at least 1",
-            });
-        }
-        Ok(LearningRateSchedule::StepDecay {
-            initial,
-            factor,
-            every,
-        })
-    }
-
     /// Creates an exponential-decay schedule.
     ///
     /// # Errors
@@ -110,15 +63,6 @@ impl LearningRateSchedule {
             LearningRateSchedule::Constant { rate } => {
                 LearningRateSchedule::Constant { rate: rate * scale }
             }
-            LearningRateSchedule::StepDecay {
-                initial,
-                factor,
-                every,
-            } => LearningRateSchedule::StepDecay {
-                initial: initial * scale,
-                factor,
-                every,
-            },
             LearningRateSchedule::Exponential { initial, decay } => {
                 LearningRateSchedule::Exponential {
                     initial: initial * scale,
@@ -132,11 +76,6 @@ impl LearningRateSchedule {
     pub fn rate_at(&self, epoch: usize) -> f64 {
         match *self {
             LearningRateSchedule::Constant { rate } => rate,
-            LearningRateSchedule::StepDecay {
-                initial,
-                factor,
-                every,
-            } => initial * factor.powi((epoch / every) as i32),
             LearningRateSchedule::Exponential { initial, decay } => {
                 initial * (-decay * epoch as f64).exp()
             }
@@ -157,17 +96,9 @@ mod tests {
 
     #[test]
     fn constant_never_changes() {
-        let s = LearningRateSchedule::constant(0.3).unwrap();
+        let s = LearningRateSchedule::Constant { rate: 0.3 };
         assert_eq!(s.rate_at(0), 0.3);
         assert_eq!(s.rate_at(1000), 0.3);
-    }
-
-    #[test]
-    fn step_decay_boundaries() {
-        let s = LearningRateSchedule::step_decay(1.0, 0.1, 5).unwrap();
-        assert_eq!(s.rate_at(4), 1.0);
-        assert!((s.rate_at(5) - 0.1).abs() < 1e-12);
-        assert!((s.rate_at(14) - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -190,11 +121,8 @@ mod tests {
 
     #[test]
     fn constructors_validate() {
-        assert!(LearningRateSchedule::constant(0.0).is_err());
-        assert!(LearningRateSchedule::constant(f64::NAN).is_err());
-        assert!(LearningRateSchedule::step_decay(0.1, 0.0, 5).is_err());
-        assert!(LearningRateSchedule::step_decay(0.1, 1.5, 5).is_err());
-        assert!(LearningRateSchedule::step_decay(0.1, 0.5, 0).is_err());
+        assert!(LearningRateSchedule::exponential(0.0, 0.0).is_err());
+        assert!(LearningRateSchedule::exponential(f64::NAN, 0.0).is_err());
         assert!(LearningRateSchedule::exponential(0.1, -1.0).is_err());
     }
 

@@ -18,9 +18,6 @@ pub enum StopReason {
     /// Training loss dropped below the termination threshold — the paper's
     /// deliberate loose fit (§3.3) to keep the model flexible.
     ThresholdReached,
-    /// Validation loss stopped improving for `patience` epochs; the best
-    /// parameters seen were restored.
-    EarlyStopped,
     /// Training diverged (non-finite loss, non-finite parameters or an
     /// exploding gradient) and every recovery attempt was exhausted; the
     /// parameters were rolled back to the last finite epoch. Only reported
@@ -34,7 +31,6 @@ impl std::fmt::Display for StopReason {
         match self {
             StopReason::MaxEpochs => write!(f, "max epochs reached"),
             StopReason::ThresholdReached => write!(f, "termination threshold reached"),
-            StopReason::EarlyStopped => write!(f, "early stopped on validation loss"),
             StopReason::Diverged => {
                 write!(f, "diverged (non-finite loss or exploding gradient)")
             }
@@ -79,7 +75,7 @@ impl std::fmt::Display for StopReason {
 ///     .optimizer(OptimizerKind::adam())
 ///     .termination_threshold(1e-3)
 ///     .loss(Loss::MeanSquared);
-/// assert_eq!(config.max_epochs_value(), 500);
+/// let trainer = wlc_nn::Trainer::new(config);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -90,8 +86,6 @@ pub struct TrainConfig {
     optimizer: OptimizerKind,
     schedule: LearningRateSchedule,
     termination_threshold: Option<f64>,
-    patience: Option<usize>,
-    min_delta: f64,
     weight_decay: f64,
     gradient_clip: Option<f64>,
     seed: u64,
@@ -108,7 +102,7 @@ pub struct TrainConfig {
 
 impl TrainConfig {
     /// Creates a configuration with the paper-like defaults: 1000 epochs of
-    /// full-batch SGD at rate 0.01 on mean-squared error, no early stop.
+    /// full-batch SGD at rate 0.01 on mean-squared error.
     pub fn new() -> Self {
         TrainConfig {
             max_epochs: 1000,
@@ -118,8 +112,6 @@ impl TrainConfig {
             optimizer: OptimizerKind::Sgd,
             schedule: LearningRateSchedule::default(),
             termination_threshold: None,
-            patience: None,
-            min_delta: 0.0,
             weight_decay: 0.0,
             gradient_clip: None,
             seed: 0,
@@ -181,15 +173,6 @@ impl TrainConfig {
     /// `threshold` (the paper's loose-fit stop).
     pub fn termination_threshold(mut self, threshold: f64) -> Self {
         self.termination_threshold = Some(threshold);
-        self
-    }
-
-    /// Enables early stopping: training stops when the validation loss has
-    /// not improved by at least `min_delta` for `patience` epochs, and the
-    /// best parameters are restored.
-    pub fn early_stopping(mut self, patience: usize, min_delta: f64) -> Self {
-        self.patience = Some(patience);
-        self.min_delta = min_delta;
         self
     }
 
@@ -287,21 +270,6 @@ impl TrainConfig {
         self
     }
 
-    /// The configured epoch budget.
-    pub fn max_epochs_value(&self) -> usize {
-        self.max_epochs
-    }
-
-    /// The configured loss.
-    pub fn loss_value(&self) -> Loss {
-        self.loss
-    }
-
-    /// The configured worker-thread count.
-    pub fn jobs_value(&self) -> usize {
-        self.jobs
-    }
-
     fn validate(&self) -> Result<(), NnError> {
         if self.max_epochs == 0 {
             return Err(NnError::InvalidHyperParameter {
@@ -322,14 +290,6 @@ impl TrainConfig {
                 return Err(NnError::InvalidHyperParameter {
                     name: "termination_threshold",
                     reason: "must be non-negative and finite",
-                });
-            }
-        }
-        if let Some(p) = self.patience {
-            if p == 0 {
-                return Err(NnError::InvalidHyperParameter {
-                    name: "patience",
-                    reason: "must be at least 1",
                 });
             }
         }
@@ -394,15 +354,10 @@ pub struct TrainReport {
     pub epochs_run: usize,
     /// Training loss after the final epoch.
     pub final_train_loss: f64,
-    /// Validation loss after the final epoch (when a validation set was
-    /// supplied).
-    pub final_val_loss: Option<f64>,
     /// Why training stopped.
     pub stop_reason: StopReason,
     /// Per-epoch training loss.
     pub loss_history: Vec<f64>,
-    /// Per-epoch validation loss (empty without a validation set).
-    pub val_history: Vec<f64>,
     /// Failed recovery attempts before this result (0 = first try).
     pub recovery_attempts: usize,
     /// Epoch the run resumed from when started via
@@ -440,7 +395,7 @@ impl Trainer {
         &self.config
     }
 
-    /// Trains on `(xs, ys)` with no validation set.
+    /// Trains on `(xs, ys)`.
     ///
     /// # Errors
     ///
@@ -452,30 +407,13 @@ impl Trainer {
     ///   [`TrainConfig::halt_on_divergence`] is set).
     /// - [`NnError::Io`] if a configured checkpoint cannot be written.
     pub fn fit(&self, mlp: &mut Mlp, xs: &Matrix, ys: &Matrix) -> Result<TrainReport, NnError> {
-        self.fit_impl(mlp, xs, ys, None, None)
-    }
-
-    /// Trains on `(xs, ys)` while monitoring `(val_x, val_y)` for early
-    /// stopping and validation history.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Trainer::fit`].
-    pub fn fit_with_validation(
-        &self,
-        mlp: &mut Mlp,
-        xs: &Matrix,
-        ys: &Matrix,
-        val_x: &Matrix,
-        val_y: &Matrix,
-    ) -> Result<TrainReport, NnError> {
-        self.fit_impl(mlp, xs, ys, Some((val_x, val_y)), None)
+        self.fit_impl(mlp, xs, ys, None)
     }
 
     /// Continues an interrupted run from `checkpoint`. With the same
     /// configuration, data and seed, the resumed run finishes
     /// bit-identically to an uninterrupted one: the checkpoint carries the
-    /// optimizer state and histories, and the shuffle RNG is fast-forwarded
+    /// optimizer state and loss history, and the shuffle RNG is fast-forwarded
     /// by replaying the completed epochs' permutations.
     ///
     /// # Errors
@@ -489,25 +427,7 @@ impl Trainer {
         ys: &Matrix,
         checkpoint: &Checkpoint,
     ) -> Result<TrainReport, NnError> {
-        self.fit_impl(mlp, xs, ys, None, Some(checkpoint))
-    }
-
-    /// [`Trainer::resume_from`] with a validation set (must be the same
-    /// one the interrupted run used for the histories to stay coherent).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Trainer::resume_from`].
-    pub fn resume_from_with_validation(
-        &self,
-        mlp: &mut Mlp,
-        xs: &Matrix,
-        ys: &Matrix,
-        val_x: &Matrix,
-        val_y: &Matrix,
-        checkpoint: &Checkpoint,
-    ) -> Result<TrainReport, NnError> {
-        self.fit_impl(mlp, xs, ys, Some((val_x, val_y)), Some(checkpoint))
+        self.fit_impl(mlp, xs, ys, Some(checkpoint))
     }
 
     fn fit_impl(
@@ -515,7 +435,6 @@ impl Trainer {
         mlp: &mut Mlp,
         xs: &Matrix,
         ys: &Matrix,
-        validation: Option<(&Matrix, &Matrix)>,
         resume: Option<&Checkpoint>,
     ) -> Result<TrainReport, NnError> {
         self.config.validate()?;
@@ -551,7 +470,7 @@ impl Trainer {
                 mlp.reinitialize(self.config.retry_initializer, seed);
                 resume_state = None;
             }
-            let report = self.run_attempt(mlp, xs, ys, validation, resume_state, attempt)?;
+            let report = self.run_attempt(mlp, xs, ys, resume_state, attempt)?;
             if report.stop_reason == StopReason::Diverged {
                 diverged = Some(report);
             } else {
@@ -582,7 +501,6 @@ impl Trainer {
         mlp: &mut Mlp,
         xs: &Matrix,
         ys: &Matrix,
-        validation: Option<(&Matrix, &Matrix)>,
         resume: Option<&Checkpoint>,
         attempt: usize,
     ) -> Result<TrainReport, NnError> {
@@ -604,14 +522,6 @@ impl Trainer {
         let mut by = Matrix::zeros(0, ys.cols());
 
         let mut loss_history = Vec::with_capacity(self.config.max_epochs);
-        let mut val_history = Vec::with_capacity(if validation.is_some() {
-            self.config.max_epochs
-        } else {
-            0
-        });
-        let mut best_val = f64::INFINITY;
-        let mut best_params: Option<Vec<f64>> = None;
-        let mut epochs_without_improvement = 0usize;
         let mut start_epoch = 0usize;
         let mut indices: Vec<usize> = (0..n).collect();
 
@@ -619,10 +529,6 @@ impl Trainer {
             start_epoch = ck.epoch;
             optimizer.restore_state(ck.opt_velocity.clone(), ck.opt_second.clone(), ck.opt_step);
             loss_history.clone_from(&ck.loss_history);
-            val_history.clone_from(&ck.val_history);
-            best_val = ck.best_val.unwrap_or(f64::INFINITY);
-            best_params = ck.best_params.clone();
-            epochs_without_improvement = ck.stall;
             // Replay the completed epochs' shuffles so the RNG position and
             // the index permutation match the interrupted run exactly.
             if self.config.shuffle && batch < n {
@@ -701,48 +607,17 @@ impl Trainer {
                 params = last_finite;
                 mlp.set_params_flat(&params)?;
                 let final_train_loss = engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?;
-                let final_val_loss = match validation {
-                    Some((vx, vy)) => {
-                        Some(engine.batch_loss(mlp, vx, vy, self.config.loss, &mut ws)?)
-                    }
-                    None => None,
-                };
                 return Ok(TrainReport {
                     epochs_run,
                     final_train_loss,
-                    final_val_loss,
                     stop_reason: StopReason::Diverged,
                     loss_history,
-                    val_history,
                     recovery_attempts: attempt,
                     resumed_from_epoch: resume.map(|c| c.epoch),
                 });
             }
             last_finite.clone_from(&params);
             loss_history.push(train_loss);
-
-            if let Some((vx, vy)) = validation {
-                let val_loss = engine.batch_loss(mlp, vx, vy, self.config.loss, &mut ws)?;
-                val_history.push(val_loss);
-                if val_loss + self.config.min_delta < best_val {
-                    best_val = val_loss;
-                    // clone_from reuses the existing buffer after the
-                    // first improvement.
-                    match &mut best_params {
-                        Some(b) => b.clone_from(&params),
-                        None => best_params = Some(params.clone()),
-                    }
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                }
-                if let Some(patience) = self.config.patience {
-                    if epochs_without_improvement >= patience {
-                        stop_reason = StopReason::EarlyStopped;
-                        break;
-                    }
-                }
-            }
 
             if let Some(threshold) = self.config.termination_threshold {
                 if train_loss <= threshold {
@@ -764,11 +639,7 @@ impl Trainer {
                         opt_step: steps,
                         opt_velocity: velocity.to_vec(),
                         opt_second: second.to_vec(),
-                        best_val: best_params.as_ref().map(|_| best_val),
-                        stall: epochs_without_improvement,
-                        best_params: best_params.clone(),
                         loss_history: loss_history.clone(),
-                        val_history: val_history.clone(),
                         mlp: mlp.clone(),
                     };
                     ck.save_with(&*self.config.checkpoint_fs, path)?;
@@ -776,27 +647,15 @@ impl Trainer {
             }
         }
 
-        // On early stop, restore the best validation parameters.
-        if stop_reason == StopReason::EarlyStopped {
-            if let Some(best) = best_params {
-                params = best;
-            }
-        }
         mlp.set_params_flat(&params)?;
 
         let final_train_loss = engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?;
-        let final_val_loss = match validation {
-            Some((vx, vy)) => Some(engine.batch_loss(mlp, vx, vy, self.config.loss, &mut ws)?),
-            None => None,
-        };
 
         Ok(TrainReport {
             epochs_run,
             final_train_loss,
-            final_val_loss,
             stop_reason,
             loss_history,
-            val_history,
             recovery_attempts: attempt,
             resumed_from_epoch: resume.map(|c| c.epoch),
         })
@@ -1012,38 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_restores_best_params() {
-        // Validation set deliberately contradicts the training set, so
-        // validation loss rises as training fits harder — early stopping
-        // must kick in and restore the best snapshot.
-        let (xs, ys) = xor_data();
-        let val_x = xs.clone();
-        let val_y = Matrix::from_rows(&[&[1.0], &[0.0], &[0.0], &[1.0]]).unwrap();
-        let mut mlp = xor_mlp(6);
-        let config = TrainConfig::new()
-            .max_epochs(2000)
-            .learning_rate(0.3)
-            .optimizer(OptimizerKind::momentum())
-            .early_stopping(20, 0.0);
-        let report = Trainer::new(config)
-            .fit_with_validation(&mut mlp, &xs, &ys, &val_x, &val_y)
-            .unwrap();
-        assert_eq!(report.stop_reason, StopReason::EarlyStopped);
-        assert!(report.epochs_run < 2000);
-        // The restored parameters give the best validation loss seen.
-        let best_seen = report
-            .val_history
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let final_val = report.final_val_loss.unwrap();
-        assert!(
-            (final_val - best_seen).abs() < 1e-9,
-            "final {final_val} vs best {best_seen}"
-        );
-    }
-
-    #[test]
     fn mini_batch_training_works() {
         let (xs, ys) = xor_data();
         let mut mlp = xor_mlp(7);
@@ -1176,8 +1003,6 @@ mod tests {
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let (xs, ys) = xor_data();
-        let val_x = xs.clone();
-        let val_y = ys.clone();
         let dir = std::env::temp_dir().join(format!("wlc-nn-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -1199,9 +1024,7 @@ mod tests {
 
             // Uninterrupted run.
             let mut full = xor_mlp(13);
-            let full_report = Trainer::new(base.clone())
-                .fit_with_validation(&mut full, &xs, &ys, &val_x, &val_y)
-                .unwrap();
+            let full_report = Trainer::new(base.clone()).fit(&mut full, &xs, &ys).unwrap();
 
             // "Killed" run: stops at epoch 40, leaving a checkpoint behind.
             let mut partial = xor_mlp(13);
@@ -1211,24 +1034,20 @@ mod tests {
                     .checkpoint_every(20)
                     .checkpoint_path(&path),
             )
-            .fit_with_validation(&mut partial, &xs, &ys, &val_x, &val_y)
+            .fit(&mut partial, &xs, &ys)
             .unwrap();
 
             let ck = Checkpoint::load(&path).unwrap();
             assert_eq!(ck.epochs_completed(), 40);
             let mut resumed = xor_mlp(13);
             let resumed_report = Trainer::new(base)
-                .resume_from_with_validation(&mut resumed, &xs, &ys, &val_x, &val_y, &ck)
+                .resume_from(&mut resumed, &xs, &ys, &ck)
                 .unwrap();
 
             assert_eq!(resumed_report.resumed_from_epoch, Some(40));
             assert_eq!(resumed.params_flat(), full.params_flat(), "{name}");
             assert_eq!(
                 resumed_report.loss_history, full_report.loss_history,
-                "{name}"
-            );
-            assert_eq!(
-                resumed_report.val_history, full_report.val_history,
                 "{name}"
             );
         }
@@ -1278,9 +1097,6 @@ mod tests {
         assert!(Trainer::new(TrainConfig::new().termination_threshold(-1.0))
             .fit(&mut mlp, &xs, &ys)
             .is_err());
-        assert!(Trainer::new(TrainConfig::new().early_stopping(0, 0.0))
-            .fit(&mut mlp, &xs, &ys)
-            .is_err());
     }
 
     #[test]
@@ -1328,7 +1144,8 @@ mod tests {
         // epoch, so by epoch 30 it is ~1e-10 of the initial value).
         let (xs, ys) = xor_data();
         let mut mlp = xor_mlp(14);
-        let schedule = crate::LearningRateSchedule::step_decay(0.2, 0.5, 1).unwrap();
+        let schedule =
+            crate::LearningRateSchedule::exponential(0.2, std::f64::consts::LN_2).unwrap();
         let config = TrainConfig::new().max_epochs(40).schedule(schedule);
         let report = Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
         let early_move = (report.loss_history[0] - report.loss_history[5]).abs();
@@ -1402,7 +1219,6 @@ mod tests {
         assert!(StopReason::ThresholdReached
             .to_string()
             .contains("threshold"));
-        assert!(StopReason::EarlyStopped.to_string().contains("validation"));
         assert!(StopReason::Diverged.to_string().contains("diverged"));
     }
 }

@@ -790,7 +790,7 @@ mod tests {
         let losses = [
             Loss::MeanSquared,
             Loss::MeanAbsolute,
-            Loss::huber(0.4).unwrap(),
+            Loss::Huber { delta: 0.4 },
         ];
         for (mlp, rows) in cases() {
             let xs = random_batch(rows, mlp.inputs(), &mut rng);

@@ -98,22 +98,6 @@ impl ModelSlot {
         *current = Arc::new(next);
         Ok(self.generation.fetch_add(1, Ordering::SeqCst) + 1)
     }
-
-    /// Loads a model file, validates it and installs it ([`Self::install`]).
-    ///
-    /// Rejection reasons — unreadable file, parse error, non-finite
-    /// parameters, degenerate scalers, input/output widths that disagree
-    /// with the serving bundle — all leave the previous model serving.
-    pub fn reload_from(&self, path: &Path) -> Result<u64, ServeError> {
-        self.reload_with(&wlc_fault::RealFs, path)
-    }
-
-    /// [`Self::reload_from`] reading through an explicit filesystem
-    /// (failpoint site `serve.model.load`).
-    pub fn reload_with(&self, fs: &dyn Fs, path: &Path) -> Result<u64, ServeError> {
-        let candidate = load_candidate(fs, path)?;
-        self.install(candidate)
-    }
 }
 
 #[cfg(test)]
@@ -197,12 +181,14 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let slot = slot(2);
+        let reload =
+            |path: &Path| load_candidate(&wlc_fault::RealFs, path).and_then(|m| slot.install(m));
         let good = model(2, 3);
         let path = dir.join("model.txt");
         good.save(&path).unwrap();
 
         // Baseline: a good file installs.
-        assert_eq!(slot.reload_from(&path).unwrap(), 1);
+        assert_eq!(reload(&path).unwrap(), 1);
 
         let text = std::fs::read_to_string(&path).unwrap();
         // Swap the xscaler line for one that parses but holds a
@@ -235,7 +221,7 @@ mod tests {
             if name != "missing" {
                 std::fs::write(&bad, content).unwrap();
             }
-            let err = slot.reload_from(&bad).unwrap_err();
+            let err = reload(&bad).unwrap_err();
             assert!(matches!(err, ServeError::Model(_)), "{name}: {err}");
             assert_eq!(slot.generation(), 1, "{name} must not swap");
         }

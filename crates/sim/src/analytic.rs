@@ -74,18 +74,9 @@ pub fn mmc_mean_wait(lambda: f64, mu: f64, c: u32) -> Result<f64, SimError> {
 /// assert!((r - 1.0 / 3.0).abs() < 1e-12);
 /// # Ok::<(), wlc_sim::SimError>(())
 /// ```
+// wlc-lint: allow(unreferenced-pub, reason = "the engine's mm_c_validation_against_queueing_theory test and crates/sim/tests/proptests.rs compare the simulator with it")
 pub fn mmc_mean_response(lambda: f64, mu: f64, c: u32) -> Result<f64, SimError> {
     Ok(mmc_mean_wait(lambda, mu, c)? + 1.0 / mu)
-}
-
-/// Server utilization `rho = lambda / (c·mu)` of an M/M/c queue.
-///
-/// # Errors
-///
-/// As for [`erlang_c`] (including the stability check).
-pub fn mmc_utilization(lambda: f64, mu: f64, c: u32) -> Result<f64, SimError> {
-    validate(lambda, mu, c)?;
-    Ok(lambda / (c as f64 * mu))
 }
 
 fn validate(lambda: f64, mu: f64, c: u32) -> Result<(), SimError> {
@@ -281,11 +272,6 @@ mod tests {
         let w20 = mmc_mean_wait(lambda, mu, 20).unwrap();
         assert!(w10 > w12 && w12 > w20);
         assert!(w20 < 1e-3);
-    }
-
-    #[test]
-    fn utilization_value() {
-        assert!((mmc_utilization(8.0, 1.0, 10).unwrap() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -336,6 +336,7 @@ impl HardwareModel {
     /// An idealized machine with effectively unlimited cores and zero
     /// overheads — turns the middle tier into independent M/M/c queues
     /// (used to validate the simulator against queueing theory).
+    // wlc-lint: allow(unreferenced-pub, reason = "the engine's mm_c_validation_against_queueing_theory test and crates/sim/tests/golden.rs run on it")
     pub fn ideal() -> Self {
         HardwareModel {
             effective_cores: 1e9,

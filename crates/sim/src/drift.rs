@@ -19,7 +19,7 @@
 //! [`stream_window`] turns a contiguous tick range into measured
 //! samples: each tick samples a server configuration, simulates it under
 //! the drifted workload, and passes through the same fault-injection
-//! machinery as [`crate::run_design_faulty`] (dropout/stall retried then
+//! machinery as [`crate::run_design_faulty_jobs`] (dropout/stall retried then
 //! quarantined, truncation/spikes degrade the measurement). All
 //! randomness is derived from `(base_seed, absolute tick, attempt)`, so
 //! a stream is bit-identical for any worker count *and* for any
@@ -120,11 +120,6 @@ impl DriftProfile {
             period: 1,
             at: 0,
         }
-    }
-
-    /// Whether this profile ever deforms the workload.
-    pub fn is_steady(&self) -> bool {
-        self.kind == DriftKind::Steady
     }
 
     /// Validates all fields.
@@ -421,7 +416,7 @@ mod tests {
             "kind=none".parse::<DriftProfile>().unwrap(),
             DriftProfile::steady()
         );
-        assert!(DriftProfile::default().is_steady());
+        assert_eq!(DriftProfile::default(), DriftProfile::steady());
     }
 
     #[test]

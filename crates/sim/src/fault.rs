@@ -4,7 +4,7 @@
 //! Real measurement campaigns lose runs: a load generator dies, a
 //! monitoring agent truncates its window, a counter picks up a noise
 //! spike, a work queue stalls. A [`FaultProfile`] injects those failure
-//! modes into [`run_design_faulty`] so the rest of the pipeline
+//! modes into [`run_design_faulty_jobs`] so the rest of the pipeline
 //! (retries, quarantine, strict CSV validation) can be exercised
 //! deterministically:
 //!
@@ -199,7 +199,7 @@ impl FromStr for FaultProfile {
     }
 }
 
-/// Tally of faults injected during one [`run_design_faulty`] campaign.
+/// Tally of faults injected during one [`run_design_faulty_jobs`] campaign.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct FaultSummary {
@@ -246,7 +246,8 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 }
 
 /// [`crate::run_design`] under an injected [`FaultProfile`], with
-/// per-configuration retries.
+/// per-configuration retries, over `jobs` workers (`jobs <= 1` runs
+/// sequentially). Output is bit-identical for every `jobs` value.
 ///
 /// Each attempt draws its faults from an RNG seeded by
 /// `(base_seed, index, attempt)`; a dropout or stall fails the attempt
@@ -268,7 +269,7 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use wlc_sim::{run_design_faulty, FaultProfile, ServerConfig};
+/// use wlc_sim::{run_design_faulty_jobs, FaultProfile, ServerConfig};
 ///
 /// let config = ServerConfig::builder()
 ///     .injection_rate(200.0)
@@ -277,36 +278,11 @@ pub(crate) fn standard_normal(rng: &mut Xoshiro256) -> f64 {
 ///     .web_threads(8)
 ///     .build()?;
 /// let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse()?;
-/// let (ds, faults) = run_design_faulty(&[config], 7, 4.0, 1.0, profile, 2)?;
+/// let (ds, faults) = run_design_faulty_jobs(&[config], 7, 4.0, 1.0, profile, 2, 1)?;
 /// assert_eq!(ds.len(), 1);
 /// assert_eq!(faults.truncations, 1);
 /// # Ok::<(), wlc_sim::SimError>(())
 /// ```
-pub fn run_design_faulty(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    profile: FaultProfile,
-    max_retries: usize,
-) -> Result<(Dataset, FaultSummary), SimError> {
-    run_design_faulty_jobs(
-        configs,
-        base_seed,
-        duration_secs,
-        warmup_secs,
-        profile,
-        max_retries,
-        wlc_exec::default_jobs(),
-    )
-}
-
-/// [`run_design_faulty`] with an explicit worker count (`jobs <= 1` runs
-/// sequentially). Output is bit-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// As for [`run_design_faulty`].
 pub fn run_design_faulty_jobs(
     configs: &[ServerConfig],
     base_seed: u64,
@@ -518,7 +494,7 @@ mod tests {
         let configs = servers(3);
         let clean = run_design(&configs, 5, 3.0, 0.5).unwrap();
         let (faulty, summary) =
-            run_design_faulty(&configs, 5, 3.0, 0.5, FaultProfile::none(), 2).unwrap();
+            run_design_faulty_jobs(&configs, 5, 3.0, 0.5, FaultProfile::none(), 2, 1).unwrap();
         assert_eq!(clean, faulty);
         assert!(summary.is_clean());
         assert!(summary.quarantined.is_empty());
@@ -528,7 +504,7 @@ mod tests {
     fn certain_dropout_quarantines_every_row() {
         let configs = servers(2);
         let profile: FaultProfile = "dropout=1.0".parse().unwrap();
-        let (ds, summary) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 2).unwrap();
+        let (ds, summary) = run_design_faulty_jobs(&configs, 1, 3.0, 0.5, profile, 2, 1).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.quarantined, vec![0, 1]);
         // Every attempt (initial + 2 retries) on both rows dropped.
@@ -539,7 +515,7 @@ mod tests {
     fn certain_stall_is_counted_separately() {
         let configs = servers(1);
         let profile: FaultProfile = "stall=1.0".parse().unwrap();
-        let (ds, summary) = run_design_faulty(&configs, 1, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty_jobs(&configs, 1, 3.0, 0.5, profile, 0, 1).unwrap();
         assert!(ds.is_empty());
         assert_eq!(summary.stalls, 1);
         assert_eq!(summary.dropouts, 0);
@@ -552,7 +528,7 @@ mod tests {
     fn retries_recover_intermittent_dropouts() {
         let configs = servers(4);
         let profile: FaultProfile = "dropout=0.5".parse().unwrap();
-        let (ds, summary) = run_design_faulty(&configs, 42, 3.0, 0.5, profile, 10).unwrap();
+        let (ds, summary) = run_design_faulty_jobs(&configs, 42, 3.0, 0.5, profile, 10, 1).unwrap();
         assert_eq!(ds.len(), 4, "quarantined: {:?}", summary.quarantined);
         assert!(summary.dropouts > 0);
         // Recovered rows carry clean measurements (no degradation faults).
@@ -564,7 +540,7 @@ mod tests {
     fn truncation_degrades_but_keeps_rows() {
         let configs = servers(2);
         let profile: FaultProfile = "truncate=1.0,truncate_frac=0.5".parse().unwrap();
-        let (ds, summary) = run_design_faulty(&configs, 9, 4.0, 1.0, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty_jobs(&configs, 9, 4.0, 1.0, profile, 0, 1).unwrap();
         assert_eq!(ds.len(), 2);
         assert_eq!(summary.truncations, 2);
         let clean = run_design(&configs, 9, 4.0, 1.0).unwrap();
@@ -575,7 +551,7 @@ mod tests {
     fn spikes_only_inflate_indicators() {
         let configs = servers(2);
         let profile: FaultProfile = "spike=1.0,spike_scale=2.0".parse().unwrap();
-        let (ds, summary) = run_design_faulty(&configs, 9, 3.0, 0.5, profile, 0).unwrap();
+        let (ds, summary) = run_design_faulty_jobs(&configs, 9, 3.0, 0.5, profile, 0, 1).unwrap();
         let clean = run_design(&configs, 9, 3.0, 0.5).unwrap();
         assert_eq!(summary.spikes, 2 * OUTPUT_NAMES.len());
         let mut strictly_larger = 0;

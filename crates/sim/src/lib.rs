@@ -66,10 +66,10 @@ pub use config::{
 pub use des::SimTime;
 pub use drift::{stream_window, DriftKind, DriftProfile, StreamConfig};
 pub use error::SimError;
-pub use fault::{run_design_faulty, run_design_faulty_jobs, FaultKind, FaultProfile, FaultSummary};
+pub use fault::{run_design_faulty_jobs, FaultKind, FaultProfile, FaultSummary};
 pub use metrics::{Measurement, PoolUtilization};
 pub use runner::{
-    run_design, run_design_jobs, run_design_replicated, run_design_replicated_jobs, simulate,
-    Simulation, INPUT_NAMES, OUTPUT_NAMES,
+    run_design, run_design_jobs, run_design_replicated_jobs, simulate, Simulation, INPUT_NAMES,
+    OUTPUT_NAMES,
 };
 pub use transaction::{DomainQueue, StageDemands, TransactionClass, TransactionKind};

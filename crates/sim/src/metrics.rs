@@ -97,6 +97,7 @@ impl Measurement {
     }
 
     /// Response-time standard deviation of `kind` (0.0 when no samples).
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/sim/tests/golden.rs pins its bits")
     pub fn response_time_std(&self, kind: TransactionKind) -> f64 {
         self.response_stats[kind.index()].std_dev()
     }
@@ -108,6 +109,7 @@ impl Measurement {
     }
 
     /// Largest observed response time of `kind` (sentinel when none).
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/sim/tests/golden.rs pins its bits")
     pub fn max_response_time(&self, kind: TransactionKind) -> f64 {
         let s = &self.response_stats[kind.index()];
         if s.count() == 0 {
@@ -145,6 +147,7 @@ impl Measurement {
     }
 
     /// Fraction of in-window completions meeting their constraint.
+    // wlc-lint: allow(unreferenced-pub, reason = "crates/sim/tests/golden.rs pins its bits")
     pub fn completion_rate(&self) -> f64 {
         let total: u64 = self.completed.iter().sum();
         if total == 0 {

@@ -251,10 +251,11 @@ pub fn run_design_jobs(
 /// the paper's noise-reduction practice ("the averages of collected
 /// counter values are used to reduce the effect of sampling error", §4).
 ///
-/// Replicated runs are parallelized per configuration (replications of
-/// one configuration stay on one worker so the mean accumulates in a
-/// fixed order); seeds depend only on `(index, replication)`, so output
-/// is bit-identical for any worker count.
+/// Replicated runs are parallelized per configuration over `jobs`
+/// workers (`jobs <= 1` runs sequentially; replications of one
+/// configuration stay on one worker so the mean accumulates in a fixed
+/// order); seeds depend only on `(index, replication)`, so output is
+/// bit-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -264,7 +265,7 @@ pub fn run_design_jobs(
 /// # Examples
 ///
 /// ```
-/// use wlc_sim::{run_design_replicated, ServerConfig};
+/// use wlc_sim::{run_design_replicated_jobs, ServerConfig};
 ///
 /// let config = ServerConfig::builder()
 ///     .injection_rate(200.0)
@@ -272,33 +273,10 @@ pub fn run_design_jobs(
 ///     .mfg_threads(8)
 ///     .web_threads(8)
 ///     .build()?;
-/// let ds = run_design_replicated(&[config], 1, 3.0, 0.5, 3)?;
+/// let ds = run_design_replicated_jobs(&[config], 1, 3.0, 0.5, 3, 1)?;
 /// assert_eq!(ds.len(), 1);
 /// # Ok::<(), wlc_sim::SimError>(())
 /// ```
-pub fn run_design_replicated(
-    configs: &[ServerConfig],
-    base_seed: u64,
-    duration_secs: f64,
-    warmup_secs: f64,
-    replications: u32,
-) -> Result<Dataset, SimError> {
-    run_design_replicated_jobs(
-        configs,
-        base_seed,
-        duration_secs,
-        warmup_secs,
-        replications,
-        wlc_exec::default_jobs(),
-    )
-}
-
-/// [`run_design_replicated`] with an explicit worker count (`jobs <= 1`
-/// runs sequentially). Output is bit-identical for every `jobs` value.
-///
-/// # Errors
-///
-/// As for [`run_design_replicated`].
 pub fn run_design_replicated_jobs(
     configs: &[ServerConfig],
     base_seed: u64,
@@ -430,7 +408,7 @@ mod tests {
         let spread = |reps: u32| {
             let values: Vec<f64> = (0..6)
                 .map(|seed| {
-                    run_design_replicated(&configs, seed, 3.0, 0.5, reps)
+                    run_design_replicated_jobs(&configs, seed, 3.0, 0.5, reps, 1)
                         .unwrap()
                         .samples()[0]
                         .y()[0]
@@ -450,8 +428,8 @@ mod tests {
     #[test]
     fn replicated_design_validates() {
         let configs = vec![server(100.0)];
-        assert!(run_design_replicated(&configs, 1, 3.0, 0.5, 0).is_err());
-        let ds = run_design_replicated(&configs, 1, 3.0, 0.5, 2).unwrap();
+        assert!(run_design_replicated_jobs(&configs, 1, 3.0, 0.5, 0, 1).is_err());
+        let ds = run_design_replicated_jobs(&configs, 1, 3.0, 0.5, 2, 1).unwrap();
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.samples()[0].x(), &[100.0, 8.0, 8.0, 8.0]);
     }

@@ -1,11 +1,11 @@
 //! Integration coverage for the extension APIs through the facade crate:
-//! ensembles, hyper-parameter search, sensitivity analysis, the RBF
-//! baseline and the analytic queueing approximation.
+//! hyper-parameter search, sensitivity analysis, the RBF baseline and the
+//! analytic queueing approximation.
 
 use wlc::data::design::ParamRange;
 use wlc::model::baseline::RbfModel;
 use wlc::model::sensitivity::first_order_indices;
-use wlc::model::{EnsembleModel, HyperParameterSearch, PerformanceModel, WorkloadModelBuilder};
+use wlc::model::{HyperParameterSearch, PerformanceModel, WorkloadModelBuilder};
 use wlc::sim::analytic::approximate_response_times;
 use wlc::sim::{run_design, DbModel, HardwareModel, ServerConfig, WorkloadSpec};
 
@@ -29,35 +29,6 @@ fn quick_builder() -> WorkloadModelBuilder {
         .learning_rate(0.02)
         .optimizer(wlc::nn::OptimizerKind::adam())
         .seed(2)
-}
-
-#[test]
-fn ensemble_beats_or_matches_its_worst_member() {
-    let ds = small_dataset();
-    let ensemble = EnsembleModel::train(&quick_builder(), &ds, 3, 9).expect("training succeeds");
-    let report = |m: &dyn PerformanceModel| {
-        let (xs, ys) = ds.to_matrices();
-        let predicted = m.predict_batch(&xs).expect("predict succeeds");
-        wlc::data::metrics::ErrorReport::compare(ds.output_names(), &ys, &predicted)
-            .expect("metrics computable")
-            .overall_error()
-    };
-    let ensemble_err = report(&ensemble);
-    let worst_member = ensemble
-        .members()
-        .iter()
-        .map(|m| report(m))
-        .fold(0.0_f64, f64::max);
-    assert!(
-        ensemble_err <= worst_member + 1e-9,
-        "ensemble {ensemble_err} vs worst member {worst_member}"
-    );
-    // Spread is a usable uncertainty signal.
-    let spread = ensemble
-        .prediction_spread(&[400.0, 10.0, 16.0, 10.0])
-        .expect("spread computable");
-    assert_eq!(spread.len(), 5);
-    assert!(spread.iter().all(|s| s.is_finite() && *s >= 0.0));
 }
 
 #[test]
