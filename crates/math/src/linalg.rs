@@ -185,6 +185,19 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, MathError> {
 /// - [`MathError::DimensionMismatch`] if `y.len() != x.rows()`.
 /// - [`MathError::Singular`] if the (regularized) normal equations are
 ///   singular.
+///
+/// # Examples
+///
+/// ```
+/// use wlc_math::{Matrix, linalg::ridge};
+///
+/// // y = 2 a + 3, encoded with a bias column of ones.
+/// let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 1.0], &[3.0, 1.0]]).unwrap();
+/// let w = ridge(&x, &[5.0, 7.0, 9.0], 0.0)?;
+/// assert!((w[0] - 2.0).abs() < 1e-9);
+/// assert!((w[1] - 3.0).abs() < 1e-9);
+/// # Ok::<(), wlc_math::MathError>(())
+/// ```
 pub fn ridge(x: &Matrix, y: &[f64], lambda: f64) -> Result<Vec<f64>, MathError> {
     if lambda < 0.0 {
         return Err(MathError::InvalidParameter {
