@@ -13,9 +13,10 @@
 //!
 //! Four header lines (`best_val`, `stall`, `best_params`,
 //! `val_history`) are kept from the format's validation-monitoring
-//! days: they are always written as `-`, `0`, `-` and `-`, and the
-//! reader accepts no other values, so every checkpoint written before
-//! and after their removal loads.
+//! days: they are always written as `-`, `0`, `-` and `-`, the values
+//! every run without a validation set wrote, and the reader accepts no
+//! other values, so every checkpoint `wlc train` or `wlc learn` has
+//! written still loads.
 
 use std::path::Path;
 
@@ -135,17 +136,12 @@ impl Checkpoint {
         let opt_velocity = parse_floats_opt(&raw, ln)?.unwrap_or_default();
         let (ln, raw) = field("opt_second")?;
         let opt_second = parse_floats_opt(&raw, ln)?.unwrap_or_default();
-        let mut unused = |name: &'static str, value: &str| -> Result<(), NnError> {
+        for (name, value) in [("best_val", "-"), ("stall", "0"), ("best_params", "-")] {
             let (ln, raw) = field(name)?;
-            if raw == value {
-                Ok(())
-            } else {
-                Err(parse_err(ln, "validation state is not supported"))
+            if raw != value {
+                return Err(parse_err(ln, "validation state is not supported"));
             }
-        };
-        unused("best_val", "-")?;
-        unused("stall", "0")?;
-        unused("best_params", "-")?;
+        }
         let (ln, raw) = field("loss_history")?;
         let loss_history = parse_floats_opt(&raw, ln)?.unwrap_or_default();
         let (ln, raw) = field("val_history")?;

@@ -75,7 +75,6 @@ impl std::fmt::Display for StopReason {
 ///     .optimizer(OptimizerKind::adam())
 ///     .termination_threshold(1e-3)
 ///     .loss(Loss::MeanSquared);
-/// let trainer = wlc_nn::Trainer::new(config);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
