@@ -2,7 +2,9 @@
 //!
 //! Non-test code in the fault-tolerant layers (`wlc-serve`, `wlc-exec`,
 //! and the `wlc-core` fallback path) must not contain `unwrap()`,
-//! `expect()`, `panic!`, `todo!`, `unimplemented!`, or `unreachable!`.
+//! `expect()`, `panic!`, `todo!`, `unimplemented!`, `unreachable!`, or
+//! a print macro (`print!`, `println!`, `eprint!`, `eprintln!`), which
+//! panics when its write fails.
 //! Hot-path files additionally forbid slice/array indexing (`x[i]`),
 //! which panics on out-of-bounds. Both rules can be suppressed per
 //! occurrence with `// wlc-lint: allow(panic, reason = "...")` or
@@ -29,8 +31,20 @@ pub const HOT_PATHS: [&str; 6] = [
     "crates/core/src/fallback.rs",
 ];
 
-/// Panicking macros (the `!` sigil is matched separately).
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
+/// Panicking macros (the `!` sigil is matched separately). The print
+/// macros panic when their write fails: a closed pipe or a full disk
+/// behind stdout or stderr (only a closed stderr descriptor is
+/// swallowed).
+const PANIC_MACROS: [&str; 8] = [
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "print",
+    "println",
+    "eprint",
+    "eprintln",
+];
 
 /// Keywords that can legally precede `[` without it being an index
 /// expression (`&mut [f64]`, `return [a, b]`, `in [..]`, ...).
@@ -81,14 +95,20 @@ pub fn analyze(file: &SourceFile) -> Vec<Finding> {
             TokKind::Ident if PANIC_MACROS.contains(&t.text.as_str()) => {
                 let is_macro = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
                 if is_macro && !file.model.allowed("panic", t.line) {
+                    let remedy = if t.text.contains("print") {
+                        " panics when its write fails; format into a buffer and \
+                         `write_all` it to a locked handle, handling the error,"
+                    } else {
+                        "; return an error instead"
+                    };
                     findings.push(Finding {
                         chain: Vec::new(),
                         rule: Rule::Panic,
                         path: file.rel.clone(),
                         line: t.line,
                         message: format!(
-                            "`{}!` in fault-tolerant non-test code; return an error instead \
-                             or annotate `// wlc-lint: allow(panic, reason = \"...\")`",
+                            "`{}!` in fault-tolerant non-test code{remedy} or annotate \
+                             `// wlc-lint: allow(panic, reason = \"...\")`",
                             t.text
                         ),
                     });
@@ -146,6 +166,37 @@ mod tests {
         let file = source_from_str("crates/serve/src/state.rs", src);
         let findings = analyze(&file);
         assert_eq!(findings.len(), 4, "{findings:?}");
+    }
+
+    #[test]
+    fn print_macros_are_flagged_but_not_in_docs_or_writes() {
+        let src = r#"
+/// Logs with `println!("{x}")`; see [`log`].
+fn log(out: &mut impl Write, x: u32) {
+    print!("{x}");
+    println!("{x}");
+    eprint!("{x}");
+    eprintln!("{x}");
+    let _ = writeln!(out, "{x}");
+    let _ = std::io::stderr().lock().write_all(b"x\n");
+}
+#[cfg(test)]
+mod tests {
+    fn t() {
+        eprintln!("fine in tests");
+    }
+}
+"#;
+        let file = source_from_str("crates/serve/src/server.rs", src);
+        let findings = analyze(&file);
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [4, 5, 6, 7], "{findings:?}");
+        assert!(
+            findings[3].message.contains("`eprintln!`")
+                && findings[3].message.contains("panics when its write fails"),
+            "{}",
+            findings[3].message
+        );
     }
 
     #[test]

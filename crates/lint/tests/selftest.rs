@@ -41,9 +41,10 @@ fn lock_cycle_fixture_reports_the_abba_cycle() {
 fn panic_serve_fixture_reports_unwrap_and_expect() {
     let findings = run(&fixture("panic_serve"));
     let panics: Vec<&Finding> = findings.iter().filter(|f| f.rule == Rule::Panic).collect();
-    assert_eq!(panics.len(), 2, "{findings:?}");
+    assert_eq!(panics.len(), 3, "{findings:?}");
     assert!(panics.iter().any(|f| f.message.contains("`.unwrap()`")));
     assert!(panics.iter().any(|f| f.message.contains("`.expect()`")));
+    assert!(panics.iter().any(|f| f.message.contains("`eprintln!`")));
     for f in panics {
         assert_eq!(f.path, "crates/serve/src/lib.rs");
         assert!(f.line > 0, "panic findings carry a line");
@@ -292,5 +293,5 @@ fn only_filter_restricts_to_one_rule() {
         analyze(&fixture("panic_serve"), Some(Rule::Determinism)).expect("readable tree");
     assert!(findings.is_empty(), "{findings:?}");
     let findings = analyze(&fixture("panic_serve"), Some(Rule::Panic)).expect("readable tree");
-    assert_eq!(findings.len(), 2);
+    assert_eq!(findings.len(), 3);
 }
