@@ -175,6 +175,16 @@ if [ "${1:-}" != "quick" ]; then
         echo "$out" | grep -q "$want" \
             || { echo "expected \`$want\` in: $out"; exit 1; }
     }
+    # Every request-log line in a server's stderr must be one whole line
+    # of the documented shape; there must be some.
+    log_shape='^wlc-serve method=[^[:space:]]+ path=[^[:space:]]+ status=[0-9]{3} replica=([0-9]+|-) latency_ms=[0-9]+\.[0-9]{3} queue_depth=[0-9]+ degraded=(true|false) shed=(true|false)$'
+    check_request_log() {
+        grep -q 'wlc-serve ' "$1" || { echo "no request log lines in $1"; exit 1; }
+        if grep 'wlc-serve ' "$1" | grep -Ev "$log_shape"; then
+            echo "request log lines of another shape in $1 (above)"
+            exit 1
+        fi
+    }
     # Injected failures serve the baseline, tagged DEGRADED ...
     wlc_expect DEGRADED predict --server "$addr" --config 450,10,16,10
     wlc_expect DEGRADED predict --server "$addr" --config 450,10,16,10
@@ -200,8 +210,12 @@ if [ "${1:-}" != "quick" ]; then
     grep -q "shed=true" "$smoke_dir/serve.log" \
         || { echo "expected load shedding in server log"; exit 1; }
     # Hot reload: corrupt file rejected, valid file swaps to generation 1.
-    ! ./target/release/wlc predict --server "$addr" \
-        --reload "$smoke_dir/serve.csv" >/dev/null 2>&1
+    # (`! cmd` never trips `set -e`, so the rejection is tested with `if`.)
+    if ./target/release/wlc predict --server "$addr" \
+        --reload "$smoke_dir/serve.csv" >/dev/null 2>&1; then
+        echo "a corrupt model file was accepted by --reload"
+        exit 1
+    fi
     wlc_expect "generation 1" predict --server "$addr" \
         --reload "$smoke_dir/model-b.txt"
     wlc_expect "generation 1" predict --server "$addr" --config 450,10,16,10
@@ -209,6 +223,7 @@ if [ "${1:-}" != "quick" ]; then
     ./target/release/wlc predict --server "$addr" --shutdown >/dev/null
     wait "$serve_pid"
     grep -q "server drained:" "$smoke_dir/serve.out"
+    check_request_log "$smoke_dir/serve.log"
 
     echo "==> multi-replica fleet smoke (kill, rolling reload, recovery)"
     ./target/release/wlc serve --model "$smoke_dir/model-a.txt" \
@@ -238,6 +253,7 @@ if [ "${1:-}" != "quick" ]; then
     ./target/release/wlc predict --server "$fleet_addr" --shutdown >/dev/null
     wait "$fleet_pid"
     grep -q "server drained:" "$smoke_dir/fleet.out"
+    check_request_log "$smoke_dir/fleet.log"
 
     echo "==> continuous-learning smoke (chaos kill, resume, forced rollback)"
     learn_dir="$smoke_dir/learn"
