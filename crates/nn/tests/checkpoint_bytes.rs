@@ -2,7 +2,8 @@
 //! `wlc train --checkpoint-every` run and a `wlc learn` state directory
 //! resume from these files, so the text format must not drift: every
 //! header line, float and network line is compared with a committed
-//! string, in one full-batch and one minibatch configuration.
+//! string, in one full-batch and one minibatch configuration, and in
+//! a run whose first attempt diverges and whose retry recovers.
 
 use std::path::PathBuf;
 
@@ -26,11 +27,16 @@ fn data() -> (Matrix, Matrix) {
 /// Trains a 2-3-1 logistic network for four epochs with a checkpoint
 /// every two, and returns the text of the last checkpoint written.
 fn checkpoint_text(name: &str, config: TrainConfig) -> String {
+    let (xs, ys) = data();
+    fit_checkpoint_text(name, config, &xs, &ys)
+}
+
+/// [`checkpoint_text`] on the given rows.
+fn fit_checkpoint_text(name: &str, config: TrainConfig, xs: &Matrix, ys: &Matrix) -> String {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("wlc-nn-ckpt-bytes-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("train.ckpt");
-    let (xs, ys) = data();
     let mut mlp = MlpBuilder::new(2)
         .hidden(3, Activation::logistic())
         .output(1, Activation::identity())
@@ -43,7 +49,7 @@ fn checkpoint_text(name: &str, config: TrainConfig) -> String {
             .checkpoint_every(2)
             .checkpoint_path(&path),
     )
-    .fit(&mut mlp, &xs, &ys)
+    .fit(&mut mlp, xs, ys)
     .unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -66,6 +72,21 @@ fn minibatch_checkpoint_bytes_are_pinned() {
         .optimizer(OptimizerKind::adam())
         .rng_seed(5);
     assert_eq!(checkpoint_text("mini", config), MINIBATCH);
+}
+
+#[test]
+fn recovered_checkpoint_bytes_are_pinned() {
+    // Attempt 0 diverges at rate 1e6 on targets scaled by 1e6. Attempt
+    // 1 redraws the network from a re-derived seed and trains at the
+    // backed-off rate 1e6 * 1e-8 to the epoch budget, so the last
+    // checkpoint is attempt 1's.
+    let (xs, ys) = data();
+    let config = TrainConfig::new()
+        .learning_rate(1e6)
+        .recover(1)
+        .retry_backoff(1e-8);
+    let text = fit_checkpoint_text("recovered", config, &xs, &ys.scale(1e6));
+    assert_eq!(text, RECOVERED);
 }
 
 const FULL_BATCH: &str = "\
@@ -116,4 +137,29 @@ b -0.07531804496185733 0.007049287677413081 -0.024632361772476453
 layer 3 1 identity
 w 0.6249443921920808 -0.4666220311536472 1.135492478429068
 b -0.039880839798738944
+";
+
+const RECOVERED: &str = "\
+wlc-nn-checkpoint v1
+epoch 4
+attempt 1
+recovery_attempts 1
+opt_step 4
+opt_velocity -
+opt_second -
+best_val -
+stall 0
+best_params -
+loss_history 276743106847.0224 253324875876.6957 232632526991.31497 214348767516.19263
+val_history -
+wlc-nn-mlp v1
+layers 2
+layer 2 3 logistic(1)
+w 828.0077477175805 -931.6079119005099
+w -528.0714235726252 536.4172012468161
+w 161.22221356825804 -159.0264272600376
+b 2758.9398626408074 -1683.824213427105 538.2477536327082
+layer 3 1 identity
+w 29492.22565164593 4596.055215852107 29961.589225811957
+b 34663.24172279488
 ";
