@@ -5,8 +5,8 @@ use wlc_data::{Dataset, Scaler};
 use wlc_fault::FsHandle;
 use wlc_math::Matrix;
 use wlc_nn::{
-    Activation, BandEngine, Checkpoint, Loss, Mlp, MlpBuilder, OptimizerKind, TrainConfig,
-    TrainReport, Trainer, Workspace,
+    Activation, BandEngine, Checkpoint, Mlp, MlpBuilder, OptimizerKind, TrainConfig, TrainReport,
+    Trainer, Workspace,
 };
 
 use crate::ModelError;
@@ -75,7 +75,8 @@ impl Default for PredictScratch {
     }
 }
 
-/// Feature/indicator scaling applied around the MLP.
+/// Input-feature scaling applied before the MLP. Outputs are always
+/// standardized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ScalingKind {
@@ -424,11 +425,12 @@ pub struct TrainedModel {
 
 /// Builder that configures and trains a [`WorkloadModel`].
 ///
-/// Defaults follow the paper: logistic hidden activations, identity
-/// output, standardized inputs *and* outputs (the paper standardizes
-/// outputs "when approximating multiple performance indicators at the
-/// same time", §3.1), momentum gradient descent, and a termination
-/// threshold for the deliberate loose fit.
+/// The model is the paper's: logistic hidden units, an identity output
+/// layer and standardized outputs (the paper standardizes outputs "when
+/// approximating multiple performance indicators at the same time",
+/// §3.1), trained on the mean-squared error. The defaults follow the
+/// paper too: standardized inputs, momentum gradient descent, and a
+/// termination threshold for the deliberate loose fit.
 ///
 /// # Examples
 ///
@@ -446,14 +448,10 @@ pub struct TrainedModel {
 #[derive(Debug, Clone)]
 pub struct WorkloadModelBuilder {
     hidden: Vec<usize>,
-    activation: Activation,
-    output_activation: Activation,
     input_scaling: ScalingKind,
-    output_scaling: ScalingKind,
     max_epochs: usize,
     learning_rate: f64,
     optimizer: OptimizerKind,
-    loss: Loss,
     termination_threshold: Option<f64>,
     batch_size: Option<usize>,
     seed: u64,
@@ -472,14 +470,10 @@ impl WorkloadModelBuilder {
     pub fn new() -> Self {
         WorkloadModelBuilder {
             hidden: vec![16, 12],
-            activation: Activation::logistic(),
-            output_activation: Activation::identity(),
             input_scaling: ScalingKind::Standard,
-            output_scaling: ScalingKind::Standard,
             max_epochs: 2000,
             learning_rate: 0.04,
             optimizer: OptimizerKind::momentum(),
-            loss: Loss::MeanSquared,
             termination_threshold: Some(2e-3),
             batch_size: None,
             seed: 0,
@@ -517,27 +511,9 @@ impl WorkloadModelBuilder {
         &self.hidden
     }
 
-    /// Sets the hidden activation (default: logistic sigmoid).
-    pub fn activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self
-    }
-
-    /// Sets the output activation (default: identity, for regression).
-    pub fn output_activation(mut self, activation: Activation) -> Self {
-        self.output_activation = activation;
-        self
-    }
-
     /// Sets input scaling (default: standardization).
     pub fn input_scaling(mut self, kind: ScalingKind) -> Self {
         self.input_scaling = kind;
-        self
-    }
-
-    /// Sets output scaling (default: standardization).
-    pub fn output_scaling(mut self, kind: ScalingKind) -> Self {
-        self.output_scaling = kind;
         self
     }
 
@@ -556,12 +532,6 @@ impl WorkloadModelBuilder {
     /// Sets the optimizer (default: momentum gradient descent).
     pub fn optimizer(mut self, optimizer: OptimizerKind) -> Self {
         self.optimizer = optimizer;
-        self
-    }
-
-    /// Sets the training loss (default: mean squared error).
-    pub fn loss(mut self, loss: Loss) -> Self {
-        self.loss = loss;
         self
     }
 
@@ -641,7 +611,6 @@ impl WorkloadModelBuilder {
             .max_epochs(self.max_epochs)
             .learning_rate(self.learning_rate)
             .optimizer(self.optimizer)
-            .loss(self.loss)
             .rng_seed(self.seed);
         if let Some(t) = self.termination_threshold {
             config = config.termination_threshold(t);
@@ -711,16 +680,16 @@ impl WorkloadModelBuilder {
         }
         let (xs, ys) = dataset.to_matrices();
         let input_scaler = self.input_scaling.fit(&xs)?;
-        let output_scaler = self.output_scaling.fit(&ys)?;
+        let output_scaler = Scaler::standard_fit(&ys)?;
         let tx = input_scaler.transform(&xs)?;
         let ty = output_scaler.transform(&ys)?;
 
         let mut builder = MlpBuilder::new(dataset.input_width()).seed(self.seed);
         for &width in &self.hidden {
-            builder = builder.hidden(width, self.activation);
+            builder = builder.hidden(width, Activation::logistic());
         }
         let mut mlp = builder
-            .output(dataset.output_width(), self.output_activation)
+            .output(dataset.output_width(), Activation::identity())
             .build()?;
 
         let trainer = Trainer::new(self.train_config());
@@ -1050,7 +1019,6 @@ mod tests {
         let ds = synthetic_dataset();
         let outcome = quick_builder()
             .input_scaling(ScalingKind::MinMax)
-            .output_scaling(ScalingKind::MinMax)
             .train(&ds)
             .unwrap();
         let report = outcome.model.evaluate(&ds).unwrap();

@@ -10,7 +10,7 @@
 //! - [`linalg`] — linear solvers (Gaussian elimination, Cholesky) and
 //!   least-squares fitting used by the linear baseline models.
 //! - [`rng`] — seeded, splittable pseudo-random number generators
-//!   ([`rng::Xoshiro256`]) with uniform/normal/exponential sampling.
+//!   ([`rng::Xoshiro256`]) with uniform/exponential sampling.
 //! - [`distributions`] — service-time distributions for the simulator.
 //! - [`stats`] — descriptive statistics including the paper's
 //!   harmonic-mean error metric and an online (Welford) accumulator.

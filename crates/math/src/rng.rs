@@ -121,17 +121,13 @@ impl SplitMix64 {
 ///
 /// let mut rng = Xoshiro256::seed_from(123);
 /// let u = rng.next_f64();          // uniform in [0, 1)
-/// let g = rng.next_gaussian();     // standard normal
 /// let e = rng.next_exponential(2.0).unwrap(); // mean 1/2
 /// assert!((0.0..1.0).contains(&u));
-/// assert!(g.is_finite());
 /// assert!(e >= 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256 {
     s: [u64; 4],
-    /// Cached second output of the Box-Muller transform.
-    gauss_spare: Option<u64>,
 }
 
 impl Xoshiro256 {
@@ -146,10 +142,7 @@ impl Xoshiro256 {
         if s.iter().all(|&x| x == 0) {
             s[0] = 0x9E37_79B9_7F4A_7C15;
         }
-        Xoshiro256 {
-            s,
-            gauss_spare: None,
-        }
+        Xoshiro256 { s }
     }
 
     /// Convenience constructor from a raw `u64` seed.
@@ -202,22 +195,6 @@ impl Xoshiro256 {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Returns a standard normal variate (Box-Muller, cached pair).
-    pub fn next_gaussian(&mut self) -> f64 {
-        if let Some(bits) = self.gauss_spare.take() {
-            return f64::from_bits(bits);
-        }
-        // Box-Muller transform on two uniforms in (0, 1].
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        let z0 = r * theta.cos();
-        let z1 = r * theta.sin();
-        self.gauss_spare = Some(z1.to_bits());
-        z0
     }
 
     /// Returns an exponential variate with the given rate (mean `1/rate`).
@@ -394,17 +371,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.next_f64()).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean was {mean}");
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = Xoshiro256::seed_from(5);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.03, "variance was {var}");
     }
 
     #[test]

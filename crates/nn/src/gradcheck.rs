@@ -167,19 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn gradients_correct_huber_loss() {
-        let mlp = MlpBuilder::new(2)
-            .hidden(4, Activation::Tanh)
-            .output(1, Activation::identity())
-            .seed(5)
-            .build()
-            .unwrap();
-        let (xs, ys) = data(2, 1, 6);
-        let report = check(&mlp, &xs, &ys, Loss::Huber { delta: 0.4 }, 1e-5).unwrap();
-        assert!(report.passes(1e-5), "{report:?}");
-    }
-
-    #[test]
     fn gradients_correct_sigmoid_output_layer() {
         // Squashing output layer (classification-style use).
         let mlp = MlpBuilder::new(2)

@@ -6,12 +6,15 @@
 //! - [`Activation`] — the slope-parameterized logistic function of the
 //!   paper's Figure 2 plus the usual alternatives.
 //! - [`Mlp`] / [`MlpBuilder`] — dense feed-forward networks with
-//!   back-propagation ([`Mlp::batch_gradient_with`]).
-//! - [`Loss`] — mean-squared error and friends.
+//!   Xavier-uniform random initial weights and back-propagation
+//!   ([`Mlp::batch_gradient_with`]).
+//! - [`Loss`] — mean-squared error, the paper's ‖Ŷ − Y‖ criterion and
+//!   the one training loss.
 //! - [`optimizer`] — plain gradient descent (the paper's method) plus
 //!   momentum and Adam.
-//! - [`Trainer`] — mini-batch training with the paper's *termination
-//!   threshold* (deliberate loose fitting, §3.3).
+//! - [`Trainer`] — full-batch or shuffled mini-batch training at a
+//!   constant learning rate, with the paper's *termination threshold*
+//!   (deliberate loose fitting, §3.3).
 //! - [`LogarithmicNetwork`] — the unbounded-approximation variant the
 //!   paper cites (ref \[23\]) when discussing the extrapolation limitation.
 //! - [`RbfNetwork`] — the radial-basis-function family §2.1 names as the
@@ -33,7 +36,7 @@
 //!
 //! ```
 //! use wlc_math::Matrix;
-//! use wlc_nn::{Activation, Loss, MlpBuilder, TrainConfig, Trainer};
+//! use wlc_nn::{Activation, MlpBuilder, TrainConfig, Trainer};
 //!
 //! let xs = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.0], &[0.5], &[1.0]]).unwrap();
 //! let ys = Matrix::from_rows(&[&[1.0], &[0.25], &[0.0], &[0.25], &[1.0]]).unwrap();
@@ -45,10 +48,7 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let config = TrainConfig::new()
-//!     .max_epochs(2000)
-//!     .learning_rate(0.05)
-//!     .loss(Loss::MeanSquared);
+//! let config = TrainConfig::new().max_epochs(2000).learning_rate(0.05);
 //! let report = Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
 //! assert!(report.final_train_loss < 0.05);
 //! ```
@@ -61,7 +61,6 @@ mod checkpoint;
 mod engine;
 mod error;
 pub mod gradcheck;
-mod init;
 mod layer;
 mod lognet;
 mod loss;
@@ -69,7 +68,6 @@ mod mlp;
 pub mod optimizer;
 pub mod oracle;
 mod rbf;
-mod schedule;
 mod serialize;
 mod train;
 mod workspace;
@@ -78,13 +76,11 @@ pub use activation::Activation;
 pub use checkpoint::Checkpoint;
 pub use engine::BandEngine;
 pub use error::NnError;
-pub use init::Initializer;
 pub use layer::DenseLayer;
 pub use lognet::LogarithmicNetwork;
 pub use loss::Loss;
 pub use mlp::{Mlp, MlpBuilder};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use rbf::RbfNetwork;
-pub use schedule::LearningRateSchedule;
 pub use train::{StopReason, TrainConfig, TrainReport, Trainer};
 pub use workspace::{Workspace, BAND_ROWS};

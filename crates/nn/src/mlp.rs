@@ -1,7 +1,7 @@
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
-use crate::{Activation, DenseLayer, Initializer, NnError};
+use crate::{Activation, DenseLayer, NnError};
 
 /// A multilayer perceptron: a stack of [`DenseLayer`]s.
 ///
@@ -159,13 +159,14 @@ impl Mlp {
         Ok(())
     }
 
-    /// Resamples every weight from `init` (seeded by `seed`) and zeroes
-    /// the biases, keeping the topology — the trainer's divergence
-    /// recovery uses this for a fresh random start per retry attempt.
-    pub fn reinitialize(&mut self, init: Initializer, seed: u64) {
+    /// Redraws every weight Xavier-uniform from `seed`, layer by layer
+    /// as [`MlpBuilder::build`] draws them, and zeroes the biases,
+    /// keeping the topology — the trainer's divergence recovery uses
+    /// this for a fresh random start per retry attempt.
+    pub fn reinitialize(&mut self, seed: u64) {
         let mut rng = Xoshiro256::seed_from(seed);
         for layer in &mut self.layers {
-            layer.reinitialize(init, &mut rng);
+            layer.reinitialize(&mut rng);
         }
     }
 
@@ -222,16 +223,17 @@ impl Mlp {
 ///
 /// See the paper's §3.2 on choosing the hidden node count; there is "no
 /// definite answer", so the builder makes the topology fully explicit.
+/// Weights are drawn Xavier-uniform from the seed (see
+/// [`DenseLayer::new`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use wlc_nn::{Activation, Initializer, MlpBuilder};
+/// use wlc_nn::{Activation, MlpBuilder};
 ///
 /// let mlp = MlpBuilder::new(2)
 ///     .hidden(8, Activation::tanh())
 ///     .output(1, Activation::identity())
-///     .initializer(Initializer::XavierNormal)
 ///     .seed(99)
 ///     .build()?;
 /// assert_eq!(mlp.topology(), vec![2, 8, 1]);
@@ -242,7 +244,6 @@ pub struct MlpBuilder {
     inputs: usize,
     layers: Vec<(usize, Activation)>,
     has_output: bool,
-    initializer: Initializer,
     seed: Seed,
 }
 
@@ -253,7 +254,6 @@ impl MlpBuilder {
             inputs,
             layers: Vec::new(),
             has_output: false,
-            initializer: Initializer::default(),
             seed: Seed::new(0),
         }
     }
@@ -268,12 +268,6 @@ impl MlpBuilder {
     pub fn output(mut self, width: usize, activation: Activation) -> Self {
         self.layers.push((width, activation));
         self.has_output = true;
-        self
-    }
-
-    /// Sets the weight initializer (default: Xavier uniform).
-    pub fn initializer(mut self, initializer: Initializer) -> Self {
-        self.initializer = initializer;
         self
     }
 
@@ -302,13 +296,7 @@ impl MlpBuilder {
         let mut built = Vec::with_capacity(self.layers.len());
         let mut fan_in = self.inputs;
         for &(width, activation) in &self.layers {
-            built.push(DenseLayer::new(
-                fan_in,
-                width,
-                activation,
-                self.initializer,
-                &mut rng,
-            )?);
+            built.push(DenseLayer::new(fan_in, width, activation, &mut rng)?);
             fan_in = width;
         }
         Mlp::from_layers(built)
@@ -374,16 +362,8 @@ mod tests {
     #[test]
     fn from_layers_validates_chaining() {
         let mut rng = Xoshiro256::seed_from(0);
-        let l1 =
-            DenseLayer::new(2, 3, Activation::tanh(), Initializer::default(), &mut rng).unwrap();
-        let l2 = DenseLayer::new(
-            4,
-            1,
-            Activation::identity(),
-            Initializer::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let l1 = DenseLayer::new(2, 3, Activation::tanh(), &mut rng).unwrap();
+        let l2 = DenseLayer::new(4, 1, Activation::identity(), &mut rng).unwrap();
         assert!(matches!(
             Mlp::from_layers(vec![l1, l2]),
             Err(NnError::ShapeMismatch { .. })

@@ -4,10 +4,7 @@ use wlc_fault::FsHandle;
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
-use crate::{
-    BandEngine, Checkpoint, Initializer, LearningRateSchedule, Loss, Mlp, NnError, OptimizerKind,
-    Workspace,
-};
+use crate::{BandEngine, Checkpoint, Loss, Mlp, NnError, OptimizerKind, Workspace};
 
 /// Why training stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +37,14 @@ impl std::fmt::Display for StopReason {
 
 /// Configuration for [`Trainer`].
 ///
-/// The defaults mirror the paper's method: full-batch gradient descent on
-/// mean-squared error. The *termination threshold* implements §3.3's
-/// guidance that "it is better to loosely fit the training sample to
-/// maintain the flexibility of a model — a threshold value is needed to
-/// indicate when to stop training".
+/// The recipe is the paper's: back-propagated gradient descent on the
+/// mean-squared error ‖Ŷ − Y‖ (§2.2) at a constant learning rate, from
+/// the network's random initial weights. What callers vary is the
+/// epoch budget, the rate, the optimizer, the batch size (minibatches
+/// are shuffled every epoch), and the *termination threshold*, which
+/// implements §3.3's guidance that "it is better to loosely fit the
+/// training sample to maintain the flexibility of a model — a
+/// threshold value is needed to indicate when to stop training".
 ///
 /// In full-batch mode (no [`TrainConfig::batch_size`], or one that
 /// covers every row) an epoch's loss comes from the gradient pass that
@@ -67,30 +67,24 @@ impl std::fmt::Display for StopReason {
 /// # Examples
 ///
 /// ```
-/// use wlc_nn::{Loss, OptimizerKind, TrainConfig};
+/// use wlc_nn::{OptimizerKind, TrainConfig};
 ///
 /// let config = TrainConfig::new()
 ///     .max_epochs(500)
 ///     .learning_rate(0.05)
 ///     .optimizer(OptimizerKind::adam())
-///     .termination_threshold(1e-3)
-///     .loss(Loss::MeanSquared);
+///     .termination_threshold(1e-3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     max_epochs: usize,
     batch_size: Option<usize>,
-    shuffle: bool,
-    loss: Loss,
     optimizer: OptimizerKind,
-    schedule: LearningRateSchedule,
+    learning_rate: f64,
     termination_threshold: Option<f64>,
-    weight_decay: f64,
-    gradient_clip: Option<f64>,
     seed: u64,
     max_retries: usize,
     retry_lr_backoff: f64,
-    retry_initializer: Initializer,
     halt_on_divergence: bool,
     divergence_grad_norm: f64,
     checkpoint_every: Option<usize>,
@@ -106,17 +100,12 @@ impl TrainConfig {
         TrainConfig {
             max_epochs: 1000,
             batch_size: None,
-            shuffle: true,
-            loss: Loss::MeanSquared,
             optimizer: OptimizerKind::Sgd,
-            schedule: LearningRateSchedule::default(),
+            learning_rate: 0.01,
             termination_threshold: None,
-            weight_decay: 0.0,
-            gradient_clip: None,
             seed: 0,
             max_retries: 0,
             retry_lr_backoff: 0.5,
-            retry_initializer: Initializer::default(),
             halt_on_divergence: false,
             divergence_grad_norm: 1e12,
             checkpoint_every: None,
@@ -132,21 +121,11 @@ impl TrainConfig {
         self
     }
 
-    /// Sets a mini-batch size (`None`/unset = full batch).
+    /// Sets a mini-batch size (`None`/unset = full batch). A batch
+    /// smaller than the training set is drawn from a fresh shuffle of
+    /// the rows every epoch.
     pub fn batch_size(mut self, size: usize) -> Self {
         self.batch_size = Some(size);
-        self
-    }
-
-    /// Enables or disables per-epoch shuffling (default: enabled).
-    pub fn shuffle(mut self, shuffle: bool) -> Self {
-        self.shuffle = shuffle;
-        self
-    }
-
-    /// Sets the training loss.
-    pub fn loss(mut self, loss: Loss) -> Self {
-        self.loss = loss;
         self
     }
 
@@ -156,15 +135,9 @@ impl TrainConfig {
         self
     }
 
-    /// Sets a constant learning rate (shorthand for a constant schedule).
+    /// Sets the constant learning rate (default 0.01).
     pub fn learning_rate(mut self, rate: f64) -> Self {
-        self.schedule = LearningRateSchedule::Constant { rate };
-        self
-    }
-
-    /// Sets a full learning-rate schedule.
-    pub fn schedule(mut self, schedule: LearningRateSchedule) -> Self {
-        self.schedule = schedule;
+        self.learning_rate = rate;
         self
     }
 
@@ -172,22 +145,6 @@ impl TrainConfig {
     /// `threshold` (the paper's loose-fit stop).
     pub fn termination_threshold(mut self, threshold: f64) -> Self {
         self.termination_threshold = Some(threshold);
-        self
-    }
-
-    /// Adds L2 weight decay: the gradient of `decay/2 · ‖w‖²` is added to
-    /// every parameter gradient — an alternative flexibility mechanism to
-    /// the paper's loose-fit threshold (exercised by the ablations).
-    pub fn weight_decay(mut self, decay: f64) -> Self {
-        self.weight_decay = decay;
-        self
-    }
-
-    /// Clips the gradient's global L2 norm to `max_norm` before each
-    /// update — guards against the divergence that §3.1 warns about when
-    /// features are poorly scaled.
-    pub fn gradient_clip(mut self, max_norm: f64) -> Self {
-        self.gradient_clip = Some(max_norm);
         self
     }
 
@@ -207,10 +164,10 @@ impl TrainConfig {
     }
 
     /// Allows up to `retries` recovery attempts after divergence. Each
-    /// attempt reinitializes the network from a seed re-derived from
-    /// [`TrainConfig::rng_seed`] and multiplies every learning rate by
-    /// [`TrainConfig::retry_backoff`] once more (attempt `k` trains at
-    /// `backoff^k` times the configured rate).
+    /// attempt redraws the network's weights from a seed re-derived from
+    /// [`TrainConfig::rng_seed`] ([`Mlp::reinitialize`]) and multiplies
+    /// the learning rate by [`TrainConfig::retry_backoff`] once more
+    /// (attempt `k` trains at `backoff^k` times the configured rate).
     pub fn recover(mut self, retries: usize) -> Self {
         self.max_retries = retries;
         self
@@ -220,13 +177,6 @@ impl TrainConfig {
     /// (default 0.5).
     pub fn retry_backoff(mut self, backoff: f64) -> Self {
         self.retry_lr_backoff = backoff;
-        self
-    }
-
-    /// Weight initializer used for recovery restarts (default: the
-    /// builder default, Xavier-uniform).
-    pub fn retry_initializer(mut self, init: Initializer) -> Self {
-        self.retry_initializer = init;
         self
     }
 
@@ -240,8 +190,7 @@ impl TrainConfig {
     }
 
     /// Gradient L2-norm limit above which training counts as diverged
-    /// (default `1e12`). Measured after clipping, so a clipped run never
-    /// trips it.
+    /// (default `1e12`).
     pub fn divergence_grad_norm(mut self, max_norm: f64) -> Self {
         self.divergence_grad_norm = max_norm;
         self
@@ -289,20 +238,6 @@ impl TrainConfig {
                 return Err(NnError::InvalidHyperParameter {
                     name: "termination_threshold",
                     reason: "must be non-negative and finite",
-                });
-            }
-        }
-        if !(self.weight_decay.is_finite() && self.weight_decay >= 0.0) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "weight_decay",
-                reason: "must be non-negative and finite",
-            });
-        }
-        if let Some(c) = self.gradient_clip {
-            if !(c.is_finite() && c > 0.0) {
-                return Err(NnError::InvalidHyperParameter {
-                    name: "gradient_clip",
-                    reason: "must be positive and finite",
                 });
             }
         }
@@ -389,11 +324,6 @@ impl Trainer {
         Trainer { config }
     }
 
-    /// Borrow of the configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
     /// Trains on `(xs, ys)`.
     ///
     /// # Errors
@@ -466,7 +396,7 @@ impl Trainer {
             if attempt != start_attempt {
                 // Fresh restart: re-derived seed, backed-off learning rate.
                 let seed = Seed::new(self.config.seed).derive(attempt as u64).value();
-                mlp.reinitialize(self.config.retry_initializer, seed);
+                mlp.reinitialize(seed);
                 resume_state = None;
             }
             let report = self.run_attempt(mlp, xs, ys, resume_state, attempt)?;
@@ -507,10 +437,7 @@ impl Trainer {
         let batch = self.config.batch_size.unwrap_or(n).min(n);
         let mut rng = Xoshiro256::seed_from(self.config.seed);
         let mut optimizer = self.config.optimizer.into_optimizer();
-        let schedule = self
-            .config
-            .schedule
-            .scaled(self.config.retry_lr_backoff.powi(attempt as i32));
+        let lr = self.config.learning_rate * self.config.retry_lr_backoff.powi(attempt as i32);
         let mut params = mlp.params_flat();
 
         // All per-epoch scratch is allocated up front; the epoch loop then
@@ -530,7 +457,7 @@ impl Trainer {
             loss_history.clone_from(&ck.loss_history);
             // Replay the completed epochs' shuffles so the RNG position and
             // the index permutation match the interrupted run exactly.
-            if self.config.shuffle && batch < n {
+            if batch < n {
                 for _ in 0..start_epoch {
                     rng.shuffle(&mut indices);
                 }
@@ -550,35 +477,19 @@ impl Trainer {
 
         for epoch in start_epoch..self.config.max_epochs {
             epochs_run = epoch + 1;
-            if self.config.shuffle && batch < n {
+            if batch < n {
                 rng.shuffle(&mut indices);
             }
-            let lr = schedule.rate_at(epoch);
 
             let mut exploded = false;
             for chunk in indices.chunks(batch) {
                 if !grad_ready {
                     mlp.set_params_flat(&params)?;
                     gather_into(xs, ys, chunk, &mut bx, &mut by);
-                    engine.batch_gradient(mlp, &bx, &by, self.config.loss, &mut ws)?;
+                    engine.batch_gradient(mlp, &bx, &by, Loss::MeanSquared, &mut ws)?;
                 }
                 grad_ready = false;
-                let grads = ws.grad_mut();
-                if self.config.weight_decay > 0.0 {
-                    for (g, p) in grads.iter_mut().zip(params.iter()) {
-                        *g += self.config.weight_decay * p;
-                    }
-                }
-                if let Some(max_norm) = self.config.gradient_clip {
-                    let norm = grads.iter().map(|g| g * g).sum::<f64>().sqrt();
-                    if norm > max_norm {
-                        let scale = max_norm / norm;
-                        for g in grads.iter_mut() {
-                            *g *= scale;
-                        }
-                    }
-                }
-                // Post-clip explosion guard: a clipped run never trips it.
+                let grads = ws.grad();
                 let norm_sq = grads.iter().map(|g| g * g).sum::<f64>();
                 if !norm_sq.is_finite() || norm_sq > grad_limit {
                     exploded = true;
@@ -593,9 +504,9 @@ impl Trainer {
                 mlp.set_params_flat(&params)?;
                 // Both passes return the same loss bits (`total / rows`).
                 train_loss = if full_batch {
-                    engine.batch_gradient(mlp, xs, ys, self.config.loss, &mut ws)?
+                    engine.batch_gradient(mlp, xs, ys, Loss::MeanSquared, &mut ws)?
                 } else {
-                    engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?
+                    engine.batch_loss(mlp, xs, ys, Loss::MeanSquared, &mut ws)?
                 };
                 grad_ready = full_batch;
                 diverged = !train_loss.is_finite();
@@ -605,7 +516,8 @@ impl Trainer {
                 // NaNs in the network.
                 params = last_finite;
                 mlp.set_params_flat(&params)?;
-                let final_train_loss = engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?;
+                let final_train_loss =
+                    engine.batch_loss(mlp, xs, ys, Loss::MeanSquared, &mut ws)?;
                 return Ok(TrainReport {
                     epochs_run,
                     final_train_loss,
@@ -648,7 +560,7 @@ impl Trainer {
 
         mlp.set_params_flat(&params)?;
 
-        let final_train_loss = engine.batch_loss(mlp, xs, ys, self.config.loss, &mut ws)?;
+        let final_train_loss = engine.batch_loss(mlp, xs, ys, Loss::MeanSquared, &mut ws)?;
 
         Ok(TrainReport {
             epochs_run,
@@ -1132,70 +1044,6 @@ mod tests {
         let xs = Matrix::zeros(4, 2);
         let ys = Matrix::zeros(3, 1);
         assert!(Trainer::new(TrainConfig::new())
-            .fit(&mut mlp, &xs, &ys)
-            .is_err());
-    }
-
-    #[test]
-    fn learning_rate_schedule_is_consumed() {
-        // A rapidly decaying schedule freezes training: early epochs must
-        // move the loss far more than late epochs (the rate halves every
-        // epoch, so by epoch 30 it is ~1e-10 of the initial value).
-        let (xs, ys) = xor_data();
-        let mut mlp = xor_mlp(14);
-        let schedule =
-            crate::LearningRateSchedule::exponential(0.2, std::f64::consts::LN_2).unwrap();
-        let config = TrainConfig::new().max_epochs(40).schedule(schedule);
-        let report = Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
-        let early_move = (report.loss_history[0] - report.loss_history[5]).abs();
-        let late_move = (report.loss_history[34] - report.loss_history[39]).abs();
-        assert!(
-            late_move < early_move / 100.0,
-            "schedule not applied: early {early_move} late {late_move}"
-        );
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameter_norm() {
-        let (xs, ys) = xor_data();
-        let norm_after = |decay: f64| {
-            let mut mlp = xor_mlp(20);
-            let mut config = TrainConfig::new().max_epochs(500).learning_rate(0.1);
-            if decay > 0.0 {
-                config = config.weight_decay(decay);
-            }
-            Trainer::new(config).fit(&mut mlp, &xs, &ys).unwrap();
-            mlp.params_flat().iter().map(|p| p * p).sum::<f64>().sqrt()
-        };
-        let plain = norm_after(0.0);
-        let decayed = norm_after(0.05);
-        assert!(decayed < plain, "plain {plain} decayed {decayed}");
-    }
-
-    #[test]
-    fn gradient_clipping_prevents_divergence() {
-        // The same setup that diverges un-clipped (see divergence_detected)
-        // survives with a clipped gradient norm.
-        let (xs, ys) = xor_data();
-        let big_y = ys.scale(1e6);
-        let mut mlp = xor_mlp(9);
-        let config = TrainConfig::new()
-            .max_epochs(200)
-            .learning_rate(1e6)
-            .gradient_clip(1e-4);
-        let report = Trainer::new(config).fit(&mut mlp, &xs, &big_y);
-        assert!(report.is_ok(), "{report:?}");
-        assert!(mlp.is_finite());
-    }
-
-    #[test]
-    fn decay_and_clip_validate() {
-        let (xs, ys) = xor_data();
-        let mut mlp = xor_mlp(10);
-        assert!(Trainer::new(TrainConfig::new().weight_decay(-1.0))
-            .fit(&mut mlp, &xs, &ys)
-            .is_err());
-        assert!(Trainer::new(TrainConfig::new().gradient_clip(0.0))
             .fit(&mut mlp, &xs, &ys)
             .is_err());
     }

