@@ -1,5 +1,6 @@
 //! `wlc serve` — run the fault-tolerant prediction server.
 
+use std::io::Write;
 use std::time::Duration;
 
 use wlc_model::baseline::{LinearFeatures, LinearModel};
@@ -47,7 +48,7 @@ SERVER:
                                503 responses          [default: 0x5eed]
     --quiet             suppress per-request log lines on stderr
 
-TEST HOOKS (fault injection, mirroring `wlc train --force-diverge`):
+TEST HOOKS (fault injection, mirroring `wlc cv --force-diverge`):
     --slow-ms <n>       artificial per-request service time
     --force-fail <n>    fail the first n primary predictions
 
@@ -153,9 +154,15 @@ pub fn run(raw: &[String]) -> CmdResult {
     // Machine-parseable startup line (CI and scripts read the port).
     println!("listening on {}", server.local_addr());
     let stats = server.run()?;
-    println!(
+    // The drain has happened; a reader that went away after the startup
+    // line costs the summary line, not the exit status.
+    let _ = writeln!(
+        std::io::stdout().lock(),
         "server drained: handled={} shed={} degraded={} deadline_missed={}",
-        stats.handled, stats.shed, stats.degraded, stats.deadline_missed
+        stats.handled,
+        stats.shed,
+        stats.degraded,
+        stats.deadline_missed
     );
     Ok(())
 }
