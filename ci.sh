@@ -303,6 +303,19 @@ if [ "${1:-}" != "quick" ]; then
             || stale="$stale $name"
     done
     [ -z "$stale" ] || { echo "differs from results/:$stale"; exit 1; }
+
+    echo "==> examples (every program in examples/, run with no arguments)"
+    # Clippy compiles the examples but nothing else runs them; four of
+    # them train models through the builder API. Every example that
+    # exits non-zero is named before the step fails.
+    cargo build -q --release --examples
+    failed=""
+    for src in examples/*.rs; do
+        name=$(basename "$src" .rs)
+        "./target/release/examples/$name" > "$smoke_dir/example-$name.out" 2>&1 \
+            || failed="$failed $name"
+    done
+    [ -z "$failed" ] || { echo "examples exited non-zero:$failed"; exit 1; }
 fi
 
 echo "==> OK"
