@@ -11,7 +11,7 @@
 //! - [`KFold`] — the k-fold cross-validation protocol of §3.3.
 //! - [`metrics`] — the harmonic-mean relative-error metric and friends.
 //! - [`design`] — configuration-space experiment designs (full factorial,
-//!   random, Latin hypercube).
+//!   Latin hypercube).
 //!
 //! # Examples
 //!
