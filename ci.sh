@@ -38,6 +38,12 @@ if [ "${1:-}" != "quick" ]; then
     ./target/release/wlc-lint --workspace --format json \
         --out target/lint-report.json --budget BENCH_lint.json
 
+    echo "==> float-text sweep (shortest f64 writer vs {:?}, ~34M values)"
+    # The tier-1 test compares wlc_math::float_text with std's `{:?}` on
+    # about 2^18 values in a debug build; this release-build run of the
+    # ignored wide sweep compares about 34 million (about 16 s).
+    cargo test -q --release -p wlc-math --lib float_text -- --ignored
+
     echo "==> bench regression guard (speedup ratios vs BENCH_nn.json)"
     # Ratios (batched vs oracle arm, interleaved same-run) are machine-
     # independent; absolute throughput is not compared. Writes the fresh

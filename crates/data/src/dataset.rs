@@ -1,6 +1,7 @@
 use std::fmt;
 use std::path::Path;
 
+use wlc_math::float_text::push_f64s;
 use wlc_math::Matrix;
 
 use crate::DataError;
@@ -283,13 +284,7 @@ impl Dataset {
         out.push_str(&header.join(","));
         out.push('\n');
         for s in &self.samples {
-            let cells: Vec<String> = s
-                .x()
-                .iter()
-                .chain(s.y().iter())
-                .map(|v| format!("{v:?}"))
-                .collect();
-            out.push_str(&cells.join(","));
+            push_f64s(&mut out, s.x().iter().chain(s.y()), ',');
             out.push('\n');
         }
         out

@@ -1,3 +1,4 @@
+use wlc_math::float_text::push_f64s;
 use wlc_math::Matrix;
 
 use crate::DataError;
@@ -238,21 +239,16 @@ impl Scaler {
     /// Serializes the scaler to a single text line (used by model
     /// save/load).
     pub fn to_text(&self) -> String {
-        fn join(v: &[f64]) -> String {
-            v.iter()
-                .map(|x| format!("{x:?}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        }
-        match self {
-            Scaler::Standard { means, stds } => {
-                format!("standard {} | {}", join(means), join(stds))
-            }
-            Scaler::MinMax { mins, ranges } => {
-                format!("minmax {} | {}", join(mins), join(ranges))
-            }
-            Scaler::Identity { cols } => format!("identity {cols}"),
-        }
+        let (kind, first, second) = match self {
+            Scaler::Standard { means, stds } => ("standard ", means, stds),
+            Scaler::MinMax { mins, ranges } => ("minmax ", mins, ranges),
+            Scaler::Identity { cols } => return format!("identity {cols}"),
+        };
+        let mut out = String::from(kind);
+        push_f64s(&mut out, first, ' ');
+        out.push_str(" | ");
+        push_f64s(&mut out, second, ' ');
+        out
     }
 
     /// Parses the format produced by [`Scaler::to_text`].

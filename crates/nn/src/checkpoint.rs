@@ -8,8 +8,8 @@
 //!
 //! The on-disk format extends the model text format: a small header of
 //! `key value` lines followed by the [`Mlp::to_text`] body. Floats are
-//! printed with `{:?}` (shortest exact representation), so round-trips
-//! preserve every bit.
+//! printed by [`wlc_math::float_text`] (shortest round-trip text, the
+//! bytes of `{:?}`), so round-trips preserve every bit.
 //!
 //! Four header lines (`best_val`, `stall`, `best_params`,
 //! `val_history`) are kept from the format's validation-monitoring
@@ -21,6 +21,7 @@
 use std::path::Path;
 
 use wlc_fault::Fs;
+use wlc_math::float_text::push_f64s;
 
 use crate::{Mlp, NnError};
 
@@ -69,15 +70,16 @@ impl Checkpoint {
 
     /// Serializes the checkpoint to the crate's text format.
     pub fn to_text(&self) -> String {
-        let floats = |v: &[f64]| -> String {
+        // One line: `name`, then the values, or `-` for none.
+        let floats = |out: &mut String, name: &str, v: &[f64]| {
+            out.push_str(name);
+            out.push(' ');
             if v.is_empty() {
-                "-".to_string()
+                out.push('-');
             } else {
-                v.iter()
-                    .map(|x| format!("{x:?}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                push_f64s(out, v, ' ');
             }
+            out.push('\n');
         };
         let mut out = String::new();
         out.push_str(MAGIC);
@@ -86,10 +88,10 @@ impl Checkpoint {
         out.push_str(&format!("attempt {}\n", self.attempt));
         out.push_str(&format!("recovery_attempts {}\n", self.recovery_attempts));
         out.push_str(&format!("opt_step {}\n", self.opt_step));
-        out.push_str(&format!("opt_velocity {}\n", floats(&self.opt_velocity)));
-        out.push_str(&format!("opt_second {}\n", floats(&self.opt_second)));
+        floats(&mut out, "opt_velocity", &self.opt_velocity);
+        floats(&mut out, "opt_second", &self.opt_second);
         out.push_str("best_val -\nstall 0\nbest_params -\n");
-        out.push_str(&format!("loss_history {}\n", floats(&self.loss_history)));
+        floats(&mut out, "loss_history", &self.loss_history);
         out.push_str("val_history -\n");
         out.push_str(&self.mlp.to_text());
         out

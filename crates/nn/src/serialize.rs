@@ -15,6 +15,7 @@
 
 use std::fmt::Write as _;
 
+use wlc_math::float_text::push_f64s;
 use wlc_math::Matrix;
 
 use crate::{Activation, DenseLayer, Mlp, NnError};
@@ -64,16 +65,13 @@ impl Mlp {
                 layer.activation()
             );
             for r in 0..layer.outputs() {
-                let cells: Vec<String> = layer
-                    .weights()
-                    .row(r)
-                    .iter()
-                    .map(|w| format!("{w:?}"))
-                    .collect();
-                let _ = writeln!(out, "w {}", cells.join(" "));
+                out.push_str("w ");
+                push_f64s(&mut out, layer.weights().row(r), ' ');
+                out.push('\n');
             }
-            let biases: Vec<String> = layer.biases().iter().map(|b| format!("{b:?}")).collect();
-            let _ = writeln!(out, "b {}", biases.join(" "));
+            out.push_str("b ");
+            push_f64s(&mut out, layer.biases(), ' ');
+            out.push('\n');
         }
         out
     }
@@ -233,7 +231,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_exact_bits() {
-        // `{:?}` prints the shortest representation that parses back to
+        // Floats are written as the shortest text that parses back to
         // the same f64, so the roundtrip must be bit-exact.
         let mlp = sample_mlp();
         let back = Mlp::from_text(&mlp.to_text()).unwrap();
