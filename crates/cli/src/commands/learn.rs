@@ -1,5 +1,6 @@
 //! `wlc learn` — run the continuous-learning supervisor.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use wlc_learn::{LearnConfig, Supervisor};
@@ -125,7 +126,10 @@ pub fn run(raw: &[String]) -> CmdResult {
 
     let supervisor = Supervisor::new(config)?;
     let outcome = supervisor.run()?;
-    println!(
+    // The rounds are committed; a reader that went away costs the
+    // summary line, not the exit status.
+    let _ = writeln!(
+        std::io::stdout().lock(),
         "supervisor done: rounds={} generation={} promotions={} rollbacks={} quarantined={} live={}",
         outcome.rounds,
         outcome.generation,

@@ -1,5 +1,6 @@
 //! The continuous-learning supervisor state machine.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::thread;
 
@@ -844,7 +845,9 @@ impl Supervisor {
 
     fn emit(&self, events: &mut Vec<String>, line: String) {
         if !self.config.quiet {
-            println!("{line}");
+            // `events.log` is the durable record: a stdout reader that
+            // went away costs the echo, not the run.
+            let _ = writeln!(std::io::stdout().lock(), "{line}");
         }
         events.push(line);
     }
