@@ -18,6 +18,9 @@
 //!   percentile response times.
 //! - [`propcheck`] — a tiny seeded property-testing harness, so the test
 //!   suites need no external dependencies.
+//! - [`elementary`] — `exp`, an integer power and the signed-log pair,
+//!   built from basic arithmetic in one fixed order, so their bits do
+//!   not depend on the host's libm.
 //! - [`float_text`] — the writer for every serialized `f64`: the
 //!   shortest round-trip digits (Ryū), byte for byte what `{:?}` prints,
 //!   with no allocation and no start-up work.
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod distributions;
+pub mod elementary;
 mod error;
 pub mod float_text;
 pub mod gemm;
