@@ -15,6 +15,7 @@
 
 use wlc_data::metrics::ErrorReport;
 use wlc_data::{Dataset, Scaler};
+use wlc_math::elementary::{slog, slog_inv};
 use wlc_math::float_text::push_f64s;
 use wlc_math::linalg;
 use wlc_math::Matrix;
@@ -442,14 +443,6 @@ impl PerformanceModel for PolynomialModel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogarithmicModel {
     inner: LinearModel,
-}
-
-fn slog(v: f64) -> f64 {
-    v.signum() * v.abs().ln_1p()
-}
-
-fn slog_inv(u: f64) -> f64 {
-    u.signum() * (u.abs().exp() - 1.0)
 }
 
 impl LogarithmicModel {

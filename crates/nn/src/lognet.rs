@@ -1,3 +1,4 @@
+use wlc_math::elementary::{slog, slog_inv};
 use wlc_math::Matrix;
 
 use crate::{Mlp, NnError, TrainReport, Trainer};
@@ -44,16 +45,6 @@ use crate::{Mlp, NnError, TrainReport, Trainer};
 pub struct LogarithmicNetwork {
     mlp: Mlp,
     log_outputs: bool,
-}
-
-/// Signed logarithmic squash: `sign(x) · ln(1 + |x|)`.
-fn slog(x: f64) -> f64 {
-    x.signum() * x.abs().ln_1p()
-}
-
-/// Inverse of [`slog`]: `sign(u) · (exp(|u|) − 1)`.
-fn slog_inv(u: f64) -> f64 {
-    u.signum() * (u.abs().exp() - 1.0)
 }
 
 impl LogarithmicNetwork {

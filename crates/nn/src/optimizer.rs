@@ -5,6 +5,8 @@
 //! for the ablation benchmarks that examine how much the training method
 //! matters for the workload-model use case.
 
+use wlc_math::elementary::powu;
+
 use crate::NnError;
 
 /// Selects and parameterizes an update rule. Convert into a stateful
@@ -200,9 +202,8 @@ impl Optimizer {
                 beta2,
                 epsilon,
             } => {
-                let t = self.step_count as f64;
-                let bc1 = 1.0 - beta1.powf(t);
-                let bc2 = 1.0 - beta2.powf(t);
+                let bc1 = 1.0 - powu(beta1, self.step_count);
+                let bc2 = 1.0 - powu(beta2, self.step_count);
                 for (((p, &g), v), s) in params
                     .iter_mut()
                     .zip(grads)

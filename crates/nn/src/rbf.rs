@@ -10,6 +10,7 @@
 //! basis functions with a shared data-driven width heuristic, and a
 //! closed-form ridge-regression output layer.
 
+use wlc_math::elementary::exp;
 use wlc_math::linalg;
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
@@ -95,7 +96,7 @@ impl RbfNetwork {
             if c == k {
                 1.0
             } else {
-                (-gamma * sq_distance(xs.row(r), centers.row(c))).exp()
+                exp(-gamma * sq_distance(xs.row(r), centers.row(c)))
             }
         });
 
@@ -151,7 +152,7 @@ impl RbfNetwork {
         let k = self.centers.rows();
         let mut activations = Vec::with_capacity(k + 1);
         for c in 0..k {
-            activations.push((-self.gamma * sq_distance(x, self.centers.row(c))).exp());
+            activations.push(exp(-self.gamma * sq_distance(x, self.centers.row(c))));
         }
         activations.push(1.0);
         let mut out = vec![0.0; self.outputs()];
