@@ -153,10 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn gradients_correct_tanh_and_softplus() {
+    fn gradients_correct_tanh() {
         let mlp = MlpBuilder::new(3)
             .hidden(4, Activation::Tanh)
-            .hidden(4, Activation::Softplus)
             .output(2, Activation::identity())
             .seed(4)
             .build()

@@ -17,12 +17,10 @@ fn random_data(inputs: usize, outputs: usize, rows: usize, salt: u64) -> (Matrix
 }
 
 fn hidden_activation(g: &mut Gen) -> Activation {
-    match g.usize_in(0, 5) {
+    match g.usize_in(0, 3) {
         0 => Activation::logistic(),
         1 => Activation::logistic_with_slope(g.f64_in(0.5, 4.0)).expect("positive slope"),
-        2 => Activation::Tanh,
-        3 => Activation::Softplus,
-        _ => Activation::LeakyRelu { alpha: 0.01 },
+        _ => Activation::Tanh,
     }
 }
 
