@@ -4,10 +4,9 @@
 //!
 //! [`write_f64`] prints the numbers the workspace serializes: JSON
 //! numbers, dataset CSV cells, and every value in scaler, network,
-//! checkpoint and linear-baseline files. (An activation's parameter,
-//! part of its name in a network file's `layer` line, as in
-//! `logistic(1)`, still prints through `Display`.) Its output is
-//! `{:?}`'s, byte for byte:
+//! checkpoint and linear-baseline files, the logistic slope in a
+//! network file's `layer` line (`logistic(1.0)`) included. Its output
+//! is `{:?}`'s, byte for byte:
 //!
 //! - **Digits.** The shortest digit string that parses back to the same
 //!   bits; among strings of that length, the one nearest the exact

@@ -6,7 +6,7 @@
 //! ```text
 //! wlc-nn-mlp v1
 //! layers 2
-//! layer 4 16 logistic(1)
+//! layer 4 16 logistic(1.0)
 //! w <16 lines of 4 numbers>
 //! b <1 line of 16 numbers>
 //! layer 16 5 identity
