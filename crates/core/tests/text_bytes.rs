@@ -53,6 +53,17 @@ fn model_text_bytes_are_pinned() {
 }
 
 #[test]
+fn a_model_file_with_the_older_slope_text_loads_to_the_same_network() {
+    // Model files written before the slope printed through `write_f64`
+    // name the activation `logistic(1)`.
+    let older = MODEL.replace("logistic(1.0)", "logistic(1)");
+    assert_ne!(older, MODEL);
+    let model = WorkloadModel::from_text(&older).unwrap();
+    assert_eq!(model, WorkloadModel::from_text(MODEL).unwrap());
+    assert_eq!(model.to_text(), MODEL);
+}
+
+#[test]
 fn linear_baseline_text_bytes_are_pinned() {
     let model = LinearModel::from_text(LINEAR).unwrap();
     assert_eq!(model.to_text(), LINEAR);
@@ -73,7 +84,7 @@ xscaler standard -0.0 1e16 | 0.0001 9999999999999998.0
 yscaler minmax 5e-324 -123456.789 | 0.30000000000000004 1e-5
 wlc-nn-mlp v1
 layers 2
-layer 2 3 logistic(1)
+layer 2 3 logistic(1.0)
 w 2.9802322387695313e-8 1658206780088562.3
 w 0.04105526295482766 -0.0
 w 1e-5 3.0
