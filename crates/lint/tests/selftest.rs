@@ -69,6 +69,23 @@ fn instant_nn_fixture_reports_the_clock_but_not_the_annotated_one() {
 }
 
 #[test]
+fn libm_nn_fixture_reports_the_libm_exp_but_not_the_pinned_or_annotated_calls() {
+    let findings = run(&fixture("libm_nn"));
+    let det: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::Determinism)
+        .collect();
+    assert_eq!(det.len(), 1, "{findings:?}");
+    assert!(
+        det[0].message.contains("`exp`") && det[0].message.contains("wlc_math::elementary::exp"),
+        "{}",
+        det[0].message
+    );
+    assert_eq!(det[0].path, "crates/nn/src/lib.rs");
+    assert_eq!(det[0].line, 10);
+}
+
+#[test]
 fn unmapped_variant_fixture_reports_the_missing_arm() {
     let findings = run(&fixture("unmapped_variant"));
     let cons: Vec<&Finding> = findings
@@ -253,6 +270,7 @@ fn fixtures_fire_nothing_outside_their_seeded_rule() {
         ("lock_cycle", Rule::LockOrder),
         ("panic_serve", Rule::Panic),
         ("instant_nn", Rule::Determinism),
+        ("libm_nn", Rule::Determinism),
         ("unmapped_variant", Rule::Consistency),
         ("alloc_hot", Rule::HotAlloc),
         ("durable_raw", Rule::DurableWrite),
