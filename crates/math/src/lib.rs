@@ -23,7 +23,9 @@
 //!   not depend on the host's libm.
 //! - [`float_text`] — the writer for every serialized `f64`: the
 //!   shortest round-trip digits (Ryū), byte for byte what `{:?}` prints,
-//!   with no allocation and no start-up work.
+//!   with no allocation and no start-up work; and the reader for every
+//!   one read back, which returns what `str::parse::<f64>` returns
+//!   (Clinger and Eisel–Lemire, with std for the rare rest).
 //!
 //! # Examples
 //!
