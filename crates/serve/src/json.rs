@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use wlc_math::float_text::write_f64;
+use wlc_math::float_text::{parse_f64_prefix, write_f64};
 use wlc_math::Matrix;
 
 use crate::client::BatchPrediction;
@@ -221,14 +221,34 @@ fn parse_literal(
     }
 }
 
+/// Reads the number at `pos` in one pass with [`parse_f64_prefix`]. When
+/// that reader does not take it, or stops before a byte the token scan
+/// would take, [`parse_number_token`] reads it instead; so either way the
+/// same bytes are consumed and the same value or error returned.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
+    let rest = bytes.get(*pos..).unwrap_or_default();
+    if let Some((v, len)) = parse_f64_prefix(rest) {
+        if !rest.get(len).copied().is_some_and(is_number_byte) {
+            *pos += len;
+            return Ok(v);
+        }
+    }
+    parse_number_token(bytes, pos)
+}
+
+/// A byte the number token scan takes.
+fn is_number_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Reads the number at `pos` as a token: an optional `-`, then every
+/// byte [`is_number_byte`] takes, parsed by `str::parse::<f64>`.
+fn parse_number_token(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < bytes.len() && is_number_byte(bytes[*pos]) {
         *pos += 1;
     }
     let token = std::str::from_utf8(&bytes[start..*pos])
@@ -625,8 +645,9 @@ pub(crate) fn scan_answer(text: &str, shape: Shape) -> Option<BatchPrediction> {
     })?;
     scan.field(b',', "outputs")?;
     let mut outputs = Vec::new();
+    let width = output_names.len();
     let mut row = |s: &mut Scan<'_>| {
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(width);
         s.nums(&mut values)?;
         outputs.push(values);
         Some(())
@@ -893,6 +914,71 @@ mod tests {
             write_answer(Shape::Single, &answer, &outputs),
             r#"{"degraded":true,"generation":3.0,"model":"linear-baseline","output_names":["a\"b","é\u0001"],"outputs":[9999999999999998.0,null],"replica":1.0}"#
         );
+    }
+
+    /// A number token of every shape the reader sees: a value as the
+    /// writer, `{:e}` or `{:.Ne}` prints it (non-finite ones as `inf` and
+    /// `NaN`), a digit string of up to 25 digits with leading zeros, a
+    /// point and an exponent, or text off the one-pass reader's form.
+    fn number_token(g: &mut propcheck::Gen) -> String {
+        const OFF_FORM: [&str; 16] = [
+            ".5", "5.", "+1", "-", "--1", "1e", "1e+", "1E-", "1.2.3", "1..2", "-.5", "0x1",
+            "1e5e5", "1-2", "", "١",
+        ];
+        let mut out = String::new();
+        let value = match g.usize_in(0, 8) {
+            0 => f64::from_bits(g.u64()),
+            _ => testgen::finite(g),
+        };
+        match g.usize_in(0, 6) {
+            0 => {
+                let _ = write_f64(&mut out, value);
+            }
+            1 => out = format!("{value:e}"),
+            2 => out = format!("{value:.*e}", g.usize_in(0, 25)),
+            3 | 4 => {
+                if g.usize_in(0, 2) == 0 {
+                    out.push('-');
+                }
+                let start = out.len();
+                let count = g.usize_in(1, 26);
+                for _ in 0..count {
+                    out.push(char::from(b'0' + g.usize_in(0, 10) as u8));
+                }
+                if count > 1 && g.usize_in(0, 2) == 0 {
+                    out.insert(start + g.usize_in(1, count), '.');
+                }
+                if g.usize_in(0, 2) == 0 {
+                    let exponent = g.usize_in(0, 801) as i32 - 400;
+                    out.push_str(&format!("{}{exponent}", g.pick(&["e", "E"])));
+                }
+            }
+            _ => out.push_str(OFF_FORM[g.usize_in(0, OFF_FORM.len())]),
+        }
+        out
+    }
+
+    /// The one-pass `parse_number` consumes the bytes the token scan
+    /// consumes and returns the same bits or the same error text, for
+    /// numbers of every shape followed by each byte that can end one in
+    /// a body, and by the end of input.
+    #[test]
+    fn one_pass_numbers_read_as_the_token_scan_reads_them() {
+        propcheck::run_cases(1 << 13, |g| {
+            let token = number_token(g);
+            for end in ["", ",", "]", "}", " ", "\n", ".5", "e", "-1", "x"] {
+                let text = format!("{token}{end}");
+                let (mut ours, mut oracle) = (0, 0);
+                let got = parse_number(text.as_bytes(), &mut ours);
+                let want = parse_number_token(text.as_bytes(), &mut oracle);
+                assert_eq!(ours, oracle, "{text:?}");
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{text:?}"),
+                    (Err(a), Err(b)) => assert_eq!(a, b, "{text:?}"),
+                    (a, b) => panic!("{text:?}: {a:?}, token scan {b:?}"),
+                }
+            }
+        });
     }
 
     /// The tree of `fields`, as `Json` prints a prediction body.
