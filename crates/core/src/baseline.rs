@@ -16,7 +16,7 @@
 use wlc_data::metrics::ErrorReport;
 use wlc_data::{Dataset, Scaler};
 use wlc_math::elementary::{slog, slog_inv};
-use wlc_math::float_text::push_f64s;
+use wlc_math::float_text::{parse_f64, push_f64s};
 use wlc_math::linalg;
 use wlc_math::Matrix;
 use wlc_nn::RbfNetwork;
@@ -223,7 +223,7 @@ impl LinearModel {
         let ridge: f64 = lines
             .next()
             .and_then(|l| l.trim().strip_prefix("ridge "))
-            .and_then(|s| s.parse().ok())
+            .and_then(|s| parse_f64(s).ok())
             .ok_or_else(|| err(4, "expected `ridge <lambda>`"))?;
         if !ridge.is_finite() || ridge < 0.0 {
             return Err(err(4, "ridge must be finite and non-negative"));
@@ -249,7 +249,7 @@ impl LinearModel {
             let values: Vec<f64> = row_line
                 .split_whitespace()
                 .map(|tok| {
-                    let v: f64 = tok.parse().map_err(|_| err(line_no, "bad coefficient"))?;
+                    let v = parse_f64(tok).map_err(|_| err(line_no, "bad coefficient"))?;
                     if !v.is_finite() {
                         return Err(err(line_no, "non-finite coefficient"));
                     }

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::path::Path;
 
-use wlc_math::float_text::push_f64s;
+use wlc_math::float_text::{parse_f64, push_f64s};
 use wlc_math::Matrix;
 
 use crate::DataError;
@@ -311,7 +311,7 @@ impl Dataset {
             let values: Result<Vec<f64>, DataError> = line
                 .split(',')
                 .map(|tok| {
-                    tok.trim().parse::<f64>().map_err(|_| DataError::Csv {
+                    parse_f64(tok.trim()).map_err(|_| DataError::Csv {
                         line: idx + 1,
                         reason: format!("bad float `{}`", tok.trim()),
                     })

@@ -1,4 +1,4 @@
-use wlc_math::float_text::push_f64s;
+use wlc_math::float_text::{parse_f64, push_f64s};
 use wlc_math::Matrix;
 
 use crate::DataError;
@@ -270,7 +270,7 @@ impl Scaler {
         let (a, b) = rest.split_once('|').ok_or_else(|| bad("missing `|`"))?;
         let parse_vec = |s: &str| -> Result<Vec<f64>, DataError> {
             s.split_whitespace()
-                .map(|t| t.parse::<f64>().map_err(|_| bad("bad float")))
+                .map(|t| parse_f64(t).map_err(|_| bad("bad float")))
                 .collect()
         };
         let first = parse_vec(a)?;

@@ -19,6 +19,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
+use wlc_math::float_text::parse_f64;
+
 use crate::dataset::parse_csv_header;
 use crate::{DataError, Dataset, Sample};
 
@@ -123,9 +125,8 @@ fn check_row(
                 .or_else(|| output_names.get(c - input_names.len()))
                 .map_or("?", String::as_str)
         };
-        let v: f64 = tok
-            .parse()
-            .map_err(|_| format!("bad float `{tok}` in column `{}`", column()))?;
+        let v =
+            parse_f64(tok).map_err(|_| format!("bad float `{tok}` in column `{}`", column()))?;
         if !v.is_finite() {
             return Err(format!("non-finite value `{tok}` in column `{}`", column()));
         }

@@ -2,7 +2,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use wlc_math::elementary::exp;
-use wlc_math::float_text::write_f64;
+use wlc_math::float_text::{parse_f64, write_f64};
 
 use crate::NnError;
 
@@ -234,11 +234,11 @@ impl FromStr for Activation {
     fn from_str(s: &str) -> Result<Self, NnError> {
         let s = s.trim();
         let parse_arg = |s: &str, prefix: &str| -> Option<f64> {
-            s.strip_prefix(prefix)?
+            let arg = s
+                .strip_prefix(prefix)?
                 .strip_prefix('(')?
-                .strip_suffix(')')?
-                .parse()
-                .ok()
+                .strip_suffix(')')?;
+            parse_f64(arg).ok()
         };
         match s {
             "tanh" => Ok(Activation::Tanh),

@@ -21,7 +21,7 @@
 use std::path::Path;
 
 use wlc_fault::Fs;
-use wlc_math::float_text::push_f64s;
+use wlc_math::float_text::{parse_f64, push_f64s};
 
 use crate::{Mlp, NnError};
 
@@ -237,10 +237,7 @@ fn parse_floats_opt(s: &str, line: usize) -> Result<Option<Vec<f64>>, NnError> {
         return Ok(None);
     }
     s.split_whitespace()
-        .map(|tok| {
-            tok.parse::<f64>()
-                .map_err(|_| parse_err(line, "bad float in checkpoint header"))
-        })
+        .map(|tok| parse_f64(tok).map_err(|_| parse_err(line, "bad float in checkpoint header")))
         .collect::<Result<Vec<f64>, NnError>>()
         .map(Some)
 }

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use wlc_math::float_text::push_f64s;
+use wlc_math::float_text::{parse_f64, push_f64s};
 use wlc_math::Matrix;
 
 use crate::{Activation, DenseLayer, Mlp, NnError};
@@ -194,7 +194,7 @@ fn parse_err(line: usize, reason: &str) -> NnError {
 fn parse_floats(s: &str, line: usize) -> Result<Vec<f64>, NnError> {
     s.split_whitespace()
         .map(|tok| {
-            let v: f64 = tok.parse().map_err(|_| parse_err(line, "bad float"))?;
+            let v = parse_f64(tok).map_err(|_| parse_err(line, "bad float"))?;
             // A stored model must be usable; NaN/Inf weights poison every
             // forward pass, so reject them at the door.
             if !v.is_finite() {
