@@ -38,10 +38,12 @@ if [ "${1:-}" != "quick" ]; then
     ./target/release/wlc-lint --workspace --format json \
         --out target/lint-report.json --budget BENCH_lint.json
 
-    echo "==> float-text sweep (shortest f64 writer vs {:?}, ~34M values)"
-    # The tier-1 test compares wlc_math::float_text with std's `{:?}` on
-    # about 2^18 values in a debug build; this release-build run of the
-    # ignored wide sweep compares about 34 million (about 16 s).
+    echo "==> float-text sweeps (writer vs {:?}, ~34M values; reader vs str::parse, ~34M strings)"
+    # The tier-1 tests compare wlc_math::float_text's writer with std's
+    # `{:?}` on about 2^18 values and its Eisel-Lemire reader with
+    # `str::parse::<f64>` on about 2^18 strings, in a debug build; this
+    # release-build run of the two ignored wide sweeps compares about 34
+    # million of each (about 17 s, the two in parallel).
     cargo test -q --release -p wlc-math --lib float_text -- --ignored
 
     echo "==> exp sweep (pinned exp vs a double-double reference, ~17M values)"
