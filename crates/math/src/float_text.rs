@@ -21,17 +21,19 @@
 //! - **Special values.** `-0.0`, `NaN` (whatever its sign and payload),
 //!   `inf`, `-inf`.
 //!
-//! Ryū needs one 128-bit multiply per bound and no bignum fallback. Its
-//! power-of-five tables are static data, so nothing is computed at
-//! start-up, and an exact integer below 1e16 skips them altogether.
+//! Ryū needs one 128-bit multiply per bound and no bignum fallback. An
+//! exact integer below 1e16 skips Ryū altogether.
 //!
 //! [`parse_f64`] reads the same files back, and [`parse_f64_prefix`]
 //! reads a number in place for the JSON parser. For every string,
 //! `parse_f64` returns what `str::parse::<f64>` returns, bit for bit, and
 //! the same error. A number of up to 19 significant digits in the form
 //! `-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?`, which covers every finite
-//! value `write_f64` prints, is read here, from a second static table;
-//! anything else goes to std.
+//! value `write_f64` prints, is read here; anything else goes to std.
+//!
+//! Both halves read one static table of 128-bit powers of five,
+//! Lemire's. Ryū's two 125-bit tables are cut from it by the compiler,
+//! so nothing is computed at start-up or per call.
 //!
 //! # Examples
 //!
@@ -55,13 +57,40 @@ use wlc_hot::wlc_hot;
 
 mod pow5_128;
 mod read;
-mod tables;
 
 pub use read::{parse_f64, parse_f64_prefix};
-use tables::{POW5_INV_SPLIT, POW5_SPLIT};
 
-/// Bits in each entry of both tables.
+/// Bits in each entry of Ryū's two tables.
 const POW5_BITS: i32 = 125;
+
+/// The top 125 bits of `5^0 ..= 5^325`, for negative binary exponents:
+/// the 128-bit table's entries from `5^0` up, less their three low bits.
+static POW5_SPLIT: [u128; 326] = {
+    let mut table = [0; 326];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = pow5_128::entry(i as i64) >> 3;
+        i += 1;
+    }
+    table
+};
+
+/// Scaled inverses of `5^0 ..= 5^291`, for binary exponents from 0 up:
+/// entry `i` is `floor(2^(len - 1 + 125) / 5^i) + 1`, with `len` the bit
+/// length of `5^i`. The 128-bit entry for `5^-i` is `2^(len + 127) / 5^i`,
+/// rounded up to `5^-27` and truncated below; taking back the rounding
+/// and the three low bits leaves the floor. `5^0`'s entry, `2^125 + 1`,
+/// has no counterpart there.
+static POW5_INV_SPLIT: [u128; 292] = {
+    let mut table = [(1 << 125) + 1; 292];
+    let mut i = 1;
+    while i < table.len() {
+        let rounded_up = (i <= 27) as u128;
+        table[i] = ((pow5_128::entry(-(i as i64)) - rounded_up) >> 3) + 1;
+        i += 1;
+    }
+    table
+};
 
 /// The longest text `{:?}` prints for an `f64`:
 /// `-2.2250738585072014e-308`.

@@ -27,11 +27,11 @@ use std::num::ParseFloatError;
 
 use wlc_hot::wlc_hot;
 
-use super::pow5_128::POW5_128;
+use super::pow5_128::{MIN_Q, POW5_128};
 
-/// The decimal exponents of [`POW5_128`]'s first and last entries. Below
-/// the first, 19 digits round to zero; above the last, to infinity.
-const MIN_Q: i64 = -342;
+/// The largest decimal exponent read through [`POW5_128`]. Above it, any
+/// number of up to 19 digits rounds to infinity; the table runs on to
+/// `5^325` for the writer alone.
 const MAX_Q: i64 = 308;
 
 /// The most significant digits read here; `10^19 - 1` fits in a `u64`.
@@ -269,6 +269,7 @@ mod tests {
     use std::cmp::Ordering;
     use std::fmt::Write as _;
 
+    use super::super::pow5_128::entry;
     use super::super::tests::{big, bit_len, case, cmp, mul, shr, Big};
     use super::super::write_f64;
     use super::*;
@@ -476,6 +477,16 @@ mod tests {
             ("1e-400", 0.0),
             ("-1e-400", -0.0),
             ("1e400", f64::INFINITY),
+            // The table runs on to 5^325 for the writer, and 1e326 lies
+            // past it; the reader stops at 10^308, and everything above
+            // reads as infinite.
+            ("1e308", 1e308),
+            ("1e309", f64::INFINITY),
+            ("-1e309", f64::NEG_INFINITY),
+            ("9.9e308", f64::INFINITY),
+            ("1e325", f64::INFINITY),
+            ("1e326", f64::INFINITY),
+            ("0.00000000000000001e325", 1e308),
             ("-0", -0.0),
             ("-0.0", -0.0),
             ("0", 0.0),
@@ -544,21 +555,23 @@ mod tests {
 
     #[test]
     fn power_table_is_exact() {
+        // Every entry, 5^-342 ..= 5^325: the writer reads past MAX_Q.
+        let last = MIN_Q + POW5_128.len() as i64 - 1;
         let mut pow5: Big = vec![1];
-        for n in 0..=MIN_Q.unsigned_abs() {
+        for n in 0..=last.max(-MIN_Q) {
             let len = bit_len(&pow5);
-            if n <= MAX_Q as u64 {
+            if n <= last {
                 // 5^n, shifted to 128 bits and truncated.
                 let top = match len.checked_sub(128) {
                     Some(s) => shr(&pow5, s),
                     None => shr(&pow5, 0) << (128 - len),
                 };
-                assert_eq!(entry(n as i64), top, "5^{n}");
+                assert_eq!(entry(n), top, "5^{n}");
             }
-            if n > 0 {
+            if (1..=-MIN_Q).contains(&n) {
                 // 2^(len + 127) / 5^n lies in [2^127, 2^128): rounded up
                 // down to 5^-27, truncated below it.
-                let e = entry(-(n as i64));
+                let e = entry(-n);
                 let (below, above) = if n <= 27 { (e - 1, e) } else { (e, e + 1) };
                 let j = len + 127;
                 let mut pow2: Big = vec![0; j as usize / 64 + 1];
@@ -576,11 +589,5 @@ mod tests {
             }
             pow5 = mul(&pow5, &[5]);
         }
-    }
-
-    /// The table entry for `5^q`, as one `u128`.
-    fn entry(q: i64) -> u128 {
-        let (hi, lo) = POW5_128[(q - MIN_Q) as usize];
-        u128::from(hi) << 64 | u128::from(lo)
     }
 }
