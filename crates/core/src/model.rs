@@ -175,8 +175,8 @@ impl WorkloadModel {
         Ok(out)
     }
 
-    /// Copies `xs` into `scaled` and standardizes each row in place,
-    /// rejecting non-finite raw or standardized features.
+    /// Copies `xs` into `scaled` and standardizes each row in place
+    /// through [`WorkloadModel::scale_row`].
     fn scale_inputs(&self, xs: &Matrix, scaled: &mut Matrix) -> Result<(), ModelError> {
         if scaled.cols() != xs.cols() {
             *scaled = Matrix::zeros(0, xs.cols());
@@ -185,23 +185,24 @@ impl WorkloadModel {
         for r in 0..xs.rows() {
             let row = scaled.row_mut(r);
             row.copy_from_slice(xs.row(r));
-            if let Some(index) = row.iter().position(|v| !v.is_finite()) {
-                return Err(ModelError::NonFiniteInput {
-                    index,
-                    stage: "raw",
-                });
-            }
-            self.input_scaler.transform_row(row)?;
-            // Finite input can still standardize to ±inf or NaN against a
-            // degenerate scaler — reject before it floods the network.
-            if let Some(index) = row.iter().position(|v| !v.is_finite()) {
-                return Err(ModelError::NonFiniteInput {
-                    index,
-                    stage: "standardized",
-                });
-            }
+            self.scale_row(row)?;
         }
         Ok(())
+    }
+
+    /// Standardizes one configuration in place, rejecting a non-finite
+    /// feature before (`stage: "raw"`) and after (`"standardized"`).
+    /// Finite input can still standardize to ±inf (overflow against a
+    /// tiny std) or NaN (a degenerate file-loaded scaler); it is rejected
+    /// here rather than let flood the network.
+    fn scale_row(&self, row: &mut [f64]) -> Result<(), ModelError> {
+        let reject_non_finite = |row: &[f64], stage| match row.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(ModelError::NonFiniteInput { index, stage }),
+            None => Ok(()),
+        };
+        reject_non_finite(row, "raw")?;
+        self.input_scaler.transform_row(row)?;
+        reject_non_finite(row, "standardized")
     }
 
     /// De-standardizes network activations into `out`.
@@ -380,23 +381,8 @@ impl PerformanceModel for WorkloadModel {
                 what: "configuration",
             });
         }
-        if let Some(index) = x.iter().position(|v| !v.is_finite()) {
-            return Err(ModelError::NonFiniteInput {
-                index,
-                stage: "raw",
-            });
-        }
         let mut scaled = x.to_vec();
-        self.input_scaler.transform_row(&mut scaled)?;
-        // Finite input can still standardize to ±inf (overflow against a
-        // tiny std) or NaN (degenerate file-loaded scaler) — reject here
-        // rather than letting NaN flood the network.
-        if let Some(index) = scaled.iter().position(|v| !v.is_finite()) {
-            return Err(ModelError::NonFiniteInput {
-                index,
-                stage: "standardized",
-            });
-        }
+        self.scale_row(&mut scaled)?;
         let mut y = self.mlp.forward(&scaled)?;
         self.output_scaler.inverse_row(&mut y)?;
         Ok(y)
