@@ -13,9 +13,8 @@
 //!   ([`rng::Xoshiro256`]) with uniform/exponential sampling.
 //! - [`distributions`] — service-time distributions for the simulator.
 //! - [`stats`] — descriptive statistics including the paper's
-//!   harmonic-mean error metric and an online (Welford) accumulator.
-//! - [`quantile`] — the P² streaming quantile estimator used for
-//!   percentile response times.
+//!   harmonic-mean error metric, an online (Welford) accumulator and
+//!   the percentile that gives the simulator's p95 response times.
 //! - [`propcheck`] — a tiny seeded property-testing harness, so the test
 //!   suites need no external dependencies.
 //! - [`elementary`] — `exp`, an integer power and the signed-log pair,
@@ -54,7 +53,6 @@ pub mod gemm;
 pub mod linalg;
 mod matrix;
 pub mod propcheck;
-pub mod quantile;
 pub mod rng;
 pub mod stats;
 

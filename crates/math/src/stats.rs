@@ -83,12 +83,19 @@ pub fn median(values: &[f64]) -> Result<f64, MathError> {
 
 /// Percentile using linear interpolation between closest ranks.
 ///
-/// `p` is in percent, e.g. `95.0` for the 95th percentile.
+/// `p` is in percent, e.g. `95.0` for the 95th percentile. Works on a
+/// copy of `values` in linear time: it selects the one or two order
+/// statistics the rank falls between instead of sorting. This gives the
+/// simulator's per-class p95 response times.
 ///
 /// # Errors
 ///
 /// Returns [`MathError::EmptyInput`] for an empty slice and
 /// [`MathError::InvalidParameter`] if `p` is outside `[0, 100]`.
+///
+/// # Panics
+///
+/// Panics if `values` holds two or more values and one of them is NaN.
 ///
 /// # Examples
 ///
@@ -107,17 +114,19 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64, MathError> {
             reason: "percentile must be in [0, 100]",
         });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (values.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in percentile input");
+    let mut scratch = values.to_vec();
+    let (_, &mut low, above) = scratch.select_nth_unstable_by(lo, by_value);
     if lo == hi {
-        Ok(sorted[lo])
-    } else {
-        let frac = rank - lo as f64;
-        Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+        return Ok(low);
     }
+    // `hi == lo + 1`: the smallest value above the `lo`-th.
+    let (_, &mut high, _) = above.select_nth_unstable_by(0, by_value);
+    let frac = rank - lo as f64;
+    Ok(low * (1.0 - frac) + high * frac)
 }
 
 /// Coefficient of determination R² of predictions against actuals.
@@ -301,6 +310,7 @@ impl OnlineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
 
     const EPS: f64 = 1e-10;
 
@@ -355,6 +365,47 @@ mod tests {
     fn percentile_interpolates() {
         let v = [0.0, 10.0];
         assert!((percentile(&v, 25.0).unwrap() - 2.5).abs() < EPS);
+    }
+
+    /// The sorting body `percentile` had before it selected; the
+    /// selecting one must return its bits.
+    fn percentile_by_sorting(values: &[f64], p: f64) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        let rank = p / 100.0 * (sorted.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = rank - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    #[test]
+    fn selecting_percentile_matches_sorting_bit_for_bit() {
+        let mut rng = Xoshiro256::seed_from(95);
+        for len in 1..=300 {
+            // Drawing from a pool of about len/4 values repeats them. No
+            // -0.0: selection may return it for an equal 0.0.
+            let mut pool = vec![0.0];
+            pool.extend((0..len / 4).map(|_| rng.next_range(-1e3, 1e3)));
+            let values: Vec<f64> = (0..len)
+                .map(|_| pool[rng.next_below(pool.len() as u64) as usize])
+                .collect();
+            for p in [0.0, 25.0, 50.0, 95.0, 99.9, 100.0] {
+                let selected = percentile(&values, p).unwrap();
+                let sorted = percentile_by_sorting(&values, p);
+                assert_eq!(selected.to_bits(), sorted.to_bits(), "len {len}, p {p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_panics_on_nan() {
+        let _ = percentile(&[3.0, f64::NAN, 1.0, 2.0], 95.0);
     }
 
     #[test]

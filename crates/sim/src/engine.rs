@@ -1,9 +1,8 @@
 //! The discrete-event engine: arrival generation, stage routing, the
 //! contention model and metric collection.
 
-use wlc_math::quantile::P2Quantile;
 use wlc_math::rng::{Seed, WeightedIndex, Xoshiro256};
-use wlc_math::stats::OnlineStats;
+use wlc_math::stats::{self, OnlineStats};
 
 use crate::config::{ArrivalProcess, DbModel, HardwareModel, ServerConfig, WorkloadSpec};
 use crate::db::db_service_time;
@@ -78,7 +77,8 @@ pub(crate) struct Engine {
     db: Pool,
     // Metrics.
     response_stats: [OnlineStats; 4],
-    p95_stats: [P2Quantile; 4],
+    /// Measurement-window response times per class, for the exact p95.
+    response_times: [Vec<f64>; 4],
     injected: u64,
     completed: [u64; 4],
     effective: [u64; 4],
@@ -121,12 +121,7 @@ impl Engine {
             middle_busy: 0,
             db,
             response_stats: [OnlineStats::new(); 4],
-            p95_stats: [
-                P2Quantile::new(0.95).expect("valid quantile"),
-                P2Quantile::new(0.95).expect("valid quantile"),
-                P2Quantile::new(0.95).expect("valid quantile"),
-                P2Quantile::new(0.95).expect("valid quantile"),
-            ],
+            response_times: Default::default(),
             injected: 0,
             completed: [0; 4],
             effective: [0; 4],
@@ -208,12 +203,11 @@ impl Engine {
             default_queue: self.pools[QueueId::Default.index()].utilization(end),
             db: self.db.utilization(end),
         };
-        let p95 = [
-            self.p95_stats[0].estimate(),
-            self.p95_stats[1].estimate(),
-            self.p95_stats[2].estimate(),
-            self.p95_stats[3].estimate(),
-        ];
+        // A class with no completions has no samples: `None`, the sentinel.
+        let p95 = self
+            .response_times
+            .each_ref()
+            .map(|samples| stats::percentile(samples, 95.0).ok());
         Ok(Measurement::new(
             self.response_stats,
             p95,
@@ -401,7 +395,7 @@ impl Engine {
             let rt = (self.clock - txn.arrival).as_secs();
             let idx = txn.kind.index();
             self.response_stats[idx].push(rt);
-            self.p95_stats[idx].push(rt);
+            self.response_times[idx].push(rt);
             self.completed[idx] += 1;
             let constraint = self.cfg.workload.class(txn.kind).constraint_secs();
             if rt <= constraint {

@@ -45,7 +45,7 @@ pub struct PoolUtilization {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     response_stats: [OnlineStats; 4],
-    /// Streaming p95 estimates per class (None when no completions).
+    /// Exact p95 response times per class (None when no completions).
     p95: [Option<f64>; 4],
     /// Fallback response time used for classes with no completions in the
     /// measurement window (the window length — a saturation sentinel).
@@ -102,8 +102,10 @@ impl Measurement {
         self.response_stats[kind.index()].std_dev()
     }
 
-    /// Streaming 95th-percentile response time of `kind` (P² estimate;
-    /// sentinel when the class had no completions in the window).
+    /// 95th-percentile response time of `kind` over the measurement
+    /// window, interpolated between closest ranks by
+    /// [`wlc_math::stats::percentile`] (sentinel when the class had no
+    /// completions in the window).
     pub fn p95_response_time(&self, kind: TransactionKind) -> f64 {
         self.p95[kind.index()].unwrap_or(self.saturated_rt)
     }
