@@ -155,11 +155,6 @@ impl LinearModel {
         })
     }
 
-    /// The feature set used.
-    pub fn features(&self) -> LinearFeatures {
-        self.features
-    }
-
     /// The fitted coefficient matrix (`expanded features × outputs`).
     pub fn coefficients(&self) -> &Matrix {
         &self.coefficients

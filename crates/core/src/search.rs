@@ -29,6 +29,9 @@ pub struct SearchOutcome {
     pub best: TrainedModel,
 }
 
+/// Share of the samples held out to score each candidate.
+const VALIDATION_FRACTION: f64 = 0.25;
+
 /// Grid search over the model hyper-parameters the paper tunes by hand.
 ///
 /// The paper's protocol tunes the "MLP node count and the termination
@@ -66,7 +69,6 @@ pub struct HyperParameterSearch {
     topologies: Vec<Vec<usize>>,
     thresholds: Vec<Option<f64>>,
     learning_rates: Vec<f64>,
-    validation_fraction: f64,
     seed: u64,
 }
 
@@ -80,7 +82,6 @@ impl HyperParameterSearch {
             topologies: vec![vec![8], vec![16], vec![16, 12], vec![32, 16]],
             thresholds: vec![Some(1e-2), Some(1e-3), Some(1e-4)],
             learning_rates: vec![0.02],
-            validation_fraction: 0.25,
             seed: 0,
         }
     }
@@ -101,12 +102,6 @@ impl HyperParameterSearch {
     /// Sets the learning-rate candidates.
     pub fn learning_rates(mut self, rates: Vec<f64>) -> Self {
         self.learning_rates = rates;
-        self
-    }
-
-    /// Sets the held-out validation fraction (default 0.25).
-    pub fn validation_fraction(mut self, fraction: f64) -> Self {
-        self.validation_fraction = fraction;
         self
     }
 
@@ -149,11 +144,8 @@ impl HyperParameterSearch {
                 reason: "topologies, thresholds and learning rates must be non-empty",
             });
         }
-        let (train_idx, val_idx) = train_test_split(
-            dataset.len(),
-            self.validation_fraction,
-            Seed::new(self.seed),
-        )?;
+        let (train_idx, val_idx) =
+            train_test_split(dataset.len(), VALIDATION_FRACTION, Seed::new(self.seed))?;
         let train = dataset.subset(&train_idx)?;
         let val = dataset.subset(&val_idx)?;
 

@@ -89,16 +89,6 @@ impl ResponseSurface {
         })
     }
 
-    /// Index of the first swept parameter.
-    pub fn axis1(&self) -> usize {
-        self.axis1
-    }
-
-    /// Index of the second swept parameter.
-    pub fn axis2(&self) -> usize {
-        self.axis2
-    }
-
     /// Index of the plotted output indicator.
     pub fn output(&self) -> usize {
         self.output

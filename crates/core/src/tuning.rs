@@ -44,11 +44,6 @@ impl ScoringFunction {
         })
     }
 
-    /// The response-time constraints.
-    pub fn constraints(&self) -> &[f64] {
-        &self.constraints
-    }
-
     /// Scores a predicted indicator vector.
     ///
     /// # Errors

@@ -47,16 +47,6 @@ impl ParamRange {
         Ok(ParamRange { low, high })
     }
 
-    /// Lower bound.
-    pub fn low(self) -> f64 {
-        self.low
-    }
-
-    /// Upper bound.
-    pub fn high(self) -> f64 {
-        self.high
-    }
-
     /// `high − low`.
     pub fn width(self) -> f64 {
         self.high - self.low

@@ -428,11 +428,6 @@ impl SimFs {
         self.lock().volatile.clone()
     }
 
-    /// Per-site hit counters (for asserting a schedule actually fired).
-    pub fn hits(&self) -> BTreeMap<String, u64> {
-        self.lock().failpoints.hits.clone()
-    }
-
     /// Simulates a power cut after the first `prefix` logged
     /// operations: returns a fresh fault-free filesystem holding
     /// exactly what survived. Directories survive regardless (their

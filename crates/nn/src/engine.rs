@@ -27,13 +27,13 @@
 //!
 //! # Dispatch
 //!
-//! With `jobs <= 1`, fewer than [`BandEngine::dispatch_threshold`]
-//! bands of work, or a single band, calls delegate to the in-line entry
-//! points — same algorithm, no synchronization, no copies. The threaded
-//! path clones the network and batch matrices into `Arc`s (the worker
-//! team outlives the call frame), so it pays off only when the batch is
-//! large enough; the default threshold requires at least two bands per
-//! team member.
+//! With `jobs <= 1`, fewer bands of work than the dispatch threshold
+//! (see [`BandEngine::with_dispatch_threshold`]), or a single band,
+//! calls delegate to the in-line entry points — same algorithm, no
+//! synchronization, no copies. The threaded path clones the network and
+//! batch matrices into `Arc`s (the worker team outlives the call frame),
+//! so it pays off only when the batch is large enough; the default
+//! threshold requires at least two bands per team member.
 
 use std::sync::Arc;
 
@@ -109,11 +109,6 @@ impl BandEngine {
     /// The team size (including the calling thread).
     pub fn jobs(&self) -> usize {
         self.pool.jobs()
-    }
-
-    /// Bands needed before a call takes the pool path.
-    pub fn dispatch_threshold(&self) -> usize {
-        self.dispatch_threshold
     }
 
     /// Whether a `rows`-row call would take the pool path.

@@ -137,11 +137,6 @@ impl Optimizer {
         self.kind
     }
 
-    /// Number of steps taken so far.
-    pub fn step_count(&self) -> u64 {
-        self.step_count
-    }
-
     /// Snapshot of the internal state for checkpointing:
     /// `(velocity, second_moment, step_count)`. Buffers are empty until
     /// the first [`Optimizer::step`] (or for kinds that do not use them).
