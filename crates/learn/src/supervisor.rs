@@ -4,7 +4,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::thread;
 
-use wlc_data::Dataset;
+use wlc_data::metrics::mape;
+use wlc_data::{DataError, Dataset};
 use wlc_fault::FsHandle;
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_model::baseline::{LinearFeatures, LinearModel};
@@ -853,12 +854,12 @@ impl Supervisor {
     }
 }
 
-/// Shadow score: mean relative error across outputs and samples.
+/// Shadow score: the mean over output columns of each column's [`mape`].
 ///
 /// Unlike the paper's harmonic-mean metric (which rejects an output
 /// column whose actuals are all zero), this stays defined on the tiny
-/// recent-holdout windows the supervisor compares on: samples with a
-/// zero actual are skipped, and an output with no usable samples
+/// recent-holdout windows the supervisor compares on: `mape` skips
+/// samples with a zero actual, and an output with no usable samples
 /// simply contributes nothing. Lower is better; both models are scored
 /// with the same rule, so the comparison is fair.
 fn score(model: &WorkloadModel, dataset: &Dataset) -> Result<f64, LearnError> {
@@ -867,18 +868,13 @@ fn score(model: &WorkloadModel, dataset: &Dataset) -> Result<f64, LearnError> {
     let mut total = 0.0;
     let mut columns = 0usize;
     for j in 0..ys.cols() {
-        let mut sum = 0.0;
-        let mut used = 0usize;
-        for r in 0..ys.rows() {
-            let actual = ys.get(r, j);
-            if actual != 0.0 {
-                sum += (predicted.get(r, j) - actual).abs() / actual.abs();
-                used += 1;
+        match mape(&ys.col_to_vec(j), &predicted.col_to_vec(j)) {
+            Ok(error) => {
+                total += error;
+                columns += 1;
             }
-        }
-        if used > 0 {
-            total += sum / used as f64;
-            columns += 1;
+            Err(DataError::Empty) => {}
+            Err(e) => return Err(e.into()),
         }
     }
     Ok(if columns == 0 {
