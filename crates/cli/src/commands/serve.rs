@@ -45,7 +45,7 @@ SERVER:
     --reload-drain-ms <n>      rolling reload: max wait for one replica
                                to drain before aborting  [default: 5000]
     --shed-jitter-seed <n>     seed for the jittered Retry-After on shed
-                               503 responses          [default: 0x5eed]
+                               503 responses          [default: 24301]
     --quiet             suppress per-request log lines on stderr
 
 TEST HOOKS (fault injection, mirroring `wlc cv --force-diverge`):

@@ -984,6 +984,47 @@ fn serve_usage_and_exit_codes() {
 }
 
 #[test]
+fn serve_accepts_its_documented_shed_jitter_seed_default() {
+    let usage = stderr(&wlc(&["serve", "--help"]));
+    assert!(usage.contains("[default: 24301]"), "{usage}");
+    let dir = workspace("serve_accepts_its_documented_shed_jitter_seed_default");
+    let data = dir.join("d.csv");
+    let data_s = data.to_str().expect("utf8");
+    let out = wlc(&[
+        "collect",
+        "--samples",
+        "8",
+        "--out",
+        data_s,
+        "--duration",
+        "3",
+        "--warmup",
+        "1",
+        "--seed",
+        "12",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    // The flag parses, so the run gets as far as the bind, which fails
+    // on the invalid port: a server error (5), not a usage error (2).
+    let out = wlc(&[
+        "serve",
+        "--data",
+        data_s,
+        "--shed-jitter-seed",
+        "24301",
+        "--addr",
+        "127.0.0.1:99999",
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("invalid port value"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bench_check_refuses_a_report_of_another_schema_or_thread_count() {
     let dir = workspace("bench_check_refuses_a_report_of_another_schema_or_thread_count");
     let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nn.json");
