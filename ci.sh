@@ -18,11 +18,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> wlc-lint (workspace static analysis, blocking)"
 cargo run -q -p wlc-lint -- --workspace
 
-echo "==> wlc-lint self-test (each seeded-bug fixture must fail)"
+echo "==> wlc-lint self-test (each seeded-bug fixture must report findings)"
+# Findings exit 1; a clean run (0), an unreadable root (2), a panic or a
+# failed build exits otherwise, and each of those fails the gate.
 for fixture in crates/lint/tests/fixtures/*/; do
     [ -d "$fixture" ] || { echo "no wlc-lint fixtures found"; exit 1; }
-    if cargo run -q -p wlc-lint -- --root "$fixture"; then
-        echo "fixture $fixture was unexpectedly clean"
+    code=0
+    cargo run -q -p wlc-lint -- --root "$fixture" || code=$?
+    if [ "$code" -ne 1 ]; then
+        echo "fixture $fixture: wlc-lint exited $code, expected 1 (findings)"
         exit 1
     fi
 done
