@@ -149,9 +149,11 @@ if [ "${1:-}" != "quick" ]; then
         --out "$smoke_dir/det-nofma.txt" --epochs 150 --hidden 8 --seed 5 --jobs 1
     cmp "$smoke_dir/det-j1.txt" "$smoke_dir/det-nofma.txt" \
         || { echo "train under glibc's non-FMA paths diverged"; exit 1; }
+    # A 24x24 grid is 576 rows, 9 row bands, so the surface's forward
+    # passes take the band pool at --jobs 2 and 4 as well.
     for j in 1 2 4; do
         ./target/release/wlc surface --model "$smoke_dir/det-j1.txt" \
-            --base 450,10,16,10 --steps 9 --jobs "$j" \
+            --base 450,10,16,10 --steps 24 --jobs "$j" \
             > "$smoke_dir/det-surface-j$j.out" 2>/dev/null
     done
     cmp "$smoke_dir/det-surface-j1.out" "$smoke_dir/det-surface-j2.out" \
