@@ -35,6 +35,9 @@ impl std::fmt::Display for StopReason {
     }
 }
 
+/// Gradient L2 norm above which training counts as diverged.
+const DIVERGENCE_GRAD_NORM: f64 = 1e12;
+
 /// Configuration for [`Trainer`].
 ///
 /// The recipe is the paper's: back-propagated gradient descent on the
@@ -53,8 +56,9 @@ impl std::fmt::Display for StopReason {
 ///
 /// # Robustness
 ///
-/// Divergence (NaN/Inf loss, non-finite parameters, exploding gradients)
-/// is always detected. What happens next is configurable:
+/// Divergence (NaN/Inf loss, non-finite parameters, or a gradient whose
+/// L2 norm exceeds `1e12`) is always detected. What happens next is
+/// configurable:
 ///
 /// - [`TrainConfig::recover`] retries with a freshly re-seeded network and
 ///   a backed-off learning rate, up to a bounded number of attempts.
@@ -86,7 +90,6 @@ pub struct TrainConfig {
     max_retries: usize,
     retry_lr_backoff: f64,
     halt_on_divergence: bool,
-    divergence_grad_norm: f64,
     checkpoint_every: Option<usize>,
     checkpoint_path: Option<PathBuf>,
     checkpoint_fs: FsHandle,
@@ -107,7 +110,6 @@ impl TrainConfig {
             max_retries: 0,
             retry_lr_backoff: 0.5,
             halt_on_divergence: false,
-            divergence_grad_norm: 1e12,
             checkpoint_every: None,
             checkpoint_path: None,
             checkpoint_fs: wlc_fault::real_fs(),
@@ -189,13 +191,6 @@ impl TrainConfig {
         self
     }
 
-    /// Gradient L2-norm limit above which training counts as diverged
-    /// (default `1e12`).
-    pub fn divergence_grad_norm(mut self, max_norm: f64) -> Self {
-        self.divergence_grad_norm = max_norm;
-        self
-    }
-
     /// Writes a [`Checkpoint`] to [`TrainConfig::checkpoint_path`] every
     /// `epochs` completed epochs.
     pub fn checkpoint_every(mut self, epochs: usize) -> Self {
@@ -248,12 +243,6 @@ impl TrainConfig {
             return Err(NnError::InvalidHyperParameter {
                 name: "retry_backoff",
                 reason: "must be in (0, 1]",
-            });
-        }
-        if !(self.divergence_grad_norm.is_finite() && self.divergence_grad_norm > 0.0) {
-            return Err(NnError::InvalidHyperParameter {
-                name: "divergence_grad_norm",
-                reason: "must be positive and finite",
             });
         }
         if let Some(every) = self.checkpoint_every {
@@ -467,7 +456,7 @@ impl Trainer {
         let mut stop_reason = StopReason::MaxEpochs;
         let mut epochs_run = start_epoch;
         let mut last_finite = params.clone();
-        let grad_limit = self.config.divergence_grad_norm * self.config.divergence_grad_norm;
+        let grad_limit = DIVERGENCE_GRAD_NORM * DIVERGENCE_GRAD_NORM;
         // A full batch is one in-order chunk that is never shuffled, so
         // the pass that measures an epoch's loss can be a gradient pass:
         // it leaves the next epoch's gradient in `ws.grad`, and
@@ -1018,9 +1007,6 @@ mod tests {
             .fit(&mut mlp, &xs, &ys)
             .is_err());
         assert!(Trainer::new(TrainConfig::new().retry_backoff(1.5))
-            .fit(&mut mlp, &xs, &ys)
-            .is_err());
-        assert!(Trainer::new(TrainConfig::new().divergence_grad_norm(0.0))
             .fit(&mut mlp, &xs, &ys)
             .is_err());
         assert!(Trainer::new(TrainConfig::new().checkpoint_every(0))
