@@ -640,8 +640,8 @@ mod tests {
     #[test]
     fn p95_exceeds_mean_for_skewed_response_times() {
         // Response times are right-skewed (queueing + exponential DB
-        // stages), so the streaming p95 must sit above the mean for every
-        // class in a healthy run.
+        // stages), so the p95 of the window's response times must sit
+        // above the mean for every class in a healthy run.
         let m = run(300.0, 10, 16, 10, 41);
         for &kind in &TransactionKind::ALL {
             let mean = m.mean_response_time(kind);
