@@ -383,7 +383,7 @@ impl PerformanceModel for WorkloadModel {
         }
         let mut scaled = x.to_vec();
         self.scale_row(&mut scaled)?;
-        let mut y = self.mlp.forward(&scaled)?;
+        let mut y = self.mlp.forward(scaled)?;
         self.output_scaler.inverse_row(&mut y)?;
         Ok(y)
     }
@@ -737,10 +737,17 @@ mod tests {
             .seed(3)
     }
 
-    /// Per-row [`PerformanceModel::predict`], stacked.
+    /// Per-row [`PerformanceModel::predict`] with the network's forward
+    /// pass swapped for [`wlc_nn::oracle::forward`], stacked.
     fn predict_rows(model: &WorkloadModel, xs: &Matrix) -> Vec<f64> {
         (0..xs.rows())
-            .flat_map(|r| model.predict(xs.row(r)).unwrap())
+            .flat_map(|r| {
+                let mut x = xs.row(r).to_vec();
+                model.scale_row(&mut x).unwrap();
+                let mut y = wlc_nn::oracle::forward(&model.mlp, &x).unwrap();
+                model.output_scaler.inverse_row(&mut y).unwrap();
+                y
+            })
             .collect()
     }
 

@@ -248,6 +248,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Consumes the matrix, returning its row-major data.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Returns the transpose.
     ///
     /// # Examples
@@ -259,12 +264,26 @@ impl Matrix {
     /// ```
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `cols x rows`.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            out.shape(),
+            (self.cols, self.rows),
+            "transpose_into output shape"
+        );
         for r in 0..self.rows {
             for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+                out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Matrix multiplication `self * other`.
@@ -648,6 +667,30 @@ mod tests {
         let t = a.transpose();
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.shape(), (3, 2));
+    }
+
+    #[test]
+    fn transpose_into_overwrites_every_element() {
+        for (rows, cols) in [(1, 5), (5, 1), (2, 3), (4, 7), (1, 1)] {
+            let a = Matrix::from_fn(rows, cols, |r, c| (r * 10 + c) as f64 + 0.5);
+            // A stale output: every element must be overwritten.
+            let mut out = Matrix::filled(cols, rows, f64::NAN);
+            a.transpose_into(&mut out);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(out.get(c, r), a.get(r, c), "{rows}x{cols} at ({r}, {c})");
+                }
+            }
+            assert_eq!(out, a.transpose(), "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_into output shape")]
+    fn transpose_into_rejects_wrong_shape() {
+        let a = Matrix::zeros(2, 3);
+        // The untransposed shape is wrong for a non-square matrix.
+        a.transpose_into(&mut Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Multi-threaded row-band execution of the batched entry points.
 //!
 //! A [`BandEngine`] pairs a persistent [`wlc_exec::BandPool`] worker
-//! team with per-worker [`Workspace`] scratch, and runs the three
-//! batched entry points — forward, loss, gradient — with their
-//! [`crate::BAND_ROWS`]-row bands fanned out across the team.
+//! team with per-worker [`Workspace`] scratch, and runs the batched
+//! forward and gradient passes with their [`crate::BAND_ROWS`]-row bands
+//! fanned out across the team; its loss pass is that forward pass plus
+//! the band-ordered fold.
 //!
 //! # Determinism
 //!
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use wlc_exec::{band_count, BandPool, TrackedMutex};
 use wlc_math::Matrix;
 
-use crate::workspace::BandGrads;
+use crate::workspace::{mean_band_loss, BandGrads};
 use crate::{Loss, Mlp, NnError, Workspace, BAND_ROWS};
 
 /// A persistent worker team plus per-worker scratch for running the
@@ -141,13 +142,7 @@ impl BandEngine {
             return mlp.forward_batch_with(inputs, ws);
         }
         ws.check(mlp)?;
-        if inputs.cols() != mlp.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: mlp.inputs(),
-                actual: inputs.cols(),
-                what: "input width",
-            });
-        }
+        mlp.check_input_width(inputs.cols())?;
         let rows = inputs.rows();
         let n_bands = band_count(rows, BAND_ROWS);
         let shared_mlp = Arc::new(mlp.clone());
@@ -173,8 +168,10 @@ impl BandEngine {
         Ok(ws.out_ref())
     }
 
-    /// [`Mlp::batch_loss_with`] with bands fanned out over the team;
-    /// bitwise identical for any `jobs`.
+    /// [`Mlp::batch_loss_with`] with the forward pass's bands fanned out
+    /// over the team; bitwise identical for any `jobs`. The loss is read
+    /// off [`BandEngine::forward_batch`]'s predictions with the same
+    /// band-ascending fold.
     ///
     /// # Errors
     ///
@@ -187,40 +184,10 @@ impl BandEngine {
         loss: Loss,
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
-        if !self.pooled(xs.rows()) {
-            return mlp.batch_loss_with(xs, ys, loss, ws);
-        }
         if xs.rows() == 0 {
             return Err(NnError::EmptyTrainingSet);
         }
-        ws.check(mlp)?;
-        if xs.cols() != mlp.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: mlp.inputs(),
-                actual: xs.cols(),
-                what: "input width",
-            });
-        }
-        let rows = xs.rows();
-        let n_bands = band_count(rows, BAND_ROWS);
-        let shared_mlp = Arc::new(mlp.clone());
-        let shared_xs = Arc::new(xs.clone());
-        let shared_ys = Arc::new(ys.clone());
-        let scratch = Arc::clone(&self.scratch);
-        let bands = self.pool.run(n_bands, move |b| {
-            let r0 = b * BAND_ROWS;
-            let r1 = (r0 + BAND_ROWS).min(shared_xs.rows());
-            let mut band_ws = BandEngine::checkout(&scratch, &shared_mlp);
-            let sum = shared_mlp.band_loss_sum(&shared_xs, &shared_ys, loss, r0, r1, &mut band_ws);
-            scratch.lock().push(band_ws);
-            sum
-        });
-        // Fold band partials ascending — the in-line loop's order.
-        let mut total = 0.0;
-        for band in bands {
-            total += band?;
-        }
-        Ok(total / rows as f64)
+        mean_band_loss(self.forward_batch(mlp, xs, ws)?, ys, loss)
     }
 
     /// [`Mlp::batch_gradient_with`] with bands fanned out over the
@@ -291,10 +258,10 @@ mod tests {
     /// do not divide evenly by any tested team size.
     const ROWS: usize = 451;
 
-    /// Per-row [`Mlp::forward`], stacked.
+    /// Per-row [`crate::oracle::forward`], stacked.
     fn forward_rows(mlp: &Mlp, xs: &Matrix) -> Vec<f64> {
         (0..xs.rows())
-            .flat_map(|r| mlp.forward(xs.row(r)).unwrap())
+            .flat_map(|r| crate::oracle::forward(mlp, xs.row(r)).unwrap())
             .collect()
     }
 

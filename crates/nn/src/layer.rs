@@ -8,23 +8,30 @@ use crate::{Activation, NnError};
 /// The weight matrix is `outputs × inputs`; biases are per-output. This
 /// corresponds to the paper's perceptron (§2.1): each row of `W` together
 /// with its bias defines one perceptron's hyperplane, and `f` is the
-/// activation ("squashing") function.
+/// activation ("squashing") function. A layer computes nothing itself:
+/// [`Mlp::forward`](crate::Mlp::forward) and the batched passes run it
+/// through one GEMM kernel.
 ///
 /// # Examples
 ///
 /// ```
-/// use wlc_nn::{Activation, DenseLayer};
+/// use wlc_nn::{Activation, DenseLayer, Mlp};
 /// use wlc_math::rng::Xoshiro256;
 ///
 /// let mut rng = Xoshiro256::seed_from(3);
 /// let layer = DenseLayer::new(2, 4, Activation::tanh(), &mut rng)?;
-/// let out = layer.forward(&[0.5, -0.5])?;
+/// assert_eq!((layer.inputs(), layer.outputs()), (2, 4));
+/// let out = Mlp::from_layers(vec![layer])?.forward(&[0.5, -0.5])?;
 /// assert_eq!(out.len(), 4);
 /// # Ok::<(), wlc_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     weights: Matrix,
+    /// `weights` transposed (`inputs × outputs`), the forward GEMM's `b`
+    /// operand: it lets the kernel run in broadcast form, output columns
+    /// innermost and contiguous. Every writer of `weights` refreshes it.
+    weights_t: Matrix,
     biases: Vec<f64>,
     activation: Activation,
 }
@@ -46,17 +53,9 @@ impl DenseLayer {
         activation: Activation,
         rng: &mut Xoshiro256,
     ) -> Result<Self, NnError> {
-        if inputs == 0 {
-            return Err(NnError::ZeroDimension { which: "inputs" });
-        }
-        if outputs == 0 {
-            return Err(NnError::ZeroDimension { which: "outputs" });
-        }
-        Ok(DenseLayer {
-            weights: xavier_uniform(inputs, outputs, rng),
-            biases: vec![0.0; outputs],
-            activation,
-        })
+        // A zero dimension draws nothing before `from_parts` rejects it.
+        let weights = xavier_uniform(inputs, outputs, rng);
+        DenseLayer::from_parts(weights, vec![0.0; outputs], activation)
     }
 
     /// Redraws every weight as [`DenseLayer::new`] does and zeroes the
@@ -64,6 +63,7 @@ impl DenseLayer {
     /// (divergence recovery).
     pub fn reinitialize(&mut self, rng: &mut Xoshiro256) {
         self.weights = xavier_uniform(self.inputs(), self.outputs(), rng);
+        self.weights.transpose_into(&mut self.weights_t);
         self.biases.fill(0.0);
     }
 
@@ -92,6 +92,7 @@ impl DenseLayer {
             });
         }
         Ok(DenseLayer {
+            weights_t: weights.transpose(),
             weights,
             biases,
             activation,
@@ -118,6 +119,12 @@ impl DenseLayer {
         &self.weights
     }
 
+    /// The transposed weight matrix (`inputs × outputs`), the forward
+    /// GEMM's operand.
+    pub(crate) fn weights_t(&self) -> &Matrix {
+        &self.weights_t
+    }
+
     /// Borrow of the bias vector.
     pub fn biases(&self) -> &[f64] {
         &self.biases
@@ -126,42 +133,6 @@ impl DenseLayer {
     /// Total number of trainable parameters (weights + biases).
     pub fn param_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.biases.len()
-    }
-
-    /// Computes the pre-activation `z = W·x + b`.
-    ///
-    /// Each dot product uses the committed lane-accumulation order
-    /// ([`wlc_math::gemm::dot_lanes`]), so per-sample results are
-    /// bit-identical to the batched GEMM path for the same weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
-    pub fn pre_activation(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        if input.len() != self.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.inputs(),
-                actual: input.len(),
-                what: "input width",
-            });
-        }
-        Ok(self
-            .biases
-            .iter()
-            .enumerate()
-            .map(|(r, &bi)| wlc_math::gemm::dot_lanes(self.weights.row(r), input) + bi)
-            .collect())
-    }
-
-    /// Full forward pass `f(W·x + b)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
-    pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        let mut z = self.pre_activation(input)?;
-        self.activation.apply_slice(&mut z);
-        Ok(z)
     }
 
     /// Copies the parameters (row-major weights, then biases) into `out`.
@@ -174,6 +145,7 @@ impl DenseLayer {
     pub(crate) fn read_params(&mut self, flat: &[f64]) -> usize {
         let w_len = self.weights.rows() * self.weights.cols();
         self.weights.as_mut_slice().copy_from_slice(&flat[..w_len]);
+        self.weights.transpose_into(&mut self.weights_t);
         let b_len = self.biases.len();
         self.biases.copy_from_slice(&flat[w_len..w_len + b_len]);
         w_len + b_len
@@ -190,9 +162,16 @@ fn xavier_uniform(inputs: usize, outputs: usize, rng: &mut Xoshiro256) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{forward, pre_activation};
+    use crate::Mlp;
 
     fn rng() -> Xoshiro256 {
         Xoshiro256::seed_from(42)
+    }
+
+    /// A one-layer network around `layer`.
+    fn net(layer: DenseLayer) -> Mlp {
+        Mlp::from_layers(vec![layer]).unwrap()
     }
 
     #[test]
@@ -208,21 +187,24 @@ mod tests {
         ));
     }
 
+    // The five `forward`/`pre_activation` tests check a layer's
+    // arithmetic, `f(W·x + b)`, as the oracle writes it out.
+
     #[test]
     fn forward_known_values() {
         let weights = Matrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0]]).unwrap();
         let layer =
             DenseLayer::from_parts(weights, vec![1.0, 0.0], Activation::identity()).unwrap();
-        let out = layer.forward(&[1.0, 1.0]).unwrap();
+        let out = forward(&net(layer), &[1.0, 1.0]).unwrap();
         assert_eq!(out, vec![4.0, -0.5]);
     }
 
     #[test]
     fn forward_applies_activation() {
         let weights = Matrix::from_rows(&[&[1.0]]).unwrap();
-        let layer = DenseLayer::from_parts(weights, vec![0.0], Activation::Relu).unwrap();
-        assert_eq!(layer.forward(&[-3.0]).unwrap(), vec![0.0]);
-        assert_eq!(layer.forward(&[3.0]).unwrap(), vec![3.0]);
+        let mlp = net(DenseLayer::from_parts(weights, vec![0.0], Activation::Relu).unwrap());
+        assert_eq!(forward(&mlp, &[-3.0]).unwrap(), vec![0.0]);
+        assert_eq!(forward(&mlp, &[3.0]).unwrap(), vec![3.0]);
     }
 
     #[test]
@@ -230,7 +212,7 @@ mod tests {
         let mut r = rng();
         let layer = DenseLayer::new(3, 2, Activation::tanh(), &mut r).unwrap();
         assert!(matches!(
-            layer.forward(&[1.0, 2.0]),
+            forward(&net(layer), &[1.0, 2.0]),
             Err(NnError::ShapeMismatch { .. })
         ));
     }
@@ -275,18 +257,18 @@ mod tests {
         let mut r = rng();
         let layer = DenseLayer::new(5, 3, Activation::tanh(), &mut r).unwrap();
         let input = [0.3, -0.8, 1.5, 0.0, -0.1];
-        assert_eq!(layer.pre_activation(&input).unwrap().len(), 3);
+        assert_eq!(pre_activation(&layer, &input).unwrap().len(), 3);
         // Wrong widths are rejected, not panicked on.
-        assert!(layer.pre_activation(&input[..3]).is_err());
-        assert!(layer.pre_activation(&[0.0; 6]).is_err());
+        assert!(pre_activation(&layer, &input[..3]).is_err());
+        assert!(pre_activation(&layer, &[0.0; 6]).is_err());
     }
 
     #[test]
     fn pre_activation_excludes_activation() {
         let weights = Matrix::from_rows(&[&[2.0]]).unwrap();
         let layer = DenseLayer::from_parts(weights, vec![1.0], Activation::Relu).unwrap();
-        assert_eq!(layer.pre_activation(&[-2.0]).unwrap(), vec![-3.0]);
-        assert_eq!(layer.forward(&[-2.0]).unwrap(), vec![0.0]);
+        assert_eq!(pre_activation(&layer, &[-2.0]).unwrap(), vec![-3.0]);
+        assert_eq!(forward(&net(layer), &[-2.0]).unwrap(), vec![0.0]);
     }
 
     #[test]

@@ -23,9 +23,12 @@
 //! - [`Workspace`] — reusable scratch buffers making batched training
 //!   and inference allocation-free ([`Mlp::batch_gradient_with`],
 //!   [`Mlp::forward_batch_with`]). This is the one gradient
-//!   implementation; [`Mlp::forward`] stays as the single-row path.
-//! - [`oracle`] — the naive per-sample reference, bit-identical to the
-//!   batched path, that only tests and `wlc bench` call.
+//!   implementation, and its forward kernel is the only one:
+//!   [`Mlp::forward`] is its one-row case, each layer holding the
+//!   transposed weights the kernel reads.
+//! - [`oracle`] — the naive per-sample reference (a dot product per
+//!   neuron, never a GEMM kernel), bit-identical to the production path,
+//!   that only tests and `wlc bench` call.
 //! - [`BandEngine`] — the batched entry points with their row bands
 //!   fanned out over a persistent `wlc_exec::BandPool` worker team,
 //!   bit-identical for any worker count.

@@ -106,7 +106,7 @@ impl LogarithmicNetwork {
     /// Returns [`NnError::ShapeMismatch`] if `x.len() != self.inputs()`.
     pub fn predict(&self, x: &[f64]) -> Result<Vec<f64>, NnError> {
         let tx: Vec<f64> = x.iter().map(|&v| slog(v)).collect();
-        let mut out = self.mlp.forward(&tx)?;
+        let mut out = self.mlp.forward(tx)?;
         if self.log_outputs {
             for v in &mut out {
                 *v = slog_inv(*v);

@@ -119,24 +119,25 @@ impl Loss {
         Ok(total)
     }
 
-    /// Sum of per-row [`Loss::value`]s (rows ascending) of `predicted`
-    /// against rows `t_r0..t_r0 + predicted.rows()` of `targets` — the
-    /// batched form used by strip-mined whole-dataset evaluation, where
-    /// the predictions live in a strip-sized scratch matrix but the
-    /// targets are the full dataset. Bit-identical to the per-row calls.
+    /// Sum of per-row [`Loss::value`]s over rows `r0..r1` (ascending) of
+    /// `predicted` against the same rows of `targets` — one band's loss
+    /// partial, read off a full prediction matrix by the loss pass
+    /// ([`crate::Mlp::batch_loss_with`]). Bit-identical to the per-row
+    /// calls.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] for a width mismatch, a zero
-    /// width, or a row range outside `targets`.
+    /// width, or a row range outside either matrix.
     pub fn value_rows(
         &self,
         predicted: &Matrix,
         targets: &Matrix,
-        t_r0: usize,
+        r0: usize,
+        r1: usize,
     ) -> Result<f64, NnError> {
-        let (m, width) = predicted.shape();
-        if targets.cols() != width || width == 0 || t_r0 + m > targets.rows() {
+        let width = predicted.cols();
+        if targets.cols() != width || width == 0 || r1 > predicted.rows().min(targets.rows()) {
             return Err(NnError::ShapeMismatch {
                 expected: targets.cols(),
                 actual: width,
@@ -145,9 +146,9 @@ impl Loss {
         }
         let n = width as f64;
         let mut total = 0.0;
-        for r in 0..m {
+        for r in r0..r1 {
             let p = predicted.row(r);
-            let t = targets.row(t_r0 + r);
+            let t = targets.row(r);
             let mut row_total = 0.0;
             for j in 0..p.len() {
                 let d = p[j] - t[j];

@@ -1,3 +1,4 @@
+use wlc_math::gemm;
 use wlc_math::rng::{Seed, Xoshiro256};
 use wlc_math::Matrix;
 
@@ -83,15 +84,38 @@ impl Mlp {
         self.layers.iter().map(DenseLayer::param_count).sum()
     }
 
-    /// Runs the forward pass for one input vector.
+    /// Runs the forward pass for one input vector: the one-row case of
+    /// [`Mlp::forward_batch_with`]'s per-layer GEMM, so its outputs are
+    /// that pass's bits. Takes a slice or an owned `Vec`; a `Vec` becomes
+    /// the first layer's operand without a copy.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ShapeMismatch`] if `input.len() != self.inputs()`.
-    pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, NnError> {
-        self.layers
-            .iter()
-            .try_fold(input.to_vec(), |acts, layer| layer.forward(&acts))
+    /// Returns [`NnError::ShapeMismatch`] if the input's length is not
+    /// `self.inputs()`.
+    pub fn forward(&self, input: impl Into<Vec<f64>>) -> Result<Vec<f64>, NnError> {
+        let input = input.into();
+        self.check_input_width(input.len())?;
+        let mut acts = Matrix::from_vec(1, input.len(), input)?;
+        for layer in &self.layers {
+            let mut z = Matrix::zeros(1, layer.outputs());
+            gemm::matmul_bias_rows_into(&acts, 0, 1, layer.weights_t(), layer.biases(), &mut z)?;
+            layer.activation().apply_slice(z.as_mut_slice());
+            acts = z;
+        }
+        Ok(acts.into_vec())
+    }
+
+    /// Errors unless `width` is the network's input width.
+    pub(crate) fn check_input_width(&self, width: usize) -> Result<(), NnError> {
+        if width == self.inputs() {
+            return Ok(());
+        }
+        Err(NnError::ShapeMismatch {
+            expected: self.inputs(),
+            actual: width,
+            what: "input width",
+        })
     }
 
     /// Shape validation shared by the gradient entry points (the batched
@@ -118,14 +142,7 @@ impl Mlp {
                 what: "target width",
             });
         }
-        if inputs.cols() != self.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.inputs(),
-                actual: inputs.cols(),
-                what: "input width",
-            });
-        }
-        Ok(())
+        self.check_input_width(inputs.cols())
     }
 
     /// Copies all parameters into one flat vector (per layer: row-major
@@ -377,8 +394,8 @@ mod tests {
     #[test]
     fn forward_width_checked() {
         let mlp = tiny_mlp();
-        assert!(mlp.forward(&[1.0]).is_err());
-        assert!(mlp.forward(&[1.0, 2.0]).is_ok());
+        assert!(mlp.forward([1.0]).is_err());
+        assert!(mlp.forward([1.0, 2.0]).is_ok());
     }
 
     #[test]
@@ -388,7 +405,7 @@ mod tests {
         let mut ws = Workspace::for_mlp(&mlp);
         let batch = mlp.forward_batch_with(&xs, &mut ws).unwrap();
         for r in 0..2 {
-            let single = mlp.forward(xs.row(r)).unwrap();
+            let single = crate::oracle::forward(&mlp, xs.row(r)).unwrap();
             assert_eq!(batch.row(r), single.as_slice());
         }
     }
@@ -399,7 +416,7 @@ mod tests {
         let w = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
         let layer = DenseLayer::from_parts(w, vec![1.0, -1.0], Activation::identity()).unwrap();
         let mlp = Mlp::from_layers(vec![layer]).unwrap();
-        assert_eq!(mlp.forward(&[1.0, 1.0]).unwrap(), vec![3.0, 2.0]);
+        assert_eq!(mlp.forward([1.0, 1.0]).unwrap(), vec![3.0, 2.0]);
     }
 
     #[test]
@@ -419,7 +436,7 @@ mod tests {
         assert_eq!(other.params_flat(), params);
         // Networks with identical params produce identical outputs.
         let x = [0.3, -0.7];
-        assert_eq!(other.forward(&x).unwrap(), mlp.forward(&x).unwrap());
+        assert_eq!(other.forward(x).unwrap(), mlp.forward(x).unwrap());
     }
 
     #[test]
@@ -516,7 +533,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(mlp.topology(), vec![3, 8, 8, 8, 2]);
-        let y = mlp.forward(&[0.1, 0.2, 0.3]).unwrap();
+        let y = mlp.forward([0.1, 0.2, 0.3]).unwrap();
         assert_eq!(y.len(), 2);
         assert!(y.iter().all(|v| v.is_finite()));
     }

@@ -1,16 +1,18 @@
-//! The naive reference the batched path is checked against.
+//! The naive reference the production path is checked against.
 //!
+//! [`Mlp::forward`], [`Mlp::forward_batch_with`],
 //! [`Mlp::batch_gradient_with`], [`Mlp::batch_loss_with`] and
-//! [`crate::BandEngine`] compute with GEMM kernels over
+//! [`crate::BandEngine`] compute with GEMM kernels, the batched ones over
 //! [`crate::BAND_ROWS`]-row bands. This module computes the same values
-//! one sample at a time, allocating freely, from [`Mlp::forward`],
-//! [`DenseLayer::pre_activation`](crate::DenseLayer::pre_activation) and
-//! explicit `mul_add` lanes — never from a GEMM kernel. It writes out the
-//! committed numeric contract once, plainly:
+//! one sample at a time, allocating freely, from one lane-order dot
+//! product per neuron ([`forward`]) and explicit `mul_add` lanes — never
+//! from a GEMM kernel. It writes out the committed numeric contract once,
+//! plainly:
 //!
 //! - every sum over samples or neurons puts term `k` into lane
 //!   `k % LANES` with one fused multiply-add, and folds the lanes left to
-//!   right;
+//!   right (a neuron's pre-activation is [`gemm::dot_lanes`] of its
+//!   weight row and the input, plus its bias);
 //! - sample lanes restart at each band, and band partials are added to
 //!   the totals in ascending band order;
 //! - the gradient is scaled by `1 / rows` after accumulation, and the
@@ -19,18 +21,55 @@
 //! The bitwise tests and the baseline arm of `wlc bench` use it; nothing
 //! in production does.
 
-use wlc_math::gemm::LANES;
+use wlc_math::gemm::{self, LANES};
 use wlc_math::Matrix;
 
-use crate::{Loss, Mlp, NnError, BAND_ROWS};
+use crate::{DenseLayer, Loss, Mlp, NnError, BAND_ROWS};
 
 /// Folds lane partials left to right.
 fn fold(lanes: &[f64; LANES]) -> f64 {
     lanes[1..].iter().fold(lanes[0], |acc, &v| acc + v)
 }
 
-/// Mean loss over a batch: per-row [`Mlp::forward`] and
-/// [`Loss::value`], summed per band and folded band-ascending.
+/// One layer's pre-activation `z = W·x + b`: one [`gemm::dot_lanes`]
+/// per output neuron.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] if `input.len() != layer.inputs()`.
+pub(crate) fn pre_activation(layer: &DenseLayer, input: &[f64]) -> Result<Vec<f64>, NnError> {
+    if input.len() != layer.inputs() {
+        return Err(NnError::ShapeMismatch {
+            expected: layer.inputs(),
+            actual: input.len(),
+            what: "input width",
+        });
+    }
+    Ok(layer
+        .biases()
+        .iter()
+        .enumerate()
+        .map(|(r, &bi)| gemm::dot_lanes(layer.weights().row(r), input) + bi)
+        .collect())
+}
+
+/// One sample's forward pass, `f(W·x + b)` layer by layer — bitwise
+/// what [`Mlp::forward`] and every row of [`Mlp::forward_batch_with`]
+/// compute.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] if `input.len() != mlp.inputs()`.
+pub fn forward(mlp: &Mlp, input: &[f64]) -> Result<Vec<f64>, NnError> {
+    mlp.layers().iter().try_fold(input.to_vec(), |acts, layer| {
+        let mut z = pre_activation(layer, &acts)?;
+        layer.activation().apply_slice(&mut z);
+        Ok(z)
+    })
+}
+
+/// Mean loss over a batch: per-row [`forward`] and [`Loss::value`],
+/// summed per band and folded band-ascending.
 ///
 /// # Errors
 ///
@@ -45,7 +84,7 @@ pub fn batch_loss(mlp: &Mlp, xs: &Matrix, ys: &Matrix, loss: Loss) -> Result<f64
     for b0 in (0..rows).step_by(BAND_ROWS) {
         let mut band = 0.0;
         for r in b0..(b0 + BAND_ROWS).min(rows) {
-            band += loss.value(&mlp.forward(xs.row(r))?, ys.row(r))?;
+            band += loss.value(&forward(mlp, xs.row(r))?, ys.row(r))?;
         }
         total += band;
     }
@@ -104,7 +143,7 @@ fn sample_gradient(
     let mut pre = Vec::with_capacity(layers.len());
     let mut acts = vec![input.to_vec()];
     for (l, layer) in layers.iter().enumerate() {
-        let z = layer.pre_activation(&acts[l])?;
+        let z = pre_activation(layer, &acts[l])?;
         let mut a = z.clone();
         layer.activation().apply_slice(&mut a);
         pre.push(z);

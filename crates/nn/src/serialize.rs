@@ -312,6 +312,6 @@ mod tests {
     fn parses_handwritten_model() {
         let text = "wlc-nn-mlp v1\nlayers 1\nlayer 2 1 identity\nw 2.0 3.0\nb 0.5\n";
         let mlp = Mlp::from_text(text).unwrap();
-        assert_eq!(mlp.forward(&[1.0, 1.0]).unwrap(), vec![5.5]);
+        assert_eq!(mlp.forward([1.0, 1.0]).unwrap(), vec![5.5]);
     }
 }

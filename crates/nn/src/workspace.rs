@@ -7,10 +7,14 @@
 //! **zero heap allocations per epoch**: buffers are grown on first use
 //! and thereafter only resized within their existing capacity.
 //!
-//! There is one gradient implementation, [`Mlp::batch_gradient_with`]:
-//! the minibatch forward/backward expressed as GEMMs
-//! ([`wlc_math::gemm`]) over the batch matrix. Every output element of
-//! the kernels receives its floating-point additions in the committed
+//! There is one forward kernel and one gradient implementation. Each
+//! layer's forward is one GEMM ([`wlc_math::gemm`]) against the layer's
+//! own transposed weights, for one row ([`Mlp::forward`]) or a band of
+//! rows ([`Mlp::forward_batch_with`]); the loss pass
+//! ([`Mlp::batch_loss_with`]) is that forward pass plus a band-ordered
+//! fold, and [`Mlp::batch_gradient_with`] runs the minibatch
+//! forward/backward as GEMMs over the batch matrix. Every output element
+//! of the kernels receives its floating-point additions in the committed
 //! lane order, so the results are **bit-identical** to the naive
 //! per-sample [`crate::oracle`] (see `docs/performance.md` for the
 //! argument, and the tests below for the enforcement).
@@ -81,13 +85,6 @@ pub struct Workspace {
     pre: Vec<Matrix>,
     /// Batched back-propagated deltas, same shapes as `acts`.
     deltas: Vec<Matrix>,
-    /// Per-layer transposed weights (`inputs x outputs`), refreshed at
-    /// the start of each batched entry point. Holding W^T lets the
-    /// forward GEMM run in broadcast form — output columns innermost,
-    /// contiguous, register-tiled — instead of one latency-bound dot
-    /// product per element, while each element still sees the committed
-    /// lane order.
-    wts: Vec<Matrix>,
     /// Per-layer weight-gradient totals (`outputs x inputs`); their
     /// row-major layout equals the weight block of the flat gradient.
     /// Band partials from `wgrads_band` are folded in here, band
@@ -109,8 +106,8 @@ pub struct Workspace {
     bias_lanes: Vec<Vec<f64>>,
     /// Flat gradient, laid out like [`Mlp::params_flat`].
     grad: Vec<f64>,
-    /// Full-size prediction matrix returned by the strip-mined
-    /// [`Mlp::forward_batch_with`].
+    /// Full-size prediction matrix returned by the band-mined
+    /// [`Mlp::forward_batch_with`], and read by the loss pass.
     out: Matrix,
 }
 
@@ -136,11 +133,6 @@ impl Workspace {
             pre: acts.clone(),
             deltas: acts.clone(),
             acts,
-            wts: mlp
-                .layers()
-                .iter()
-                .map(|l| Matrix::zeros(l.inputs(), l.outputs()))
-                .collect(),
             wgrads: mlp
                 .layers()
                 .iter()
@@ -232,9 +224,10 @@ impl Mlp {
     /// Allocation-free batched forward pass: one GEMM per layer per
     /// [`BAND_ROWS`] band, so the intermediates stay cache-resident.
     /// Returns the `rows x outputs` prediction matrix held inside `ws`;
-    /// every row is bit-identical to [`Mlp::forward`] of the
-    /// corresponding input row (rows never interact, so the band
-    /// geometry cannot affect forward results).
+    /// every row is bit-identical to [`Mlp::forward`] and
+    /// [`crate::oracle::forward`] of the corresponding input row (rows
+    /// never interact, so the band geometry cannot affect forward
+    /// results).
     ///
     /// # Errors
     ///
@@ -247,21 +240,13 @@ impl Mlp {
         ws: &'ws mut Workspace,
     ) -> Result<&'ws Matrix, NnError> {
         ws.check(self)?;
-        if inputs.cols() != self.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.inputs(),
-                actual: inputs.cols(),
-                what: "input width",
-            });
-        }
+        self.check_input_width(inputs.cols())?;
         let rows = inputs.rows();
         let last = self.layers().len() - 1;
         ws.out.resize_rows(rows);
-        self.transpose_weights(ws);
         let mut r0 = 0;
         while r0 < rows {
             let r1 = (r0 + BAND_ROWS).min(rows);
-            ws.ensure_batch(r1 - r0);
             self.batched_forward(inputs, r0, r1, ws)?;
             for (sr, r) in (r0..r1).enumerate() {
                 ws.out.row_mut(r).copy_from_slice(ws.acts[last].row(sr));
@@ -271,10 +256,11 @@ impl Mlp {
         Ok(&ws.out)
     }
 
-    /// Mean loss over a dataset via the batched forward pass. Per-row
-    /// values are bit-identical to evaluating [`Mlp::forward`] row by
-    /// row; the total is folded per [`BAND_ROWS`] band, band ascending
-    /// (the committed reduction order shared with the gradient paths).
+    /// Mean loss over a dataset: [`Mlp::forward_batch_with`], then
+    /// [`Loss::value_rows`] over each [`BAND_ROWS`] band of its
+    /// predictions, bands added ascending (the committed reduction order
+    /// shared with the gradient paths). Per-row values are bit-identical
+    /// to evaluating [`crate::oracle::forward`] row by row.
     ///
     /// # Errors
     ///
@@ -291,29 +277,7 @@ impl Mlp {
         if xs.rows() == 0 {
             return Err(NnError::EmptyTrainingSet);
         }
-        ws.check(self)?;
-        if xs.cols() != self.inputs() {
-            return Err(NnError::ShapeMismatch {
-                expected: self.inputs(),
-                actual: xs.cols(),
-                what: "input width",
-            });
-        }
-        let rows = xs.rows();
-        let last = self.layers().len() - 1;
-        self.transpose_weights(ws);
-        let mut total = 0.0;
-        let mut r0 = 0;
-        while r0 < rows {
-            let r1 = (r0 + BAND_ROWS).min(rows);
-            ws.ensure_batch(r1 - r0);
-            self.batched_forward(xs, r0, r1, ws)?;
-            // Consume the band's predictions in place — no copy into a
-            // dataset-sized output matrix just to read it back once.
-            total += loss.value_rows(&ws.acts[last], ys, r0)?;
-            r0 = r1;
-        }
-        Ok(total / rows as f64)
+        mean_band_loss(self.forward_batch_with(xs, ws)?, ys, loss)
     }
 
     /// Batched backpropagation: average loss over the minibatch, leaving
@@ -349,7 +313,6 @@ impl Mlp {
     ) -> Result<f64, NnError> {
         self.check_batch_shapes(inputs, targets)?;
         ws.check(self)?;
-        self.transpose_weights(ws);
 
         let rows = inputs.rows();
         let len = self.layers().len();
@@ -383,30 +346,23 @@ impl Mlp {
         ws: &mut Workspace,
     ) -> Result<f64, NnError> {
         let band_loss = self.band_partials(inputs, targets, loss, b0, b1, ws)?;
-        for l in 0..self.layers().len() {
-            for (t, &v) in ws.wgrads[l]
-                .as_mut_slice()
-                .iter_mut()
-                .zip(ws.wgrads_band[l].as_slice())
-            {
-                *t += v;
-            }
-            for (t, &v) in ws.bgrads[l].iter_mut().zip(&ws.bgrads_band[l]) {
-                *t += v;
-            }
-        }
+        add_band(
+            &mut ws.wgrads,
+            &mut ws.bgrads,
+            ws.wgrads_band.iter().map(|w| w.as_slice()),
+            ws.bgrads_band.iter().map(|b| b.as_slice()),
+        );
         Ok(band_loss)
     }
 
     /// Forward + backward over rows `b0..b1`, leaving the band's
     /// weight/bias-gradient partials in `ws.wgrads_band` /
     /// `ws.bgrads_band` (assigned, not accumulated) and returning the
-    /// band's loss partial. Requires `ws.wts` to be fresh
-    /// ([`Mlp::transpose_weights`]). The partials depend only on the
-    /// band's rows and the network — never on leftover workspace
-    /// contents — which is what lets `wlc_exec::BandPool` compute bands
-    /// on different workers and fold them band-ascending to the same
-    /// bits as the in-line loop.
+    /// band's loss partial. The partials depend only on the band's rows
+    /// and the network — never on leftover workspace contents — which is
+    /// what lets `wlc_exec::BandPool` compute bands on different workers
+    /// and fold them band-ascending to the same bits as the in-line
+    /// loop.
     #[wlc_hot]
     fn band_partials(
         &self,
@@ -420,7 +376,6 @@ impl Mlp {
         let band_rows = b1 - b0;
         let len = self.layers().len();
         let last = len - 1;
-        ws.ensure_batch(band_rows);
         self.batched_forward(inputs, b0, b1, ws)?;
 
         // Loss and output deltas, sample-row ascending within the band.
@@ -492,24 +447,8 @@ impl Mlp {
         Ok(band_loss)
     }
 
-    /// Refreshes the per-layer transposed weight scratch (`ws.wts`),
-    /// the forward GEMM's `b` operand. Called once per batched entry
-    /// point, not once per band; the backward pass reads the weight
-    /// matrices directly.
-    fn transpose_weights(&self, ws: &mut Workspace) {
-        for (l, layer) in self.layers().iter().enumerate() {
-            let w = layer.weights();
-            let wt = &mut ws.wts[l];
-            for r in 0..w.rows() {
-                for (c, &v) in w.row(r).iter().enumerate() {
-                    wt.row_mut(c)[r] = v;
-                }
-            }
-        }
-    }
-
-    /// Batched forward over `inputs[r0..r1]` into `ws.pre`/`ws.acts`
-    /// (buffers already sized to `r1 - r0` rows).
+    /// Batched forward over `inputs[r0..r1]` into `ws.pre`/`ws.acts`,
+    /// sizing them to `r1 - r0` rows.
     fn batched_forward(
         &self,
         inputs: &Matrix,
@@ -518,43 +457,72 @@ impl Mlp {
         ws: &mut Workspace,
     ) -> Result<(), NnError> {
         let rows = r1 - r0;
+        ws.ensure_batch(rows);
         for (l, layer) in self.layers().iter().enumerate() {
             // Z_l = A_{l-1} * W_l^T, computed in broadcast form against
-            // the pre-transposed panel `ws.wts[l]`: each `a` element fans
+            // the layer's transposed weights: each `a` element fans
             // across a register tile of output columns, so one pass over
             // `k` fills a whole tile with only throughput-bound FMAs.
             // Each output element is still the lane-order dot product
-            // (`gemm::dot_lanes`) that `Mlp::forward` computes, bit for
-            // bit — lane assignment is per-element, so the traversal
+            // (`gemm::dot_lanes`) that `oracle::forward` computes, bit
+            // for bit — lane assignment is per-element, so the traversal
             // cannot change a bit. Layer 0 reads the input band in place
-            // (`matmul_rows_into`) — no band copy.
-            if l == 0 {
-                gemm::matmul_bias_rows_into(
-                    inputs,
-                    r0,
-                    r1,
-                    &ws.wts[0],
-                    layer.biases(),
-                    &mut ws.pre[0],
-                )?;
-            } else {
-                gemm::matmul_bias_rows_into(
-                    &ws.acts[l - 1],
-                    0,
-                    rows,
-                    &ws.wts[l],
-                    layer.biases(),
-                    &mut ws.pre[l],
-                )?;
-            }
-            {
-                let (pre_l, act_l) = (&ws.pre[l], &mut ws.acts[l]);
-                layer
-                    .activation()
-                    .apply_slice_into(pre_l.as_slice(), act_l.as_mut_slice());
-            }
+            // — no band copy.
+            let (done, rest) = ws.acts.split_at_mut(l);
+            let (a, a_r0, a_r1) = match done.last() {
+                None => (inputs, r0, r1),
+                Some(prev) => (prev, 0, rows),
+            };
+            gemm::matmul_bias_rows_into(
+                a,
+                a_r0,
+                a_r1,
+                layer.weights_t(),
+                layer.biases(),
+                &mut ws.pre[l],
+            )?;
+            layer
+                .activation()
+                .apply_slice_into(ws.pre[l].as_slice(), rest[0].as_mut_slice());
         }
         Ok(())
+    }
+}
+
+/// Mean loss of a prediction matrix against `ys`: [`Loss::value_rows`]
+/// over each [`BAND_ROWS`] band, bands added ascending, divided by the
+/// row count — the gradient paths' fold and rounding, shared by
+/// [`Mlp::batch_loss_with`] and `BandEngine::batch_loss`.
+pub(crate) fn mean_band_loss(predicted: &Matrix, ys: &Matrix, loss: Loss) -> Result<f64, NnError> {
+    let rows = predicted.rows();
+    let mut total = 0.0;
+    let mut r0 = 0;
+    while r0 < rows {
+        let r1 = (r0 + BAND_ROWS).min(rows);
+        total += loss.value_rows(predicted, ys, r0, r1)?;
+        r0 = r1;
+    }
+    Ok(total / rows as f64)
+}
+
+/// Adds one band's weight- and bias-gradient partials into the totals,
+/// layer by layer: the one `+=` fold of the in-line and pooled gradient
+/// paths.
+fn add_band<'a>(
+    wgrads: &mut [Matrix],
+    bgrads: &mut [Vec<f64>],
+    band_w: impl Iterator<Item = &'a [f64]>,
+    band_b: impl Iterator<Item = &'a [f64]>,
+) {
+    for (t, p) in wgrads.iter_mut().zip(band_w) {
+        for (t, &v) in t.as_mut_slice().iter_mut().zip(p) {
+            *t += v;
+        }
+    }
+    for (t, p) in bgrads.iter_mut().zip(band_b) {
+        for (t, &v) in t.iter_mut().zip(p) {
+            *t += v;
+        }
     }
 }
 
@@ -611,7 +579,6 @@ impl Mlp {
         b1: usize,
         ws: &mut Workspace,
     ) -> Result<BandGrads, NnError> {
-        self.transpose_weights(ws);
         let band_loss = self.band_partials(inputs, targets, loss, b0, b1, ws)?;
         Ok(BandGrads {
             wgrads: ws
@@ -633,21 +600,18 @@ impl Mlp {
         rows: usize,
         ws: &mut Workspace,
     ) -> f64 {
-        let len = self.layers().len();
-        for l in 0..len {
+        for l in 0..self.layers().len() {
             ws.wgrads[l].as_mut_slice().fill(0.0);
             ws.bgrads[l].fill(0.0);
         }
         let mut total_loss = 0.0;
         for band in bands {
-            for l in 0..len {
-                for (t, &v) in ws.wgrads[l].as_mut_slice().iter_mut().zip(&band.wgrads[l]) {
-                    *t += v;
-                }
-                for (t, &v) in ws.bgrads[l].iter_mut().zip(&band.bgrads[l]) {
-                    *t += v;
-                }
-            }
+            add_band(
+                &mut ws.wgrads,
+                &mut ws.bgrads,
+                band.wgrads.iter().map(|w| w.as_slice()),
+                band.bgrads.iter().map(|b| b.as_slice()),
+            );
             total_loss += band.loss;
         }
         flatten_and_scale(ws, rows, total_loss)
@@ -663,8 +627,6 @@ impl Mlp {
         r1: usize,
         ws: &mut Workspace,
     ) -> Result<Vec<f64>, NnError> {
-        self.transpose_weights(ws);
-        ws.ensure_batch(r1 - r0);
         self.batched_forward(inputs, r0, r1, ws)?;
         let last = self.layers().len() - 1;
         let acts = &ws.acts[last];
@@ -673,25 +635,6 @@ impl Mlp {
             out.extend_from_slice(acts.row(q));
         }
         Ok(out)
-    }
-
-    /// Pool-path band loss: the loss *sum* over rows `r0..r1` — the
-    /// same band partial the in-line [`Mlp::batch_loss_with`] loop adds
-    /// to its total.
-    pub(crate) fn band_loss_sum(
-        &self,
-        xs: &Matrix,
-        ys: &Matrix,
-        loss: Loss,
-        r0: usize,
-        r1: usize,
-        ws: &mut Workspace,
-    ) -> Result<f64, NnError> {
-        self.transpose_weights(ws);
-        ws.ensure_batch(r1 - r0);
-        self.batched_forward(xs, r0, r1, ws)?;
-        let last = self.layers().len() - 1;
-        loss.value_rows(&ws.acts[last], ys, r0)
     }
 }
 
@@ -712,7 +655,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, MlpBuilder};
+    use crate::{Activation, DenseLayer, MlpBuilder};
     use wlc_math::rng::Xoshiro256;
 
     /// Odd topologies and batch sizes: 1-sample batches, 1-wide layers,
@@ -772,10 +715,63 @@ mod tests {
             let mut ws = Workspace::for_mlp(&mlp);
             let batch = mlp.forward_batch_with(&xs, &mut ws).unwrap().clone();
             for r in 0..rows {
-                let single = mlp.forward(xs.row(r)).unwrap();
+                let single = crate::oracle::forward(&mlp, xs.row(r)).unwrap();
                 assert_eq!(batch.row(r), single.as_slice(), "row {r}");
             }
         }
+    }
+
+    #[test]
+    fn every_weight_writer_keeps_the_forward_on_the_weights() {
+        // The forward kernel reads each layer's transposed copy, the
+        // oracle reads `weights` itself, so a writer that left the copy
+        // stale (or transposed it wrongly: the layers are not square)
+        // shows here.
+        let mut rng = Xoshiro256::seed_from(31);
+        let xs = random_batch(5, 3, &mut rng);
+        let check = |mlp: &Mlp, writer: &str| {
+            let mut ws = Workspace::for_mlp(mlp);
+            let batch = mlp.forward_batch_with(&xs, &mut ws).unwrap();
+            for r in 0..xs.rows() {
+                let oracle = crate::oracle::forward(mlp, xs.row(r)).unwrap();
+                assert_eq!(batch.row(r), oracle.as_slice(), "{writer}, row {r}");
+                assert_eq!(mlp.forward(xs.row(r)).unwrap(), oracle, "{writer}, row {r}");
+            }
+        };
+        let net = |layers| Mlp::from_layers(layers).unwrap();
+        let mut init = Xoshiro256::seed_from(32);
+        let drawn = net(vec![
+            DenseLayer::new(3, 5, Activation::tanh(), &mut init).unwrap(),
+            DenseLayer::new(5, 2, Activation::identity(), &mut init).unwrap(),
+        ]);
+        check(&drawn, "DenseLayer::new");
+        let parts = net(vec![
+            DenseLayer::from_parts(
+                random_batch(5, 3, &mut rng),
+                vec![0.1, -0.2, 0.3, 0.0, 0.5],
+                Activation::logistic(),
+            )
+            .unwrap(),
+            DenseLayer::from_parts(
+                random_batch(2, 5, &mut rng),
+                vec![0.25, -0.75],
+                Activation::identity(),
+            )
+            .unwrap(),
+        ]);
+        check(&parts, "DenseLayer::from_parts");
+        let mut layers = parts.layers().to_vec();
+        for layer in &mut layers {
+            layer.reinitialize(&mut init);
+        }
+        check(&net(layers), "DenseLayer::reinitialize");
+        let mut set = drawn.clone();
+        set.set_params_flat(&parts.params_flat()).unwrap();
+        check(&set, "Mlp::set_params_flat");
+        let mut redrawn = parts.clone();
+        redrawn.reinitialize(99);
+        check(&redrawn, "Mlp::reinitialize");
+        check(&Mlp::from_text(&parts.to_text()).unwrap(), "Mlp::from_text");
     }
 
     #[test]

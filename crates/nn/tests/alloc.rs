@@ -11,6 +11,10 @@
 //!    trains 20 epochs or 120 — i.e. all allocation is setup, none per epoch
 //!    — in minibatches and in full batch.
 //!
+//! A third test holds the serving path's forward pass to the same claim:
+//! a warm `Mlp::forward_batch_with` and a warm one-member
+//! [`BandEngine::forward_batch`] allocate nothing.
+//!
 //! The counter is per thread, so an allocation on another thread, such
 //! as the test harness's, never lands in a measured window. Training
 //! runs at `jobs(1)`, so all of the measured work runs, and is counted,
@@ -22,7 +26,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wlc_math::Matrix;
-use wlc_nn::{Activation, Loss, MlpBuilder, OptimizerKind, TrainConfig, Trainer, Workspace};
+use wlc_nn::{
+    Activation, BandEngine, Loss, MlpBuilder, OptimizerKind, TrainConfig, Trainer, Workspace,
+};
 
 struct CountingAlloc;
 
@@ -194,6 +200,36 @@ fn steady_state_training_does_not_allocate() {
             short, long,
             "Trainer::fit allocation count grew with epochs at batch {batch:?}: \
              20 epochs = {short}, 120 epochs = {long}"
+        );
+    }
+}
+
+#[test]
+fn warm_forward_does_not_allocate() {
+    // The paper topology, 4-16-12-5.
+    let mlp = MlpBuilder::new(4)
+        .hidden(16, Activation::logistic())
+        .hidden(12, Activation::logistic())
+        .output(5, Activation::identity())
+        .seed(2)
+        .build()
+        .unwrap();
+    let mut ws = Workspace::for_mlp(&mlp);
+    let mut engine = BandEngine::new(1);
+    // One row (a `/predict`) and four bands (a large `/predict_batch`).
+    for rows in [1, 256] {
+        let xs = Matrix::from_fn(rows, 4, |r, c| ((r * 4 + c) % 7) as f64 * 0.25 - 0.75);
+        // Warm up: the workspace grows to this batch size.
+        mlp.forward_batch_with(&xs, &mut ws).unwrap();
+        let before = alloc_calls();
+        for _ in 0..10 {
+            mlp.forward_batch_with(&xs, &mut ws).unwrap();
+            engine.forward_batch(&mlp, &xs, &mut ws).unwrap();
+        }
+        let during = alloc_calls() - before;
+        assert_eq!(
+            during, 0,
+            "warm forward passes of {rows} rows performed {during} heap allocations"
         );
     }
 }

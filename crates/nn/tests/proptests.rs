@@ -66,7 +66,7 @@ fn serialization_roundtrip_any_topology() {
         assert_eq!(&back, &mlp);
         // Bit-identical predictions.
         let x: Vec<f64> = (0..inputs).map(|i| i as f64 * 0.1 - 0.2).collect();
-        assert_eq!(back.forward(&x).unwrap(), mlp.forward(&x).unwrap());
+        assert_eq!(back.forward(&x[..]).unwrap(), mlp.forward(&x[..]).unwrap());
     });
 }
 
@@ -174,7 +174,7 @@ fn params_roundtrip_preserves_behaviour() {
             .chain(std::iter::repeat(0.0))
             .take(inputs)
             .collect();
-        assert_eq!(dst.forward(&x).unwrap(), src.forward(&x).unwrap());
+        assert_eq!(dst.forward(&x[..]).unwrap(), src.forward(&x[..]).unwrap());
     });
 }
 
