@@ -279,11 +279,7 @@ impl Matrix {
             (self.cols, self.rows),
             "transpose_into output shape"
         );
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        crate::gemm::transpose(&self.data, self.cols, &mut out.data);
     }
 
     /// Matrix multiplication `self * other`.
@@ -484,8 +480,20 @@ impl Matrix {
     /// down for a ragged final minibatch and back up for the next epoch
     /// without touching the heap.
     pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.cols, 0.0);
+        self.resize(rows, self.cols);
+    }
+
+    /// Changes the shape in place: the row-major buffer is truncated or
+    /// zero-extended to `rows * cols` elements, so with an unchanged
+    /// column count this is [`Matrix::resize_rows`]. Shrinking keeps the
+    /// backing allocation — a workspace holding feature-major band
+    /// matrices (neurons x band rows) resizes their width for a ragged
+    /// band and back without touching the heap. Callers that change the
+    /// column count overwrite the contents before reading them.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
         self.rows = rows;
+        self.cols = cols;
     }
 
     /// Returns `true` if all elements are finite.

@@ -67,27 +67,31 @@ impl Loss {
             .collect())
     }
 
-    /// Row-batched loss value + gradient over a band: adds up each row's
-    /// [`Loss::value`] (rows ascending) against rows `t_r0..t_r0 + m` of
-    /// `target` while writing each row's [`Loss::gradient`] result
-    /// into the matching row of `grad_out`. Bit-identical to the per-row
-    /// calls — this exists so the batched training hot path pays the
-    /// shape checks once per band instead of twice per sample, and so
-    /// band-mined callers can keep targets in the full dataset matrix.
+    /// Loss value + gradient over one feature-major band: `predicted`
+    /// and `grad_out` are `width x m` (one row per output, one column
+    /// per sample), and the band's targets are rows `t_r0..t_r0 + m` of
+    /// the row-major `target`. Adds up each sample's [`Loss::value`]
+    /// (samples ascending, each sample's squares in output order, then
+    /// divided by the width) while writing each sample's
+    /// [`Loss::gradient`] into its column of `grad_out`: bit-identical to
+    /// the per-sample calls. Eight samples go at once, so the squares
+    /// and divisions run along the band as vectors; this is what the
+    /// batched training hot path calls, once per band.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] for a width mismatch, a zero
     /// width, a row range outside `target`, or a `grad_out` shaped
     /// differently from `predicted`.
-    pub fn value_gradient_rows(
+    pub fn value_gradient_band(
         &self,
         predicted: &Matrix,
         target: &Matrix,
         t_r0: usize,
         grad_out: &mut Matrix,
     ) -> Result<f64, NnError> {
-        let (m, width) = predicted.shape();
+        const CHUNK: usize = 8;
+        let (width, m) = predicted.shape();
         if target.cols() != width || width == 0 || t_r0 + m > target.rows() {
             return Err(NnError::ShapeMismatch {
                 expected: target.cols(),
@@ -103,18 +107,27 @@ impl Loss {
             });
         }
         let n = width as f64;
+        let targets = &target.as_slice()[t_r0 * width..(t_r0 + m) * width];
+        let (p, o) = (predicted.as_slice(), grad_out.as_mut_slice());
         let mut total = 0.0;
-        for r in 0..m {
-            let p = predicted.row(r);
-            let t = target.row(t_r0 + r);
-            let o = grad_out.row_mut(r);
-            let mut row_total = 0.0;
-            for j in 0..p.len() {
-                let d = p[j] - t[j];
-                row_total += d * d;
-                o[j] = 2.0 * d / n;
+        let mut q0 = 0;
+        while q0 < m {
+            let w = CHUNK.min(m - q0);
+            let mut sums = [0.0f64; CHUNK];
+            for j in 0..width {
+                let at = j * m + q0;
+                let (ps, os) = (&p[at..at + w], &mut o[at..at + w]);
+                let ts = targets[q0 * width + j..].iter().step_by(width);
+                for (((s, &pv), ov), &tv) in sums.iter_mut().zip(ps).zip(os).zip(ts) {
+                    let d = pv - tv;
+                    *s += d * d;
+                    *ov = 2.0 * d / n;
+                }
             }
-            total += row_total / n;
+            for &s in &sums[..w] {
+                total += s / n;
+            }
+            q0 += w;
         }
         Ok(total)
     }

@@ -84,10 +84,14 @@ impl Mlp {
         self.layers.iter().map(DenseLayer::param_count).sum()
     }
 
-    /// Runs the forward pass for one input vector: the one-row case of
-    /// [`Mlp::forward_batch_with`]'s per-layer GEMM, so its outputs are
-    /// that pass's bits. Takes a slice or an owned `Vec`; a `Vec` becomes
-    /// the first layer's operand without a copy.
+    /// Runs the forward pass for one input vector through the same GEMM
+    /// kernel as [`Mlp::forward_batch_with`], so its outputs are that
+    /// pass's bits. With one row there is no band to vectorise along, so
+    /// the kernel runs the other way round: the input is a `1 x inputs`
+    /// row against the layer's transposed weights, the vector runs along
+    /// the layer's outputs, and the biases are added after the fold as
+    /// the band kernel adds them. Takes a slice or an owned `Vec`; a `Vec`
+    /// becomes the first layer's operand without a copy.
     ///
     /// # Errors
     ///
@@ -99,7 +103,10 @@ impl Mlp {
         let mut acts = Matrix::from_vec(1, input.len(), input)?;
         for layer in &self.layers {
             let mut z = Matrix::zeros(1, layer.outputs());
-            gemm::matmul_bias_rows_into(&acts, 0, 1, layer.weights_t(), layer.biases(), &mut z)?;
+            gemm::matmul_into(&acts, layer.weights_t(), &[], &mut z)?;
+            for (v, &b) in z.as_mut_slice().iter_mut().zip(layer.biases()) {
+                *v += b;
+            }
             layer.activation().apply_slice(z.as_mut_slice());
             acts = z;
         }

@@ -13,7 +13,9 @@
 //!
 //! A third test holds the serving path's forward pass to the same claim:
 //! a warm `Mlp::forward_batch_with` and a warm one-member
-//! [`BandEngine::forward_batch`] allocate nothing.
+//! [`BandEngine::forward_batch`] allocate nothing. A fourth checks that a
+//! forward-only workspace never holds the gradient buffers: they grow on
+//! the first gradient pass, after which neither pass allocates.
 //!
 //! The counter is per thread, so an allocation on another thread, such
 //! as the test harness's, never lands in a measured window. Training
@@ -232,4 +234,42 @@ fn warm_forward_does_not_allocate() {
             "warm forward passes of {rows} rows performed {during} heap allocations"
         );
     }
+}
+
+#[test]
+fn gradient_buffers_grow_on_the_first_gradient_pass() {
+    let mlp = MlpBuilder::new(4)
+        .hidden(16, Activation::logistic())
+        .hidden(12, Activation::logistic())
+        .output(5, Activation::identity())
+        .seed(4)
+        .build()
+        .unwrap();
+    // A 64-row band and a ragged 39-row one, as in cross validation.
+    let xs = Matrix::from_fn(103, 4, |r, c| ((r * 4 + c) % 9) as f64 * 0.2 - 0.8);
+    let ys = Matrix::from_fn(103, 5, |r, c| ((r + c) % 5) as f64 * 0.3 - 0.6);
+    let mut ws = Workspace::for_mlp(&mlp);
+    mlp.forward_batch_with(&xs, &mut ws).unwrap();
+    assert!(ws.grad().is_empty(), "a forward pass grew the gradient");
+    let before = alloc_calls();
+    mlp.forward_batch_with(&xs, &mut ws).unwrap();
+    assert_eq!(alloc_calls() - before, 0, "warm forward pass allocated");
+
+    let before = alloc_calls();
+    mlp.batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+        .unwrap();
+    assert!(
+        alloc_calls() > before,
+        "the first gradient pass grew nothing"
+    );
+    assert_eq!(ws.grad().len(), mlp.param_count());
+
+    let before = alloc_calls();
+    for _ in 0..10 {
+        mlp.batch_gradient_with(&xs, &ys, Loss::MeanSquared, &mut ws)
+            .unwrap();
+        mlp.forward_batch_with(&xs, &mut ws).unwrap();
+    }
+    let during = alloc_calls() - before;
+    assert_eq!(during, 0, "warm passes performed {during} heap allocations");
 }
