@@ -913,6 +913,34 @@ fn keep_alive_close_request_gets_close_and_eof_after_the_body() {
 }
 
 #[test]
+fn chunked_request_gets_one_400_and_a_close() {
+    // The server reads no chunked bodies. Framed by its (absent)
+    // Content-Length, the chunk text would be a second request on the
+    // kept-alive connection; it must get one 400, then a close.
+    let (addr, handle) = start(full_bundle(1), ServeConfig::default());
+    let mut conn = http::Connection::connect(&addr).unwrap();
+    conn.get_mut()
+        .write_all(
+            b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              14\r\n{\"inputs\":[2.0,3.0]}\r\n0\r\n\r\n",
+        )
+        .unwrap();
+    let response = conn.read_response().unwrap();
+    assert_eq!(response.status, 400);
+    assert_eq!(
+        response.headers.get("connection").map(String::as_str),
+        Some("close")
+    );
+    assert!(matches!(
+        conn.poll(Duration::from_secs(5)),
+        Err(ServeError::ConnectionClosed)
+    ));
+
+    quick_client(&addr).shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn keep_alive_pipelined_requests_are_answered_in_order() {
     let (addr, handle) = start(full_bundle(1), ServeConfig::default());
     let mut conn = http::Connection::connect(&addr).unwrap();
