@@ -28,9 +28,10 @@ use crate::{Activation, NnError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     weights: Matrix,
-    /// `weights` transposed (`inputs × outputs`), the forward GEMM's `b`
-    /// operand: it lets the kernel run in broadcast form, output columns
-    /// innermost and contiguous. Every writer of `weights` refreshes it.
+    /// `weights` transposed (`inputs × outputs`): the `a` operand of the
+    /// delta GEMM (`Wᵀ · delta`), and the `b` operand of the one-row
+    /// forward, whose vector runs along the outputs. Every writer of
+    /// `weights` refreshes it.
     weights_t: Matrix,
     biases: Vec<f64>,
     activation: Activation,

@@ -23,9 +23,9 @@
 //! - [`Workspace`] — reusable scratch buffers making batched training
 //!   and inference allocation-free ([`Mlp::batch_gradient_with`],
 //!   [`Mlp::forward_batch_with`]). This is the one gradient
-//!   implementation, and its forward kernel is the only one:
-//!   [`Mlp::forward`] is its one-row case, each layer holding the
-//!   transposed weights the kernel reads.
+//!   implementation, and every GEMM in it, the one-row
+//!   [`Mlp::forward`] included, runs through the one
+//!   `wlc_math::gemm` kernel, along the band's rows.
 //! - [`oracle`] — the naive per-sample reference (a dot product per
 //!   neuron, never a GEMM kernel), bit-identical to the production path,
 //!   that only tests and `wlc bench` call.
